@@ -7,33 +7,15 @@ cut its cost, and optionally accounting for a finite transmission speed
 via space-dependent delays.
 """
 
-from .quadrature import (GaussRule, Rectangle, SpatialGrid, apply_quadrature,
-                         build_gauss_rule, build_grid)
-from .chebyshev import ChebOperator, build_cheb_operator, coeffs_from_samples, eval_on_grid
-from .problems import (KernelNorms, ProblemSpec, compute_kernel_norms, example1,
-                       example2, example3, example4, kernel_box_integral,
-                       weighted_kernel_box_integral)
-from .solver import (DelayTable, FieldState, HistoryBuffer, SolveResult,
-                     SolverConfig, StepBounds, StepDiagnostics,
-                     apply_integral_operator, bdf2_step, build_delay_table,
-                     euler_bootstrap, lift_to_grid, solve, step_bound)
-from .analysis import (ConvergenceReport, ReportRow, SpaceStudy, TimeStudy,
-                       error_norm, field_norm, space_convergence_study,
-                       time_convergence_study)
+from .problems import ProblemSpec, example1, example2, example3, example4
+from .solver import SolveResult, SolverConfig, solve
+from .analysis import error_norm, field_norm, space_convergence_study, time_convergence_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussRule", "Rectangle", "SpatialGrid", "apply_quadrature",
-    "build_gauss_rule", "build_grid",
-    "ChebOperator", "build_cheb_operator", "coeffs_from_samples", "eval_on_grid",
-    "KernelNorms", "ProblemSpec", "compute_kernel_norms",
-    "example1", "example2", "example3", "example4",
-    "kernel_box_integral", "weighted_kernel_box_integral",
-    "DelayTable", "FieldState", "HistoryBuffer", "SolveResult", "SolverConfig",
-    "StepBounds", "StepDiagnostics", "apply_integral_operator", "bdf2_step",
-    "build_delay_table", "euler_bootstrap", "lift_to_grid", "solve", "step_bound",
-    "ConvergenceReport", "ReportRow", "SpaceStudy", "TimeStudy",
+    "ProblemSpec", "example1", "example2", "example3", "example4",
+    "SolveResult", "SolverConfig", "solve",
     "error_norm", "field_norm", "space_convergence_study", "time_convergence_study",
     "__version__",
 ]

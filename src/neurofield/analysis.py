@@ -22,7 +22,7 @@ import numpy as np
 
 from .problems import ProblemSpec
 from .quadrature import SpatialGrid, apply_quadrature
-from .solver import FieldState, SolverConfig, solve
+from .solver import FieldState, SolverConfig, solve, time_level
 
 __all__ = [
     "ROUNDOFF_FLOOR",
@@ -117,7 +117,8 @@ class TimeStudy:
     ``errors[h]`` maps an integer multiple of the finest step to the error
     at that physical time; multiples not resolved by a coarser step are
     absent.  ``ratio(coarse, fine, t)`` is the usual error quotient at a
-    time both steps reach.
+    time both steps reach.  ``configs`` are the solver configurations the
+    study ran, one per step.
     """
 
     problem_name: str
@@ -127,13 +128,20 @@ class TimeStudy:
     T: float
     space: dict
     errors: dict[float, dict[int, float]]
+    configs: list[SolverConfig] = field(default_factory=list)
 
     def times(self) -> list[float]:
-        last = int(round(self.T / self.finest))
+        last = time_level(self.T, self.finest)
         return [i * self.finest for i in range(1, last + 1)]
 
     def error_at(self, step: float, t: float) -> Optional[float]:
-        key = int(round(t / self.finest))
+        """The error of ``step`` at time t, None where that step has no level.
+
+        Raises ValueError when t is not a level of the finest step.
+        """
+        key = time_level(t, self.finest)
+        if key is None:
+            raise ValueError(f"time {t!r} is not a level of the finest step {self.finest!r}")
         return self.errors[step].get(key)
 
     def ratio(self, coarse: float, fine: float, t: float) -> Optional[float]:
@@ -156,7 +164,7 @@ class TimeStudy:
             if prev_err is not None and err > 0.0:
                 ratio = prev_err / err
                 order = math.log2(ratio) if ratio > 0 else None
-            extra = ["bootstrap-affected"] if int(round(t / h)) <= 2 else []
+            extra = ["bootstrap-affected"] if time_level(t, h) <= 2 else []
             rows.append(ReportRow(param=f"{h:g}", error=err, ratio=ratio,
                                   order=order, flags=_row_flags(err, extra)))
             prev_err = err
@@ -179,7 +187,7 @@ class TimeStudy:
             cells = [f"{t:8.4f}"]
             for h in self.steps:
                 err = self.error_at(h, t)
-                mark = "*" if err is not None and int(round(t / h)) <= 2 else " "
+                mark = "*" if err is not None and time_level(t, h) <= 2 else " "
                 cells.append(f"{err:12.3e}{mark}" if err is not None else " " * 13)
             for a, b in zip(self.steps, self.steps[1:]):
                 r = self.ratio(a, b, t)
@@ -191,7 +199,7 @@ class TimeStudy:
 
 def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: float,
                            n: int = 6, k: int = 4, m: int = 12, norm: str = "max",
-                           eps_inner: float = 1e-10, max_inner: int = 50,
+                           eps_inner: float = 1e-10,
                            rank_reduction: bool = False) -> TimeStudy:
     """Solve at each step size on a fixed grid and collect errors in time.
 
@@ -213,29 +221,33 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
     steps = sorted(set(float(h) for h in steps), reverse=True)
     finest = steps[-1]
     for h in steps:
-        if abs(round(T / h) * h - T) > 1e-9 * max(T, 1.0) or round(T / h) < 1:
+        levels = time_level(T, h)
+        if levels is None or levels < 1:
             raise ValueError(f"step {h!r} does not divide the final time {T!r}")
-        mult = h / finest
-        if abs(round(mult) - mult) > 1e-9:
+        if time_level(h, finest) is None:
             raise ValueError(f"steps are not nested: {h!r} is not a multiple of {finest!r}")
 
     errors: dict[float, dict[int, float]] = {}
-    for h in steps:
-        cfg = SolverConfig(h_t=h, T=T, n=n, k=k, m=m, eps_inner=eps_inner,
-                           max_inner=max_inner, rank_reduction=rank_reduction)
+    configs = [SolverConfig(h_t=h, T=T, n=n, k=k, m=m, eps_inner=eps_inner,
+                            rank_reduction=rank_reduction) for h in steps]
+    for cfg in configs:
         res = solve(problem, cfg)
-        mult = int(round(h / finest))
-        errors[h] = {
+        mult = time_level(cfg.h_t, finest)
+        errors[cfg.h_t] = {
             i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
             for i in range(1, len(res.states))
         }
     return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, finest=finest,
-                     T=T, space={"n": n, "k": k, "m": m}, errors=errors)
+                     T=T, space={"n": n, "k": k, "m": m}, errors=errors, configs=configs)
 
 
 @dataclass
 class SpaceStudy:
-    """Errors over grid resolutions N for one or more interpolation orders."""
+    """Errors over grid resolutions N for one or more interpolation orders.
+
+    ``configs`` are the solver configurations the study ran, one per
+    (N, m) pair with m <= N.
+    """
 
     problem_name: str
     norm: str
@@ -245,6 +257,7 @@ class SpaceStudy:
     h_t: float
     T: float
     errors: dict[tuple[int, int], float]
+    configs: list[SolverConfig] = field(default_factory=list)
 
     def error(self, N: int, m: int) -> Optional[float]:
         return self.errors.get((N, m))
@@ -279,7 +292,7 @@ class SpaceStudy:
 def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
                             m_values: Sequence[int], k: int = 4, h_t: float = 0.01,
                             T: float = 0.1, norm: str = "max",
-                            eps_inner: float = 1e-14, max_inner: int = 50) -> SpaceStudy:
+                            eps_inner: float = 1e-14) -> SpaceStudy:
     """Errors at t = T while the grid is refined at fixed k and time step.
 
     Each N must be a multiple of k (N = n * k subinterval structure);
@@ -300,13 +313,10 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
         raise ValueError("every requested interpolation order exceeds every grid resolution")
 
     errors: dict[tuple[int, int], float] = {}
-    for N in N_values:
-        for m in m_values:
-            if m > N:
-                continue
-            cfg = SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m,
-                               eps_inner=eps_inner, max_inner=max_inner)
-            res = solve(problem, cfg)
-            errors[(N, m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
+    configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=eps_inner)
+               for N in N_values for m in m_values if m <= N]
+    for cfg in configs:
+        res = solve(problem, cfg)
+        errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
     return SpaceStudy(problem_name=problem.name, norm=norm, N_values=N_values,
-                      m_values=m_values, k=k, h_t=h_t, T=T, errors=errors)
+                      m_values=m_values, k=k, h_t=h_t, T=T, errors=errors, configs=configs)

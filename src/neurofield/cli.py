@@ -219,6 +219,18 @@ def _solver_params(cfg: SolverConfig) -> dict:
             "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
 
 
+def _shared_solver_params(configs: list[SolverConfig]) -> dict:
+    """The solver settings that every config a study ran agrees on."""
+    params = [_solver_params(cfg) for cfg in configs]
+    return {key: value for key, value in params[0].items()
+            if all(p[key] == value for p in params)}
+
+
+def _run_stability(result: SolveResult) -> dict:
+    return {"step_bounds": dataclasses.asdict(result.bounds),
+            "stability_margin": result.stability_margin}
+
+
 def _write_all(out: Path, files: dict[str, str], manifest: dict) -> None:
     """Write every output at once, after all computation has succeeded."""
     for name, content in files.items():
@@ -236,10 +248,8 @@ def _solve_checked(problem: ProblemSpec, cfg: SolverConfig) -> SolveResult:
 def cmd_run(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     problem, params = _resolve_problem(args, default_example=1)
-    cfg = SolverConfig(
-        h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
-        n=_resolve(args, "n", 6), k=_resolve(args, "k", 4),
-        m=_parse_single_m(args), rank_reduction=_resolve_rank(args, default=True))
+    cfg = SolverConfig(h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
+                       **_solver_flags(args))
     snapshots = _parse_float_list(_resolve(args, "snapshots", ""), "snapshot")
     result = _solve_checked(problem, cfg)
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
@@ -248,6 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "parameters": {**params, **_solver_params(cfg), "norm": _resolve(args, "norm", "max")},
         "snapshots": snapshots,
         "warnings": result.warnings,
+        **_run_stability(result),
         "diagnostics": _diag_dicts(result),
         "total_integrand_evals": result.total_integrand_evals,
         "wall_time": result.wall_time,
@@ -257,21 +268,33 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_single_m(args: argparse.Namespace) -> int:
-    raw = _resolve(args, "m", 12)
+def _parse_single_m(args: argparse.Namespace) -> Optional[int]:
+    if args.m is None:
+        return None
     try:
-        return int(raw)
+        return int(args.m)
     except (TypeError, ValueError):
-        raise CliError(f"expected a single interpolation order, got {raw!r}") from None
+        raise CliError(f"expected a single interpolation order, got {args.m!r}") from None
 
 
-def _resolve_rank(args: argparse.Namespace, default: bool) -> bool:
+def _resolve_rank(args: argparse.Namespace) -> Optional[bool]:
     if args.no_rank_reduction:
         return False
     file_value = getattr(args, "rank_reduction_file", None)
     if file_value is not None:
         return _parse_bool(file_value, "rank-reduction")
-    return default
+    return None
+
+
+def _given(**values) -> dict:
+    """The values that flags or the config file set (the others are None),
+    so that the library's defaults fill in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _solver_flags(args: argparse.Namespace) -> dict:
+    return _given(n=args.n, k=args.k, m=_parse_single_m(args),
+                  rank_reduction=_resolve_rank(args))
 
 
 def cmd_converge_time(args: argparse.Namespace) -> int:
@@ -281,13 +304,10 @@ def cmd_converge_time(args: argparse.Namespace) -> int:
     default_steps = "0.01,0.005,0.0025" if example == 3 else "0.02,0.01"
     default_T = 0.05 if example == 3 else 0.1
     steps = _parse_float_list(_resolve(args, "steps", default_steps), "step")
-    norm = _resolve(args, "norm", "max")
-    cfg = {"T": _resolve(args, "T", default_T), "n": _resolve(args, "n", 6),
-           "k": _resolve(args, "k", 4), "m": _parse_single_m(args), "norm": norm,
-           "rank_reduction": _resolve_rank(args, default=False)}
     t0 = time.perf_counter()
     try:
-        study = time_convergence_study(problem, steps, **cfg)
+        study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
+                                       **_solver_flags(args), **_given(norm=args.norm))
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from None
     report = study.report()
@@ -295,8 +315,8 @@ def cmd_converge_time(args: argparse.Namespace) -> int:
              "report.txt": study.to_text() + "\n"}
     manifest = {
         "command": "converge-time", "problem": problem.name,
-        "parameters": {**params, **cfg, "steps": steps,
-                       "eps_inner": 1e-10, "max_inner": 50},
+        "parameters": {**params, **_shared_solver_params(study.configs),
+                       "steps": study.steps, "norm": study.norm},
         "rows": [dataclasses.asdict(r) for r in report.rows],
         "wall_time": time.perf_counter() - t0,
     }
@@ -310,15 +330,14 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
     problem, params = _resolve_problem(args, default_example=2)
     N_values = _parse_int_list(_resolve(args, "N", "12,24,48,96"), "N")
     m_values = _parse_int_list(str(_resolve(args, "m", "12,24")), "m")
-    norm = _resolve(args, "norm", "max")
-    cfg = {"k": _resolve(args, "k", 4), "h_t": _resolve(args, "ht", 0.01),
-           "T": _resolve(args, "T", 0.1), "norm": norm}
-    if not _resolve_rank(args, default=True):
+    if _resolve_rank(args) is False:
         raise CliError("the space study measures the rank-reduced operator; "
                        "--no-rank-reduction does not apply")
     t0 = time.perf_counter()
     try:
-        study = space_convergence_study(problem, N_values, m_values, **cfg)
+        study = space_convergence_study(problem, N_values, m_values,
+                                        **_given(k=args.k, h_t=args.ht, T=args.T,
+                                                 norm=args.norm))
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from None
     files = {"report.txt": study.to_text() + "\n"}
@@ -328,8 +347,8 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
         rows[str(m)] = [dataclasses.asdict(r) for r in report.rows]
     manifest = {
         "command": "converge-space", "problem": problem.name,
-        "parameters": {**params, **cfg, "N": N_values, "m": m_values,
-                       "eps_inner": 1e-14, "max_inner": 50, "rank_reduction": True},
+        "parameters": {**params, **_shared_solver_params(study.configs),
+                       "N": study.N_values, "m": study.m_values, "norm": study.norm},
         "rows": rows,
         "wall_time": time.perf_counter() - t0,
     }
@@ -345,10 +364,8 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
         raise CliError("compare-delay needs a finite positive transmission speed (--v)")
     delayed = dataclasses.replace(problem, v=params["v"], exact=None)
     undelayed = dataclasses.replace(problem, v=math.inf, exact=None)
-    cfg = SolverConfig(
-        h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
-        n=_resolve(args, "n", 6), k=_resolve(args, "k", 4),
-        m=_parse_single_m(args), rank_reduction=_resolve_rank(args, default=True))
+    cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
+                       **_solver_flags(args))
     snapshots = _parse_float_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot")
     res_d = _solve_checked(delayed, cfg)
     res_u = _solve_checked(undelayed, cfg)
@@ -369,6 +386,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
         "parameters": {**params, **_solver_params(cfg), "norm": norm},
         "snapshots": snapshots,
         "warnings": res_d.warnings + res_u.warnings,
+        **_run_stability(res_d),
         "diagnostics": {"delayed": _diag_dicts(res_d), "undelayed": _diag_dicts(res_u)},
         "wall_time": res_d.wall_time + res_u.wall_time,
     }

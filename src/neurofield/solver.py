@@ -11,30 +11,36 @@ solved at each level by fixed-point iteration
     f_i   = lam * (I_i + (2 c / h_t) U_{i-1} - (c / (2 h_t)) U_{i-2})
 
 started from an Euler predictor.  kappa is the quadrature approximation of
-the connectivity integral.  With rank reduction the update is carried at
-the m^2 Chebyshev tensor points: kappa and f are formed there, and the
-resulting solution values are lifted to the N^2 grid by interpolation, so
-each iteration costs m^2 N^2 integrand terms instead of N^4.  Lifting the
-updated solution rather than kappa alone matters: the interpolation error
-of the two sides of the update cancels wherever the solution itself is
-smooth, so the lift does not pollute the spatial convergence of the
+the connectivity integral.
+
+The update is carried in an evaluation space: a set of evaluation points
+where kappa, I and f are formed, and a lift that maps values there to the
+N^2 grid, where the quadrature reads the field.  Without rank reduction the
+evaluation points are the grid nodes and the lift is the identity.  With
+it they are the m^2 Chebyshev tensor points and the lift is interpolation,
+so each iteration costs m^2 N^2 integrand terms instead of N^4.  Lifting
+the updated solution rather than kappa alone matters: the interpolation
+error of the two sides of the update cancels wherever the solution itself
+is smooth, so the lift does not pollute the spatial convergence of the
 quadrature.
 
 With a finite transmission speed the integrand reads the field at
 t_i - |y - x| / v.  Writing that lag as (j + 1 - delta) * h_t with integer
 j and delta in (0, 1], the value is linearly interpolated as
 delta * U_{i-j} + (1 - delta) * U_{i-j-1}; pairs with j = 0 reference the
-current iterate, which keeps the scheme implicit, and older levels come
-from a bounded history of at most k_max + 2 levels.
+current iterate, which keeps the scheme implicit.  The grid history is one
+array whose row l holds the field l levels back, with row 0 the current
+iterate: k_max + 2 rows for delayed problems and a single row otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -45,16 +51,14 @@ from .quadrature import SpatialGrid, build_gauss_rule, build_grid
 __all__ = [
     "SolverConfig",
     "FieldState",
-    "HistoryBuffer",
     "DelayTable",
     "StepBounds",
     "StepDiagnostics",
     "SolveResult",
+    "time_level",
     "build_delay_table",
     "apply_integral_operator",
     "lift_to_grid",
-    "euler_bootstrap",
-    "bdf2_step",
     "step_bound",
     "solve",
 ]
@@ -62,6 +66,17 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TIME_ALIGN_RTOL = 1e-9
+
+
+def time_level(t: float, h: float) -> Optional[int]:
+    """The level index of time t on the step grid of h, or None off that grid.
+
+    t is level round(t / h) when |round(t / h) * h - t| <= 1e-9 * max(1, |t|, h).
+    """
+    idx = int(round(t / h))
+    if abs(idx * h - t) > _TIME_ALIGN_RTOL * max(1.0, abs(t), h):
+        return None
+    return idx
 
 
 @dataclass
@@ -100,11 +115,7 @@ class SolverConfig:
     @property
     def num_steps(self) -> Optional[int]:
         """T / h_t rounded, or None when T is not a multiple of h_t."""
-        ratio = self.T / self.h_t
-        M = int(round(ratio))
-        if abs(M * self.h_t - self.T) > _TIME_ALIGN_RTOL * max(self.h_t, self.T, 1.0):
-            return None
-        return M
+        return time_level(self.T, self.h_t)
 
 
 @dataclass
@@ -113,45 +124,6 @@ class FieldState:
 
     values: np.ndarray
     time: float
-
-
-class HistoryBuffer:
-    """Bounded store of past time levels, keyed by integer level index.
-
-    Keeps the ``depth`` most recent levels relative to the newest one
-    inserted; older levels are dropped.  Negative levels hold samples of
-    the initial data at t <= 0 for delayed problems.
-    """
-
-    def __init__(self, depth: int):
-        if depth < 1:
-            raise ValueError("history depth must be at least 1")
-        self.depth = depth
-        self._store: dict[int, np.ndarray] = {}
-
-    def put(self, level: int, values: np.ndarray) -> None:
-        self._store[level] = np.asarray(values, dtype=float)
-        newest = max(self._store)
-        for stale in [l for l in self._store if l < newest - self.depth]:
-            del self._store[stale]
-
-    def get(self, level: int) -> np.ndarray:
-        try:
-            return self._store[level]
-        except KeyError:
-            raise KeyError(f"history level {level} is not retained (depth {self.depth})") from None
-
-    def stack(self, level: int, count: int, current: np.ndarray) -> np.ndarray:
-        """Rows l = 0..count-1 holding the field at ``level - l``.
-
-        Row 0 is the supplied current iterate, deeper rows come from the
-        store.
-        """
-        out = np.empty((count, current.shape[0]))
-        out[0] = current
-        for l in range(1, count):
-            out[l] = self.get(level - l)
-        return out
 
 
 @dataclass
@@ -163,35 +135,30 @@ class DelayTable:
     Chebyshev tensor points, or the grid itself when rank reduction is
     off).  For delayed problems delay_offsets / delay_fractions hold the
     per-pair level offset j and interpolation weight delta; both are None
-    for undelayed problems.  integrand_evals counts accumulated
-    kernel-times-firing-rate terms and is bumped by every operator
-    application (diagnostic only, not thread safe).
+    for undelayed problems.
     """
 
-    eval_x1: np.ndarray
-    eval_x2: np.ndarray
     kernel_weights: np.ndarray
     delay_offsets: Optional[np.ndarray]
     delay_fractions: Optional[np.ndarray]
     k_max: int
-    integrand_evals: int = 0
-
-    @property
-    def num_eval_points(self) -> int:
-        return self.kernel_weights.shape[0]
 
     @property
     def has_delay(self) -> bool:
         return self.delay_offsets is not None
 
+    @property
+    def history_rows(self) -> int:
+        """Grid levels the operator reads: the iterate, plus k_max + 1 older
+        levels for delayed problems."""
+        return self.k_max + 2 if self.has_delay else 1
+
 
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
-                      cheb_op: Optional[ChebOperator], h_t: float) -> DelayTable:
-    """Evaluate kernel weights (and delay indices) for all point pairs."""
-    if cheb_op is not None:
-        e1, e2 = cheb_op.flat_sample_points()
-    else:
-        e1, e2 = grid.flat_points()
+                      points: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
+    """Evaluate kernel weights (and delay indices) for every pair of an
+    evaluation point (flat coordinate arrays ``points``) and a grid node."""
+    e1, e2 = points
     p1, p2 = grid.flat_points()
     d = np.hypot(e1[:, None] - p1[None, :], e2[:, None] - p2[None, :])
     kv = np.asarray(problem.kernel(d), dtype=float)
@@ -199,53 +166,43 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         raise ValueError("kernel produced a non-finite value while building the pair table")
     kw = kv * grid.flat_weights()[None, :]
     if not problem.has_delay:
-        return DelayTable(eval_x1=e1, eval_x2=e2, kernel_weights=kw,
-                          delay_offsets=None, delay_fractions=None, k_max=0)
+        return DelayTable(kernel_weights=kw, delay_offsets=None, delay_fractions=None, k_max=0)
     k_max = int(math.floor(problem.tau_max / h_t))
     steps = d / (problem.v * h_t)
     j = np.floor(steps).astype(np.int64)
     np.minimum(j, k_max, out=j)
     delta = 1.0 - (steps - j)
-    return DelayTable(eval_x1=e1, eval_x2=e2, kernel_weights=kw,
-                      delay_offsets=j, delay_fractions=delta, k_max=k_max)
+    return DelayTable(kernel_weights=kw, delay_offsets=j, delay_fractions=delta, k_max=k_max)
 
 
-def apply_integral_operator(problem: ProblemSpec, grid: SpatialGrid,
-                            table: DelayTable, history: Optional[HistoryBuffer],
-                            iterate: np.ndarray, level: int) -> np.ndarray:
+def apply_integral_operator(problem: ProblemSpec, table: DelayTable,
+                            history: np.ndarray) -> np.ndarray:
     """Quadrature sum of K * S(field) at every evaluation point of the table.
 
-    ``iterate`` is the field at the current level; for delayed problems the
-    per-pair field values are linearly interpolated between the two
-    bracketing history levels, with offset-zero pairs reading ``iterate``
-    itself.  Returns a vector with one entry per evaluation point.
+    ``history[l]`` is the grid field l levels back, row 0 being the current
+    iterate; it needs ``table.history_rows`` rows.  Undelayed problems read
+    row 0 only.  For delayed problems the per-pair field values are linearly
+    interpolated between rows j and j + 1.  Returns a vector with one entry
+    per evaluation point.
     """
-    N2 = grid.total_points
-    table.integrand_evals += table.num_eval_points * N2
+    if history.ndim != 2 or history.shape[0] < table.history_rows:
+        raise ValueError(f"the operator needs a history of {table.history_rows} grid rows, "
+                         f"got shape {history.shape}")
     if not table.has_delay:
-        s = np.asarray(problem.firing_rate(iterate), dtype=float)
+        s = np.asarray(problem.firing_rate(history[0]), dtype=float)
         return table.kernel_weights @ s
-    if history is None:
-        raise ValueError("delayed problems need a history buffer")
-    hist = history.stack(level, table.k_max + 2, iterate)
-    cols = np.arange(N2)[None, :]
+    cols = np.arange(history.shape[1])[None, :]
     j = table.delay_offsets
     delta = table.delay_fractions
-    lagged = delta * hist[j, cols] + (1.0 - delta) * hist[j + 1, cols]
+    lagged = delta * history[j, cols] + (1.0 - delta) * history[j + 1, cols]
     s = np.asarray(problem.firing_rate(lagged), dtype=float)
     return np.einsum("pq,pq->p", table.kernel_weights, s)
 
 
-def lift_to_grid(cheb_op: Optional[ChebOperator], kappa: np.ndarray) -> np.ndarray:
-    """Interpolate operator samples onto the flat grid.
-
-    With rank reduction the m^2 samples pass through the coefficient
-    transform and grid evaluation; without it the samples already live on
-    the grid and are returned unchanged.
-    """
-    if cheb_op is None:
-        return kappa
-    M = kappa.reshape(cheb_op.m, cheb_op.m)
+def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
+    """Interpolate values at the m^2 Chebyshev points onto the flat grid,
+    through the coefficient transform and grid evaluation."""
+    M = samples.reshape(cheb_op.m, cheb_op.m)
     return eval_on_grid(cheb_op, coeffs_from_samples(cheb_op, M)).ravel()
 
 
@@ -263,11 +220,8 @@ class StepBounds:
     bound_max: float
 
 
-def step_bound(problem: ProblemSpec, grid: SpatialGrid,
-               norms: Optional[KernelNorms] = None) -> StepBounds:
-    """Compute both admissible-step bounds for a problem on a grid."""
-    if norms is None:
-        norms = compute_kernel_norms(problem, grid)
+def step_bound(problem: ProblemSpec, norms: KernelNorms) -> StepBounds:
+    """Compute both admissible-step bounds from the kernel norms on a grid."""
     area = problem.domain.area
     smax = problem.firing_rate_slope_max
     denom_l2 = 2.0 * math.sqrt(area) * norms.l2_estimate * smax
@@ -277,131 +231,104 @@ def step_bound(problem: ProblemSpec, grid: SpatialGrid,
     return StepBounds(bound_l2=bound_l2, bound_max=bound_max)
 
 
-def _contraction_constant(problem: ProblemSpec, norms: KernelNorms, h_t: float) -> float:
-    lam = 2.0 * h_t / (2.0 * h_t + 3.0 * problem.c)
-    return lam * norms.k_max * problem.firing_rate_slope_max * problem.domain.area
-
-
 @dataclass
 class StepDiagnostics:
-    """Per-step record of the fixed-point loop and stability numbers."""
+    """Per-step record of the fixed-point loop and its operator cost."""
 
     level: int
     time: float
     inner_iterations: int
     contraction_estimate: float
-    step_bound_max: float
-    stability_margin: float
     kappa_applies: int
     integrand_evals: int
 
 
-def euler_bootstrap(problem: ProblemSpec, grid: SpatialGrid,
-                    cheb_op: Optional[ChebOperator], table: DelayTable,
-                    history: HistoryBuffer, config: SolverConfig,
-                    cheb_history: Optional[HistoryBuffer] = None) -> np.ndarray:
-    """One explicit Euler step from level 0, used to start the two-step scheme.
+@dataclass
+class _Stepper:
+    """The scheme's state between levels, in one evaluation space.
 
-    U_1 = U_0 + (h_t / c) (I_0 - U_0 + kappa(U_0)); a zero time step
-    returns U_0 unchanged.  With rank reduction the update is formed at the
-    Chebyshev points (cheb_history must hold level 0 and receives level 1)
-    and the returned grid values are its interpolant.
+    ``u_prev`` and ``u_prev2`` are the two newest levels at the evaluation
+    points ``points``; ``lift`` maps values there to the grid.  ``history``
+    is the grid history (see apply_integral_operator); each level shifts it
+    once and writes every iterate into row 0.  ``integrand_evals`` counts
+    the kernel-times-firing-rate terms of all operator applications.
     """
-    U0 = history.get(0)
-    kap = apply_integral_operator(problem, grid, table, history, U0, 0)
-    if cheb_op is None:
-        p1, p2 = grid.flat_points()
-        I0 = np.asarray(problem.input_current(p1, p2, 0.0), dtype=float)
-        return U0 + (config.h_t / problem.c) * (I0 - U0 + kap)
-    if cheb_history is None:
-        raise ValueError("rank reduction needs a Chebyshev-side history")
-    z1, z2 = cheb_op.flat_sample_points()
-    I0 = np.asarray(problem.input_current(z1, z2, 0.0), dtype=float)
-    u0 = cheb_history.get(0)
-    u1 = u0 + (config.h_t / problem.c) * (I0 - u0 + kap)
-    cheb_history.put(1, u1)
-    return lift_to_grid(cheb_op, u1)
 
+    problem: ProblemSpec
+    config: SolverConfig
+    table: DelayTable
+    points: tuple[np.ndarray, np.ndarray]
+    lift: Callable[[np.ndarray], np.ndarray]
+    history: np.ndarray
+    u_prev: np.ndarray
+    u_prev2: Optional[np.ndarray] = None
+    integrand_evals: int = 0
 
-def bdf2_step(problem: ProblemSpec, grid: SpatialGrid, cheb_op: Optional[ChebOperator],
-              table: DelayTable, history: HistoryBuffer, config: SolverConfig,
-              level: int, bounds: Optional[StepBounds] = None,
-              norms: Optional[KernelNorms] = None,
-              cheb_history: Optional[HistoryBuffer] = None) -> tuple[np.ndarray, StepDiagnostics]:
-    """Advance one implicit two-step level by fixed-point iteration.
+    def _input(self, t: float) -> np.ndarray:
+        return np.asarray(self.problem.input_current(*self.points, t), dtype=float)
 
-    Needs levels ``level - 1`` and ``level - 2`` in the history (plus the
-    delayed levels for finite transmission speed).  With rank reduction the
-    same two levels must sit in cheb_history, which receives the converged
-    level; kappa, f and the predictor are then formed at the Chebyshev
-    points and each iterate is lifted to the grid for the quadrature and
-    the convergence check.  Raises RuntimeError if the inner loop does not
-    reach eps_inner within max_inner iterations, which is the symptom of a
-    time step above the admissible bounds.
-    """
-    h, c = config.h_t, problem.c
-    t_i = level * h
-    if cheb_op is None:
-        e1, e2 = grid.flat_points()
-        u_prev = history.get(level - 1)
-        u_prev2 = history.get(level - 2)
-    else:
-        if cheb_history is None:
-            raise ValueError("rank reduction needs a Chebyshev-side history")
-        e1, e2 = cheb_op.flat_sample_points()
-        u_prev = cheb_history.get(level - 1)
-        u_prev2 = cheb_history.get(level - 2)
-    I_i = np.asarray(problem.input_current(e1, e2, t_i), dtype=float)
-    U_prev = history.get(level - 1)
-    lam = 2.0 * h / (2.0 * h + 3.0 * c)
-    f_i = lam * (I_i + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
+    def _kappa(self) -> np.ndarray:
+        self.integrand_evals += self.table.kernel_weights.size
+        return apply_integral_operator(self.problem, self.table, self.history)
 
-    evals_before = table.integrand_evals
-    # Euler predictor from the previous level as the initial iterate
-    kap_prev = apply_integral_operator(problem, grid, table, history, U_prev, level - 1)
-    u = u_prev + (h / c) * (I_i - u_prev + kap_prev)
-    U = lift_to_grid(cheb_op, u)
+    def _begin_level(self, u: np.ndarray) -> np.ndarray:
+        """Shift the history one level deeper and put the lift of u in row 0."""
+        self.history[1:] = self.history[:-1]
+        self.history[0] = self.lift(u)
+        return self.history[0]
 
-    applies = 1
-    increments: list[float] = []
-    converged = False
-    for _ in range(config.max_inner):
-        kap = apply_integral_operator(problem, grid, table, history, U, level)
-        applies += 1
-        u = lam * kap + f_i
-        U_next = lift_to_grid(cheb_op, u)
-        inc = float(np.max(np.abs(U_next - U)))
-        increments.append(inc)
-        U = U_next
-        if inc < config.eps_inner:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"fixed-point iteration at t={t_i:g} did not reach {config.eps_inner:g} "
-            f"within {config.max_inner} iterations; the time step likely violates "
-            f"the admissible bounds")
-    if cheb_op is not None:
-        cheb_history.put(level, u)
+    def euler_step(self) -> None:
+        """U_1 = U_0 + (h_t / c) (I_0 - U_0 + kappa(U_0)), starting the two-step scheme."""
+        u0 = self.u_prev
+        kap = self._kappa()
+        u1 = u0 + (self.config.h_t / self.problem.c) * (self._input(0.0) - u0 + kap)
+        self._begin_level(u1)
+        self.u_prev, self.u_prev2 = u1, u0
 
-    # observed contraction: worst consecutive-increment ratio above the
-    # roundoff floor, nan when the loop finished in a single iteration
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
-    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
-    contraction = max(ratios) if ratios else math.nan
+    def bdf2_step(self, level: int) -> StepDiagnostics:
+        """Advance one implicit two-step level by fixed-point iteration.
 
-    if norms is None:
-        norms = compute_kernel_norms(problem, grid)
-    if bounds is None:
-        bounds = step_bound(problem, grid, norms)
-    L1 = _contraction_constant(problem, norms, h)
-    margin = (2.0 * h / (3.0 * c)) * (1.0 + L1)
-    diag = StepDiagnostics(
-        level=level, time=t_i, inner_iterations=len(increments),
-        contraction_estimate=contraction, step_bound_max=bounds.bound_max,
-        stability_margin=margin, kappa_applies=applies,
-        integrand_evals=table.integrand_evals - evals_before)
-    return U, diag
+        Raises RuntimeError if the inner loop does not reach eps_inner within
+        max_inner iterations, which is the symptom of a time step above the
+        admissible bounds.
+        """
+        cfg, c = self.config, self.problem.c
+        h = cfg.h_t
+        t_i = level * h
+        u_prev, u_prev2 = self.u_prev, self.u_prev2
+        I_i = self._input(t_i)
+        lam = 2.0 * h / (2.0 * h + 3.0 * c)
+        f_i = lam * (I_i + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
+
+        evals_before = self.integrand_evals
+        # Euler predictor from the previous level as the initial iterate
+        u = u_prev + (h / c) * (I_i - u_prev + self._kappa())
+        U = self._begin_level(u)
+        increments: list[float] = []
+        for _ in range(cfg.max_inner):
+            u = lam * self._kappa() + f_i
+            U_next = self.lift(u)
+            inc = float(np.max(np.abs(U_next - U)))
+            increments.append(inc)
+            U[:] = U_next
+            if inc < cfg.eps_inner:
+                break
+        else:
+            raise RuntimeError(
+                f"fixed-point iteration at t={t_i:g} did not reach {cfg.eps_inner:g} "
+                f"within {cfg.max_inner} iterations; the time step likely violates "
+                f"the admissible bounds")
+        self.u_prev, self.u_prev2 = u, u_prev
+
+        # observed contraction: worst consecutive-increment ratio above the
+        # roundoff floor, nan when the loop finished in a single iteration
+        floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
+        ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
+        return StepDiagnostics(
+            level=level, time=t_i, inner_iterations=len(increments),
+            contraction_estimate=max(ratios) if ratios else math.nan,
+            kappa_applies=len(increments) + 1,
+            integrand_evals=self.integrand_evals - evals_before)
 
 
 @dataclass
@@ -428,82 +355,78 @@ class SolveResult:
 
     def state_at(self, t: float) -> FieldState:
         """The stored state at time t, which must lie on the step grid."""
-        h = self.config.h_t
-        idx = int(round(t / h))
-        if idx < 0 or idx >= len(self.states) or abs(idx * h - t) > _TIME_ALIGN_RTOL * max(1.0, abs(t)):
-            raise ValueError(f"time {t!r} is not a stored level (h_t={h}, T={self.config.T})")
+        idx = time_level(t, self.config.h_t)
+        if idx is None or not 0 <= idx < len(self.states):
+            raise ValueError(f"time {t!r} is not a stored level "
+                             f"(h_t={self.config.h_t}, T={self.config.T})")
         return self.states[idx]
 
 
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
-    Builds the grid, the interpolation operator and the pair table, seeds
-    the history from the initial data (down to level -(k_max + 1) for
-    delayed problems), takes one Euler step and then two-step levels up to
-    T.  Step-size bounds are checked up front; a step above a bound only
-    logs a warning, but the run fails hard if the inner iteration stops
-    converging or a state goes non-finite.
+    Builds the grid, the evaluation space and the pair table, seeds the
+    history from the initial data (down to level -(k_max + 1) for delayed
+    problems), takes one Euler step and then two-step levels up to T.
+    Step-size bounds are checked up front; a step above a bound only logs a
+    warning, but the run fails hard if the inner iteration stops converging
+    or a state goes non-finite.
     """
     t_start = time.perf_counter()
     config.validate()
+    h, c = config.h_t, problem.c
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
-    cheb_op = build_cheb_operator(config.m, grid) if config.rank_reduction else None
+    if config.rank_reduction:
+        cheb_op = build_cheb_operator(config.m, grid)
+        points = cheb_op.flat_sample_points()
+        lift = functools.partial(lift_to_grid, cheb_op)
+    else:
+        cheb_op = None
+        points = grid.flat_points()
+        lift = np.asarray  # identity: the samples already sit on the grid
     norms = compute_kernel_norms(problem, grid)
-    bounds = step_bound(problem, grid, norms)
-    L1 = _contraction_constant(problem, norms, config.h_t)
-    margin = (2.0 * config.h_t / (3.0 * problem.c)) * (1.0 + L1)
+    bounds = step_bound(problem, norms)
+    lam = 2.0 * h / (2.0 * h + 3.0 * c)
+    L1 = lam * norms.k_max * problem.firing_rate_slope_max * problem.domain.area
+    margin = (2.0 * h / (3.0 * c)) * (1.0 + L1)
 
     warnings: list[str] = []
     for label, bound in (("L2", bounds.bound_l2), ("max", bounds.bound_max)):
-        if config.h_t >= bound:
+        if h >= bound:
             warnings.append(
-                f"time step h_t={config.h_t:g} exceeds the admissible {label} bound {bound:g}; "
+                f"time step h_t={h:g} exceeds the admissible {label} bound {bound:g}; "
                 f"the inner iteration may diverge")
     if margin >= 1.0:
-        warnings.append(
-            f"stability margin {margin:g} is not below 1 at h_t={config.h_t:g}")
+        warnings.append(f"stability margin {margin:g} is not below 1 at h_t={h:g}")
     for msg in warnings:
         logger.warning(msg)
 
-    table = build_delay_table(problem, grid, cheb_op, config.h_t)
-    history = HistoryBuffer(depth=max(2, table.k_max + 1))
+    table = build_delay_table(problem, grid, points, h)
     p1, p2 = grid.flat_points()
-    if table.has_delay:
-        for l in range(-(table.k_max + 1), 1):
-            history.put(l, np.asarray(problem.initial(p1, p2, l * config.h_t), dtype=float))
-    else:
-        history.put(0, np.asarray(problem.initial(p1, p2, 0.0), dtype=float))
-    cheb_history: Optional[HistoryBuffer] = None
-    if cheb_op is not None:
-        cheb_history = HistoryBuffer(depth=2)
-        z1, z2 = cheb_op.flat_sample_points()
-        cheb_history.put(0, np.asarray(problem.initial(z1, z2, 0.0), dtype=float))
+    history = np.empty((table.history_rows, grid.total_points))
+    for l in range(table.history_rows):
+        history[l] = problem.initial(p1, p2, -l * h)
+    u0 = np.asarray(problem.initial(*points, 0.0), dtype=float)
+    stepper = _Stepper(problem, config, table, points, lift, history, u0)
 
-    def checked(values: np.ndarray, t: float) -> np.ndarray:
+    def record(level: int) -> FieldState:
+        values = history[0].copy()
         if not np.all(np.isfinite(values)):
-            raise RuntimeError(f"non-finite field values at t={t:g}")
-        return values
+            raise RuntimeError(f"non-finite field values at t={level * h:g}")
+        return FieldState(values=values, time=level * h)
 
-    M = config.num_steps
-    states = [FieldState(values=history.get(0).copy(), time=0.0)]
+    states = [record(0)]
     diagnostics: list[StepDiagnostics] = []
-    if M >= 1:
-        U1 = checked(euler_bootstrap(problem, grid, cheb_op, table, history, config,
-                                     cheb_history=cheb_history), config.h_t)
-        history.put(1, U1)
-        states.append(FieldState(values=U1.copy(), time=config.h_t))
-    for i in range(2, M + 1):
-        U_i, diag = bdf2_step(problem, grid, cheb_op, table, history, config, i,
-                              bounds=bounds, norms=norms, cheb_history=cheb_history)
-        checked(U_i, i * config.h_t)
-        history.put(i, U_i)
-        states.append(FieldState(values=U_i.copy(), time=i * config.h_t))
-        diagnostics.append(diag)
+    for i in range(1, config.num_steps + 1):
+        if i == 1:
+            stepper.euler_step()
+        else:
+            diagnostics.append(stepper.bdf2_step(i))
+        states.append(record(i))
 
     return SolveResult(
         problem=problem, config=config, grid=grid, cheb_op=cheb_op,
         kernel_norms=norms, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics,
         warnings=warnings, wall_time=time.perf_counter() - t_start,
-        total_integrand_evals=table.integrand_evals)
+        total_integrand_evals=stepper.integrand_evals)

@@ -112,6 +112,15 @@ def test_time_study_shared_levels_only(ex1_study):
     assert ex1_study.ratio(0.02, 0.01, 0.06) is not None
 
 
+def test_time_study_rejects_times_off_the_step_grid(ex1_study):
+    # 0.0349 is no level of any step: it must not snap to t = 0.03 or 0.04
+    with pytest.raises(ValueError, match="not a level"):
+        ex1_study.error_at(0.01, 0.0349)
+    with pytest.raises(ValueError, match="not a level"):
+        ex1_study.report(at_time=0.0409)
+    assert ex1_study.report(at_time=0.04).title.endswith("t=0.04")
+
+
 def test_time_study_bootstrap_flag(ex1_study):
     report = ex1_study.report(at_time=0.04)
     by_param = {row.param: row for row in report.rows}

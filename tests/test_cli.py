@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import neurofield.analysis
 from neurofield.cli import main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 
@@ -141,6 +142,48 @@ def test_converge_space_quick(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["parameters"]["rank_reduction"] is True
     assert manifest["parameters"]["N"] == [12, 24]
+
+
+@pytest.fixture
+def solved_configs(monkeypatch):
+    """Every SolverConfig the study drivers hand to the solver."""
+    configs = []
+
+    def recording_solve(problem, config):
+        configs.append(config)
+        return solve(problem, config)
+
+    solve = neurofield.analysis.solve
+    monkeypatch.setattr(neurofield.analysis, "solve", recording_solve)
+    return configs
+
+
+def settings(cfg, *varying):
+    out = {"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
+           "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
+           "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
+    return {key: value for key, value in out.items() if key not in varying}
+
+
+def test_converge_time_manifest_copies_the_solved_configs(tmp_path, solved_configs):
+    assert main(["converge-time", "--steps", "0.02,0.01", "--T", "0.04", "--n", "2",
+                 "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    assert params["steps"] == [cfg.h_t for cfg in solved_configs] == [0.02, 0.01]
+    for cfg in solved_configs:
+        shared = settings(cfg, "ht")
+        assert {key: params[key] for key in shared} == shared
+
+
+def test_converge_space_manifest_copies_the_solved_configs(tmp_path, solved_configs):
+    assert main(["converge-space", "--N", "8,12", "--m", "8", "--T", "0.02",
+                 "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    assert params["N"] == [cfg.n * cfg.k for cfg in solved_configs] == [8, 12]
+    assert params["m"] == [8]
+    for cfg in solved_configs:
+        shared = settings(cfg, "n", "N", "m")
+        assert {key: params[key] for key in shared} == shared
 
 
 def test_converge_space_needs_rank_reduction(tmp_path, capsys):

@@ -11,6 +11,7 @@ from neurofield.analysis import error_norm
 from neurofield.chebyshev import build_cheb_operator
 from neurofield.problems import (
     ProblemSpec,
+    compute_kernel_norms,
     example1,
     example2,
     example3,
@@ -19,15 +20,13 @@ from neurofield.problems import (
 )
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 from neurofield.solver import (
-    HistoryBuffer,
     SolverConfig,
     apply_integral_operator,
-    bdf2_step,
     build_delay_table,
-    euler_bootstrap,
     lift_to_grid,
     solve,
     step_bound,
+    time_level,
 )
 
 UNIT_BOX = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -48,6 +47,29 @@ def decay_problem(c=1.0):
         initial=lambda x1, x2, t: np.ones_like(np.asarray(x1, dtype=float)),
         exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), math.exp(-t / c)),
     )
+
+
+def linear_delay_problem(v=1.0):
+    """Constant kernel, linear rate, no input and initial data V0(x, t) = t,
+    so a delayed integrand reads minus its own lag time from the history."""
+    return ProblemSpec(
+        name="linear-delay", domain=UNIT_BOX, c=1.0, v=v,
+        kernel=lambda r: np.ones_like(r),
+        firing_rate=lambda u: np.asarray(u, dtype=float),
+        firing_rate_slope_max=1.0,
+        input_current=lambda x1, x2, t: np.zeros_like(np.asarray(x1, dtype=float)),
+        initial=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), t),
+    )
+
+
+def grid_table(problem, grid, h):
+    """The pair table of the direct path: evaluation points are the nodes."""
+    return build_delay_table(problem, grid, grid.flat_points(), h)
+
+
+def node_distances(grid):
+    p1, p2 = grid.flat_points()
+    return np.hypot(p1[:, None] - p1[None, :], p2[:, None] - p2[None, :])
 
 
 # --- configuration ----------------------------------------------------------
@@ -74,62 +96,117 @@ def test_config_num_steps():
     assert SolverConfig(h_t=0.03, T=0.1).num_steps is None
 
 
-# --- history buffer ---------------------------------------------------------
+def test_time_level_rule():
+    assert time_level(0.1, 0.01) == 10  # 0.1 / 0.01 is 10.000000000000002
+    assert time_level(0.3, 0.1) == 3
+    assert time_level(0.0, 0.02) == 0
+    assert time_level(-0.02, 0.01) == -2
+    assert time_level(0.0349, 0.01) is None
+    assert time_level(0.1 + 5e-11, 0.01) == 10  # inside 1e-9 * max(1, |t|, h)
+    assert time_level(0.1 + 5e-9, 0.01) is None
+    assert time_level(3000.0 + 1e-7, 1.5) == 2000  # the tolerance scales with |t|
+
+
+# --- history ---------------------------------------------------------------
+
+def _reference_march(problem, config):
+    """The delayed direct-path scheme with the levels kept in a dict keyed
+    by level index, every level older than the delay reach dropped."""
+    grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
+    table = grid_table(problem, grid, config.h_t)
+    h, c, depth = config.h_t, problem.c, table.k_max + 2
+    p1, p2 = grid.flat_points()
+    levels = {l: problem.initial(p1, p2, l * h) for l in range(1 - depth, 1)}
+
+    def kappa(U, level):
+        rows = np.array([U] + [levels[level - l] for l in range(1, depth)])
+        return apply_integral_operator(problem, table, rows)
+
+    U0 = levels[0]
+    levels[1] = U0 + (h / c) * (problem.input_current(p1, p2, 0.0) - U0 + kappa(U0, 0))
+    del levels[1 - depth]
+    lam = 2.0 * h / (2.0 * h + 3.0 * c)
+    for i in range(2, config.num_steps + 1):
+        I_i = problem.input_current(p1, p2, i * h)
+        f_i = lam * (I_i + (2.0 * c / h) * levels[i - 1] - (0.5 * c / h) * levels[i - 2])
+        U = levels[i - 1] + (h / c) * (I_i - levels[i - 1] + kappa(levels[i - 1], i - 1))
+        for _ in range(config.max_inner):
+            U_next = lam * kappa(U, i) + f_i
+            converged = np.max(np.abs(U_next - U)) < config.eps_inner
+            U = U_next
+            if converged:
+                break
+        levels[i] = U
+        del levels[i - depth]
+        assert len(levels) == depth
+    return levels
+
 
 def test_history_put_get_prune():
-    buf = HistoryBuffer(depth=2)
-    for level in range(6):
-        buf.put(level, np.full(3, float(level)))
-    assert buf.get(5)[0] == 5.0
-    assert buf.get(3)[0] == 3.0  # depth 2 keeps the newest three levels
-    with pytest.raises(KeyError):
-        buf.get(2)
+    """One history array shifted once per level holds the same levels, in
+    the same order, as a dict of levels that drops the oldest each level:
+    the march runs 8 levels past the k_max + 2 = 4 rows the delay reaches."""
+    p = example4(v=4.0)
+    cfg = SolverConfig(h_t=0.25, T=3.0, n=1, k=4, rank_reduction=False)
+    res = solve(p, cfg)
+    levels = _reference_march(p, cfg)
+    assert sorted(levels) == [9, 10, 11, 12]
+    for i, U in levels.items():
+        assert np.array_equal(res.states[i].values, U)
 
 
 def test_history_negative_levels():
-    buf = HistoryBuffer(depth=4)
-    for level in range(-3, 1):
-        buf.put(level, np.full(2, float(level)))
-    assert buf.get(-3)[0] == -3.0
+    """The history starts from the initial data at t = -l h_t in row l: with
+    V0(x, t) = t every pair reads minus its travel time |x - y| / v."""
+    p = linear_delay_problem(v=1.0)
+    h = 0.1
+    res = solve(p, SolverConfig(h_t=h, T=h, n=2, k=4, rank_reduction=False))
+    w = res.grid.flat_weights()
+    expected = -h * (node_distances(res.grid) / p.v) @ w
+    assert np.max(np.abs(res.states[1].values - expected)) < 1e-14
 
 
 def test_history_stack_rows():
-    buf = HistoryBuffer(depth=3)
-    for level in range(4):
-        buf.put(level, np.full(2, float(level)))
-    current = np.full(2, 99.0)
-    rows = buf.stack(3, 3, current)
-    assert rows[0] == pytest.approx([99.0, 99.0])
-    assert rows[1] == pytest.approx([2.0, 2.0])
-    assert rows[2] == pytest.approx([1.0, 1.0])
+    """The operator reads row l of the history as the field l levels back."""
+    grid = make_grid(N=8)
+    p = linear_delay_problem(v=1.0)
+    h = 0.1
+    table = grid_table(p, grid, h)
+    rows = -np.arange(table.history_rows, dtype=float)[:, None] * np.ones(64)
+    out = apply_integral_operator(p, table, rows)
+    # linear interpolation between rows j and j + 1 gives minus the lag in steps
+    expected = -(node_distances(grid) / (p.v * h)) @ grid.flat_weights()
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_history_rejects_bad_depth():
+    grid = make_grid(N=8)
+    table = grid_table(example1(), grid, 0.01)
+    assert table.history_rows == 1
     with pytest.raises(ValueError):
-        HistoryBuffer(depth=0)
+        apply_integral_operator(example1(), table, np.ones((0, 64)))
+    with pytest.raises(ValueError):
+        apply_integral_operator(example1(), table, np.ones(64))
 
 
 # --- pair table and operator application ------------------------------------
 
 def test_delay_table_undelayed_shapes():
     grid = make_grid(N=8)
-    table = build_delay_table(example1(), grid, None, 0.01)
+    table = grid_table(example1(), grid, 0.01)
     assert not table.has_delay
     assert table.k_max == 0
     assert table.kernel_weights.shape == (64, 64)
     op = build_cheb_operator(4, grid)
-    table_rr = build_delay_table(example1(), grid, op, 0.01)
+    table_rr = build_delay_table(example1(), grid, op.flat_sample_points(), 0.01)
     assert table_rr.kernel_weights.shape == (16, 64)
-    assert table_rr.num_eval_points == 16
 
 
 def test_delay_table_weights_are_kernel_times_weights():
     grid = make_grid(N=8)
     p = example1()
-    table = build_delay_table(p, grid, None, 0.01)
-    p1, p2 = grid.flat_points()
-    d = np.hypot(p1[:, None] - p1[None, :], p2[:, None] - p2[None, :])
-    expected = p.kernel(d) * grid.flat_weights()[None, :]
+    table = grid_table(p, grid, 0.01)
+    expected = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
     assert np.array_equal(table.kernel_weights, expected)
 
 
@@ -137,13 +214,12 @@ def test_delay_table_offsets_and_fractions():
     grid = make_grid(N=8)
     p = example4(v=1.0)
     h = 0.1
-    table = build_delay_table(p, grid, None, h)
+    table = grid_table(p, grid, h)
     assert table.has_delay
     assert table.k_max == int(math.floor(p.tau_max / h))
     assert table.k_max == 28
-    p1, p2 = grid.flat_points()
-    d = np.hypot(p1[:, None] - p1[None, :], p2[:, None] - p2[None, :])
-    steps = d / (p.v * h)
+    assert table.history_rows == 30
+    steps = node_distances(grid) / (p.v * h)
     j = table.delay_offsets
     delta = table.delay_fractions
     assert np.all(j >= 0) and np.all(j <= table.k_max)
@@ -159,8 +235,8 @@ def test_delay_table_offsets_and_fractions():
 def test_apply_operator_zero_kernel():
     grid = make_grid(N=8)
     p = decay_problem()
-    table = build_delay_table(p, grid, None, 0.01)
-    out = apply_integral_operator(p, grid, table, None, np.ones(64), 0)
+    table = grid_table(p, grid, 0.01)
+    out = apply_integral_operator(p, table, np.ones((1, 64)))
     assert np.array_equal(out, np.zeros(64))
 
 
@@ -169,31 +245,29 @@ def test_apply_operator_constant_rate_matches_closed_form():
     grid = make_grid(N=24)
     p = dataclasses.replace(example1(),
                             firing_rate=lambda u: np.full_like(np.asarray(u, float), 0.7))
-    table = build_delay_table(p, grid, None, 0.01)
-    out = apply_integral_operator(p, grid, table, None, np.zeros(576), 0)
+    table = grid_table(p, grid, 0.01)
+    out = apply_integral_operator(p, table, np.zeros((1, 576)))
     p1, p2 = grid.flat_points()
     expected = 0.7 * kernel_box_integral(1.0, p1, p2)
     assert np.max(np.abs(out - expected)) < 1e-8
 
 
 def test_apply_operator_counts_integrand_terms():
-    grid = make_grid(N=8)
-    op = build_cheb_operator(4, grid)
-    p = example1()
-    table = build_delay_table(p, grid, op, 0.01)
-    assert table.integrand_evals == 0
-    apply_integral_operator(p, grid, table, None, np.ones(64), 0)
-    assert table.integrand_evals == 16 * 64
-    apply_integral_operator(p, grid, table, None, np.ones(64), 0)
-    assert table.integrand_evals == 2 * 16 * 64
+    """Every operator application of a run adds m^2 N^2 terms to its count:
+    one for the Euler step, then one per application of each level."""
+    cfg = SolverConfig(h_t=0.01, T=0.01, n=2, k=4, m=4)
+    assert solve(example1(), cfg).total_integrand_evals == 16 * 64
+    res = solve(example1(), dataclasses.replace(cfg, T=0.02))
+    applies = 1 + res.diagnostics[0].kappa_applies
+    assert res.total_integrand_evals == applies * 16 * 64
 
 
 def test_apply_operator_delayed_needs_history():
     grid = make_grid(N=8)
     p = example4(v=1.0)
-    table = build_delay_table(p, grid, None, 0.1)
-    with pytest.raises(ValueError):
-        apply_integral_operator(p, grid, table, None, np.ones(64), 0)
+    table = grid_table(p, grid, 0.1)
+    with pytest.raises(ValueError, match="30 grid rows"):
+        apply_integral_operator(p, table, np.ones((1, 64)))
 
 
 def test_apply_operator_delay_reads_history_levels():
@@ -202,15 +276,14 @@ def test_apply_operator_delay_reads_history_levels():
     grid = make_grid(N=8)
     p = example4(v=1.0)
     h = 0.05
-    table = build_delay_table(p, grid, None, h)
+    table = grid_table(p, grid, h)
     off_diag = ~np.eye(64, dtype=bool)
     assert np.all(table.delay_offsets[off_diag] >= 1)
-    history = HistoryBuffer(depth=table.k_max + 2)
-    rng = np.random.default_rng(0)
-    for level in range(-(table.k_max + 1), 1):
-        history.put(level, rng.standard_normal(64))
-    out_a = apply_integral_operator(p, grid, table, history, np.zeros(64), 0)
-    out_b = apply_integral_operator(p, grid, table, history, np.full(64, 5.0), 0)
+    history = np.random.default_rng(0).standard_normal((table.history_rows, 64))
+    history[0] = 0.0
+    out_a = apply_integral_operator(p, table, history)
+    history[0] = 5.0
+    out_b = apply_integral_operator(p, table, history)
     # only the self pair (p, p) reads the current iterate: with the linear
     # rate the shift is exactly 5 K(0) w_p, one node's quadrature weight
     diff = np.abs(out_b - out_a)
@@ -219,8 +292,17 @@ def test_apply_operator_delay_reads_history_levels():
 
 
 def test_lift_identity_without_operator():
-    v = np.arange(9.0)
-    assert lift_to_grid(None, v) is v
+    """Without rank reduction the evaluation points are the grid nodes and
+    the lift is the identity: the first level is the Euler formula at the
+    nodes, bit for bit."""
+    p = example1()
+    h = 0.01
+    res = solve(p, SolverConfig(h_t=h, T=h, n=2, k=4, rank_reduction=False))
+    p1, p2 = res.grid.flat_points()
+    U0 = res.states[0].values
+    kap = apply_integral_operator(p, grid_table(p, res.grid, h), U0[None, :])
+    expected = U0 + (h / p.c) * (p.input_current(p1, p2, 0.0) - U0 + kap)
+    assert np.array_equal(res.states[1].values, expected)
 
 
 def test_lift_constant_field():
@@ -232,9 +314,13 @@ def test_lift_constant_field():
 
 # --- step bounds ------------------------------------------------------------
 
+def bounds_on(problem, grid):
+    return step_bound(problem, compute_kernel_norms(problem, grid))
+
+
 def test_step_bounds_example1():
     grid = make_grid(N=24)
-    bounds = step_bound(example1(), grid)
+    bounds = bounds_on(example1(), grid)
     # 3 c / (2 K_max S_max |Omega|) with K_max = 1, S_max = 1, |Omega| = 4
     assert bounds.bound_max == pytest.approx(0.375, abs=1e-15)
     assert bounds.bound_l2 == pytest.approx(0.3737596357584938, abs=1e-10)
@@ -242,15 +328,15 @@ def test_step_bounds_example1():
 
 def test_step_bounds_scale_with_slope():
     grid = make_grid(N=24)
-    b1 = step_bound(example1(sigma=1.0), grid)
-    b2 = step_bound(example1(sigma=2.0), grid)
+    b1 = bounds_on(example1(sigma=1.0), grid)
+    b2 = bounds_on(example1(sigma=2.0), grid)
     assert b2.bound_max == pytest.approx(b1.bound_max / 2.0, rel=1e-12)
     assert b2.bound_l2 == pytest.approx(b1.bound_l2 / 2.0, rel=1e-12)
 
 
 def test_step_bounds_zero_kernel_unbounded():
     grid = make_grid(N=8)
-    bounds = step_bound(decay_problem(), grid)
+    bounds = bounds_on(decay_problem(), grid)
     assert bounds.bound_max == math.inf
     assert bounds.bound_l2 == math.inf
 
@@ -258,25 +344,9 @@ def test_step_bounds_zero_kernel_unbounded():
 # --- bootstrap step ---------------------------------------------------------
 
 def test_euler_bootstrap_pure_decay():
-    grid = make_grid(N=8)
-    p = decay_problem()
-    cfg = SolverConfig(h_t=0.01, T=0.01, rank_reduction=False)
-    table = build_delay_table(p, grid, None, cfg.h_t)
-    history = HistoryBuffer(depth=2)
-    history.put(0, np.ones(64))
-    U1 = euler_bootstrap(p, grid, None, table, history, cfg)
-    assert U1 == pytest.approx(np.full(64, 0.99), abs=1e-15)
-
-
-def test_euler_bootstrap_zero_step_returns_initial():
-    grid = make_grid(N=8)
-    p = decay_problem()
-    cfg = SolverConfig(h_t=0.0, T=0.0, rank_reduction=False)
-    table = build_delay_table(p, grid, None, 0.01)
-    history = HistoryBuffer(depth=2)
-    U0 = np.linspace(0.0, 1.0, 64)
-    history.put(0, U0)
-    assert np.array_equal(euler_bootstrap(p, grid, None, table, history, cfg), U0)
+    res = solve(decay_problem(), SolverConfig(h_t=0.01, T=0.01, n=2, k=4,
+                                              rank_reduction=False))
+    assert res.states[1].values == pytest.approx(np.full(64, 0.99), abs=1e-15)
 
 
 def test_euler_bootstrap_error_scale():
@@ -284,21 +354,6 @@ def test_euler_bootstrap_error_scale():
     res = solve(example1(), SolverConfig(h_t=0.01, T=0.01))
     err = error_norm(res.grid, res.states[1], example1().exact)
     assert 2e-5 < err < 1e-4  # measured 4.98e-5
-
-
-def test_rank_reduction_path_requires_cheb_history():
-    grid = make_grid(N=8)
-    p = example1()
-    op = build_cheb_operator(4, grid)
-    cfg = SolverConfig(h_t=0.01, T=0.02, m=4)
-    table = build_delay_table(p, grid, op, cfg.h_t)
-    history = HistoryBuffer(depth=2)
-    history.put(0, np.ones(64))
-    with pytest.raises(ValueError):
-        euler_bootstrap(p, grid, op, table, history, cfg, cheb_history=None)
-    history.put(1, np.ones(64))
-    with pytest.raises(ValueError):
-        bdf2_step(p, grid, op, table, history, cfg, 2, cheb_history=None)
 
 
 # --- two-step scheme --------------------------------------------------------
@@ -395,6 +450,16 @@ def test_rank_reduction_on_off_agree():
     assert diff < 1e-9  # measured 9.5e-13
 
 
+def test_solve_delayed_direct_path():
+    """Delay without rank reduction, pinned to the values of the two-history
+    stepper this solver replaced."""
+    res = solve(example4(v=1.0), SolverConfig(h_t=0.1, T=0.5, rank_reduction=False))
+    assert float(np.max(np.abs(res.state_at(0.5).values))) == pytest.approx(
+        0.7077656819704597, rel=1e-12)
+    assert [d.inner_iterations for d in res.diagnostics] == [4, 4, 4, 4]
+    assert res.total_integrand_evals == 6967296
+
+
 def test_solve_delayed_problem_lags_undelayed():
     delayed = solve(example4(v=1.0), SolverConfig(h_t=0.1, T=0.5))
     undelayed = solve(example3(), SolverConfig(h_t=0.1, T=0.5))
@@ -429,10 +494,12 @@ def test_diagnostics_fields():
     assert [d.level for d in res.diagnostics] == [2, 3, 4, 5]
     for diag in res.diagnostics:
         assert diag.time == pytest.approx(diag.level * 0.01)
-        assert diag.step_bound_max == pytest.approx(0.375, abs=1e-15)
-        assert diag.stability_margin == pytest.approx(res.stability_margin)
         if not math.isnan(diag.contraction_estimate):
             # observed contraction stays at or below the a priori constant
             assert diag.contraction_estimate < res.contraction_bound + 0.05
     assert res.contraction_bound == pytest.approx(
         (0.02 / 3.02) * 1.0 * 1.0 * 4.0, rel=1e-12)
+    # step bounds and the stability margin are per run
+    assert res.bounds.bound_max == pytest.approx(0.375, abs=1e-15)
+    assert res.stability_margin == pytest.approx(
+        (0.02 / 3.0) * (1.0 + res.contraction_bound), rel=1e-12)
