@@ -103,11 +103,20 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _row_flags(error: float, extra: Sequence[str] = ()) -> tuple[str, ...]:
-    flags = list(extra)
-    if error < ROUNDOFF_FLOOR:
-        flags.append("roundoff-dominated")
-    return tuple(flags)
+def _report_rows(entries: Sequence[tuple[str, float, Sequence[str]]]) -> list[ReportRow]:
+    """Rows from (param, error, extra flags) in table order: the ratio to
+    the previous error, the order log2(ratio), and the roundoff flag."""
+    rows: list[ReportRow] = []
+    prev_err: Optional[float] = None
+    for param, err, extra in entries:
+        ratio = order = None
+        if prev_err is not None and err > 0.0:
+            ratio = prev_err / err
+            order = math.log2(ratio) if ratio > 0 else None
+        flags = (*extra, "roundoff-dominated") if err < ROUNDOFF_FLOOR else tuple(extra)
+        rows.append(ReportRow(param=param, error=err, ratio=ratio, order=order, flags=flags))
+        prev_err = err
+    return rows
 
 
 @dataclass
@@ -154,23 +163,16 @@ class TimeStudy:
     def report(self, at_time: Optional[float] = None) -> ConvergenceReport:
         """Rows over the step sizes at one report time (default: T)."""
         t = self.T if at_time is None else at_time
-        rows: list[ReportRow] = []
-        prev_err: Optional[float] = None
+        entries = []
         for h in self.steps:
             err = self.error_at(h, t)
             if err is None:
                 raise ValueError(f"time {t!r} is not a level of step {h!r}")
-            ratio = order = None
-            if prev_err is not None and err > 0.0:
-                ratio = prev_err / err
-                order = math.log2(ratio) if ratio > 0 else None
             extra = ["bootstrap-affected"] if time_level(t, h) <= 2 else []
-            rows.append(ReportRow(param=f"{h:g}", error=err, ratio=ratio,
-                                  order=order, flags=_row_flags(err, extra)))
-            prev_err = err
+            entries.append((f"{h:g}", err, extra))
         return ConvergenceReport(
             title=f"time convergence of {self.problem_name} at t={t:g}",
-            norm=self.norm, fixed=dict(self.space), rows=rows)
+            norm=self.norm, fixed=dict(self.space), rows=_report_rows(entries))
 
     def to_text(self) -> str:
         """Per-time table: one error column per step, ratio columns between
@@ -263,24 +265,13 @@ class SpaceStudy:
         return self.errors.get((N, m))
 
     def report(self, m: int) -> ConvergenceReport:
-        rows: list[ReportRow] = []
-        prev_err: Optional[float] = None
-        for N in self.N_values:
-            err = self.error(N, m)
-            if err is None:
-                continue
-            ratio = order = None
-            if prev_err is not None and err > 0.0:
-                ratio = prev_err / err
-                order = math.log2(ratio) if ratio > 0 else None
-            rows.append(ReportRow(param=str(N), error=err, ratio=ratio,
-                                  order=order, flags=_row_flags(err)))
-            prev_err = err
+        entries = [(str(N), self.errors[(N, m)], ()) for N in self.N_values
+                   if (N, m) in self.errors]
         return ConvergenceReport(
             title=f"space convergence of {self.problem_name} with m={m}",
             norm=self.norm,
             fixed={"k": self.k, "h_t": self.h_t, "T": self.T},
-            rows=rows)
+            rows=_report_rows(entries))
 
     def reports(self) -> dict[int, ConvergenceReport]:
         return {m: self.report(m) for m in self.m_values}

@@ -48,7 +48,6 @@ class ChebOperator:
     """
 
     m: int
-    grid: SpatialGrid = field(repr=False)
     C: np.ndarray = field(repr=False)
     P1: np.ndarray = field(repr=False)
     P2: np.ndarray = field(repr=False)
@@ -85,7 +84,7 @@ def build_cheb_operator(m: int, grid: SpatialGrid) -> ChebOperator:
     P2 = _scaled_basis(m, _to_reference(grid.x2, dom.a2, dom.b2))
     points1 = 0.5 * (dom.a1 + dom.b1) + 0.5 * (dom.b1 - dom.a1) * ref_nodes
     points2 = 0.5 * (dom.a2 + dom.b2) + 0.5 * (dom.b2 - dom.a2) * ref_nodes
-    return ChebOperator(m=m, grid=grid, C=C, P1=P1, P2=P2, points1=points1, points2=points2)
+    return ChebOperator(m=m, C=C, P1=P1, P2=P2, points1=points1, points2=points2)
 
 
 def coeffs_from_samples(op: ChebOperator, samples: np.ndarray) -> np.ndarray:

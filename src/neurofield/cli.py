@@ -6,11 +6,15 @@ Four subcommands: ``run`` solves one problem and writes field snapshots,
 transmission speed, and reports both fields.  Every command writes its
 outputs into an existing directory given by --out: CSV files with a fixed
 17-significant-digit format (so runs are bit-reproducible) plus a JSON
-manifest recording every parameter that affects the numerics, the per-step
-diagnostics and the wall time.
+manifest recording the problem's own parameters, the solver configuration
+that ran, the per-step diagnostics and the wall time.
 
-Parameters come from flags or from a plain key=value config file
-(--config); flags override the file.  Defaults are chosen per subcommand
+Settings come from flags or from a plain key=value config file
+(--config) whose keys are the flag names; flags override the file.  Both
+are defined once, in ``_SETTINGS``, so a file value passes the same type
+and choice checks as its flag.  Problem parameters have no defaults here:
+the example's constructor supplies those not given, and one the example
+does not take is an error.  The other defaults are chosen per subcommand
 so that the bare commands regenerate the standard tables: converge-time
 on examples 1 and 3 and converge-space on example 2 reproduce the
 published error tables, compare-delay on example 4 reproduces the decay
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -57,39 +62,58 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliError(f"cannot parse {what} list {text!r}") from None
 
 
-def _parse_bool(text: str, what: str) -> bool:
+def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"cannot parse {what} value {text!r} as a boolean")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-# config-file key -> (namespace attribute, parser)
-_FILE_KEYS = {
-    "example": ("example", int),
-    "lambda": ("lam", float),
-    "sigma": ("sigma", float),
-    "mu": ("mu", float),
-    "c": ("c", float),
-    "v": ("v", float),
-    "ht": ("ht", float),
-    "T": ("T", float),
-    "n": ("n", int),
-    "k": ("k", int),
-    "m": ("m", str),
-    "N": ("N", str),
-    "norm": ("norm", str),
-    "snapshots": ("snapshots", str),
-    "steps": ("steps", str),
-    "out": ("out", str),
-    "rank-reduction": ("rank_reduction_file", str),
+# Every setting, keyed by its config-file key, with its add_argument
+# keywords.  The flag is --key unless "flag" names another one; a file value
+# is converted by "file_type" (else "type") and checked against the same
+# choices as the flag.
+_SETTINGS: dict[str, dict] = {
+    "example": {"type": int, "choices": [1, 2, 3, 4], "help": "paper example"},
+    "lambda": {"dest": "lam", "type": float, "help": "kernel decay rate"},
+    "sigma": {"type": float, "help": "firing-rate steepness"},
+    "mu": {"type": float, "help": "initial-bump decay rate"},
+    "c": {"type": float, "help": "membrane time constant"},
+    "v": {"type": float, "help": "transmission speed"},
+    "ht": {"type": float, "help": "time step"},
+    "T": {"type": float, "help": "final time"},
+    "n": {"type": int, "help": "subintervals per axis"},
+    "k": {"type": int, "help": "Gauss points per subinterval"},
+    "m": {"help": "interpolation order"},
+    "norm": {"choices": ["max", "l2"]},
+    "out": {"help": "existing output directory"},
+    "rank-reduction": {"flag": "--no-rank-reduction", "dest": "rank_reduction",
+                       "action": "store_const", "const": False, "file_type": _parse_bool,
+                       "help": "evaluate the integral directly at every grid point"},
+    "snapshots": {"help": "comma-separated output times"},
+    "steps": {"help": "comma-separated step sizes"},
+    "N": {"help": "comma-separated points-per-axis values"},
 }
+
+# The problem parameters; which of them an example takes is read off its
+# constructor.
+_PARAMETER_KEYS = ("lambda", "sigma", "mu", "c", "v")
+_COMMON_KEYS = ("example", *_PARAMETER_KEYS, "ht", "T", "n", "k", "m", "out",
+                "rank-reduction")
+
+
+def _dest(key: str) -> str:
+    return _SETTINGS[key].get("dest", key)
+
+
+def _command_keys(command: str) -> tuple[str, ...]:
+    return _COMMON_KEYS + _COMMANDS[command][2]
 
 
 def _load_config_file(path: str, args: argparse.Namespace) -> None:
-    """Fill unset namespace entries from key=value lines; flags win."""
+    """Fill unset settings from key=value lines; flags win."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -101,36 +125,19 @@ def _load_config_file(path: str, args: argparse.Namespace) -> None:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FILE_KEYS:
+        if key not in _SETTINGS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        attr, conv = _FILE_KEYS[key]
-        if not hasattr(args, attr):
+        if key not in _command_keys(args.command):
             raise CliError(f"{path}:{lineno}: key {key!r} does not apply to this subcommand")
-        if getattr(args, attr) is None:
-            try:
-                setattr(args, attr, conv(value))
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--example", type=int, choices=[1, 2, 3, 4], default=None)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="kernel decay rate")
-    sub.add_argument("--sigma", type=float, default=None, help="firing-rate steepness")
-    sub.add_argument("--mu", type=float, default=None, help="initial-bump decay rate")
-    sub.add_argument("--c", type=float, default=None, help="membrane time constant")
-    sub.add_argument("--v", type=float, default=None, help="transmission speed")
-    sub.add_argument("--ht", type=float, default=None, help="time step")
-    sub.add_argument("--T", type=float, default=None, help="final time")
-    sub.add_argument("--n", type=int, default=None, help="subintervals per axis")
-    sub.add_argument("--k", type=int, default=None, help="Gauss points per subinterval")
-    sub.add_argument("--m", default=None, help="interpolation order")
-    sub.add_argument("--norm", choices=["max", "l2"], default=None)
-    sub.add_argument("--out", default=None, help="existing output directory")
-    sub.add_argument("--config", default=None, help="key=value parameter file")
-    sub.add_argument("--no-rank-reduction", dest="no_rank_reduction",
-                     action="store_const", const=True, default=None)
+        spec = _SETTINGS[key]
+        try:
+            parsed = spec.get("file_type", spec.get("type", str))(value)
+            if parsed not in spec.get("choices", [parsed]):
+                raise ValueError
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+        if getattr(args, _dest(key)) is None:
+            setattr(args, _dest(key), parsed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,22 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="neurofield",
         description="Neural field equation solver and convergence studies")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    run = subs.add_parser("run", help="solve one problem and write snapshots")
-    _add_common_flags(run)
-    run.add_argument("--snapshots", default=None, help="comma-separated output times")
-
-    ct = subs.add_parser("converge-time", help="error versus time step")
-    _add_common_flags(ct)
-    ct.add_argument("--steps", default=None, help="comma-separated step sizes")
-
-    cs = subs.add_parser("converge-space", help="error versus grid resolution")
-    _add_common_flags(cs)
-    cs.add_argument("--N", default=None, help="comma-separated points-per-axis values")
-
-    cd = subs.add_parser("compare-delay", help="finite versus infinite speed")
-    _add_common_flags(cd)
-    cd.add_argument("--snapshots", default=None, help="comma-separated output times")
+    for command, (_, help_text, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for key in _command_keys(command):
+            keywords = {name: value for name, value in _SETTINGS[key].items()
+                        if name not in ("flag", "file_type")}
+            sub.add_argument(_SETTINGS[key].get("flag", "--" + key), default=None, **keywords)
+        sub.add_argument("--config", default=None, help="key=value settings file")
     return parser
 
 
@@ -162,30 +160,39 @@ def _resolve(args: argparse.Namespace, name: str, default):
     return default if value is None else value
 
 
+def _given(**values) -> dict:
+    """The values that flags or the config file set (the others are None),
+    so that the library's defaults fill in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def _takes(constructor, name: str) -> bool:
+    # a wrapper that forwards **kwargs passes any keyword on
+    params = inspect.signature(constructor).parameters.values()
+    return any(p.name == name or p.kind is p.VAR_KEYWORD for p in params)
+
+
 def _resolve_problem(args: argparse.Namespace, default_example: int,
-                     need_finite_v: bool = False) -> tuple[ProblemSpec, dict]:
+                     keys: tuple[str, ...] = _PARAMETER_KEYS) -> tuple[ProblemSpec, dict]:
+    """Build the chosen example from the parameter flags in ``keys`` that
+    the user set.
+
+    The example's constructor fills in every parameter not given, so its
+    defaults are the only ones; a given flag the example does not take is
+    an error.  The returned manifest parameters are the example number and
+    the problem's own record of the values it was built with.
+    """
     example = _resolve(args, "example", default_example)
-    lam = _resolve(args, "lam", 1.0)
-    sigma = _resolve(args, "sigma", 1.0)
-    mu = _resolve(args, "mu", 1.0)
-    c = _resolve(args, "c", 1.0)
-    v = _resolve(args, "v", 1.0 if example == 4 or need_finite_v else math.inf)
-    params = {"example": example, "lambda": lam, "sigma": sigma, "mu": mu,
-              "c": c, "v": v}
+    constructor = {1: example1, 2: example2, 3: example3, 4: example4}[example]
+    given = _given(**{_dest(key): getattr(args, _dest(key)) for key in keys})
+    for key in keys:
+        if _dest(key) in given and not _takes(constructor, _dest(key)):
+            raise CliError(f"--{key} does not apply to example {example}")
     try:
-        if example == 1:
-            problem = example1(lam, sigma, c)
-        elif example == 2:
-            if args.c is not None and args.c != 1.0:
-                raise CliError("example 2 fixes c=1; drop the --c flag")
-            problem = example2(lam, sigma)
-        elif example == 3:
-            problem = example3(lam, mu, c)
-        else:
-            problem = example4(lam, mu, c, v)
+        problem = constructor(**given)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return problem, params
+    return problem, {"example": example, **problem.parameters}
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -255,7 +262,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
         "command": "run", "problem": problem.name,
-        "parameters": {**params, **_solver_params(cfg), "norm": _resolve(args, "norm", "max")},
+        "parameters": {**params, **_solver_params(cfg)},
         "snapshots": snapshots,
         "warnings": result.warnings,
         **_run_stability(result),
@@ -277,24 +284,9 @@ def _parse_single_m(args: argparse.Namespace) -> Optional[int]:
         raise CliError(f"expected a single interpolation order, got {args.m!r}") from None
 
 
-def _resolve_rank(args: argparse.Namespace) -> Optional[bool]:
-    if args.no_rank_reduction:
-        return False
-    file_value = getattr(args, "rank_reduction_file", None)
-    if file_value is not None:
-        return _parse_bool(file_value, "rank-reduction")
-    return None
-
-
-def _given(**values) -> dict:
-    """The values that flags or the config file set (the others are None),
-    so that the library's defaults fill in the rest."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
 def _solver_flags(args: argparse.Namespace) -> dict:
     return _given(n=args.n, k=args.k, m=_parse_single_m(args),
-                  rank_reduction=_resolve_rank(args))
+                  rank_reduction=args.rank_reduction)
 
 
 def cmd_converge_time(args: argparse.Namespace) -> int:
@@ -329,8 +321,8 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     problem, params = _resolve_problem(args, default_example=2)
     N_values = _parse_int_list(_resolve(args, "N", "12,24,48,96"), "N")
-    m_values = _parse_int_list(str(_resolve(args, "m", "12,24")), "m")
-    if _resolve_rank(args) is False:
+    m_values = _parse_int_list(_resolve(args, "m", "12,24"), "m")
+    if args.rank_reduction is False:
         raise CliError("the space study measures the rank-reduced operator; "
                        "--no-rank-reduction does not apply")
     t0 = time.perf_counter()
@@ -359,10 +351,13 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
 
 def cmd_compare_delay(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    problem, params = _resolve_problem(args, default_example=4, need_finite_v=True)
-    if not math.isfinite(params["v"]) or params["v"] <= 0:
+    # the speed is this command's own setting, applied to any example
+    problem, params = _resolve_problem(args, default_example=4,
+                                       keys=("lambda", "sigma", "mu", "c"))
+    v = _resolve(args, "v", 1.0)
+    if not math.isfinite(v) or v <= 0:
         raise CliError("compare-delay needs a finite positive transmission speed (--v)")
-    delayed = dataclasses.replace(problem, v=params["v"], exact=None)
+    delayed = dataclasses.replace(problem, v=v, exact=None)
     undelayed = dataclasses.replace(problem, v=math.inf, exact=None)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
                        **_solver_flags(args))
@@ -383,7 +378,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     files["summary.csv"] = "\n".join(summary) + "\n"
     manifest = {
         "command": "compare-delay", "problem": problem.name,
-        "parameters": {**params, **_solver_params(cfg), "norm": norm},
+        "parameters": {**params, "v": v, **_solver_params(cfg), "norm": norm},
         "snapshots": snapshots,
         "warnings": res_d.warnings + res_u.warnings,
         **_run_stability(res_d),
@@ -396,22 +391,21 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     return 0
 
 
+# subcommand -> (handler, help, the settings it takes besides _COMMON_KEYS)
 _COMMANDS = {
-    "run": cmd_run,
-    "converge-time": cmd_converge_time,
-    "converge-space": cmd_converge_space,
-    "compare-delay": cmd_compare_delay,
+    "run": (cmd_run, "solve one problem and write snapshots", ("snapshots",)),
+    "converge-time": (cmd_converge_time, "error versus time step", ("norm", "steps")),
+    "converge-space": (cmd_converge_space, "error versus grid resolution", ("norm", "N")),
+    "compare-delay": (cmd_compare_delay, "finite versus infinite speed", ("norm", "snapshots")),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "rank_reduction_file"):
-        args.rank_reduction_file = None
     try:
         if args.config is not None:
             _load_config_file(args.config, args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

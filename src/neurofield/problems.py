@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import erf
 
-from .quadrature import GaussRule, Rectangle, SpatialGrid, build_gauss_rule
+from .quadrature import Rectangle, SpatialGrid, build_gauss_rule, build_grid
 
 __all__ = [
     "ProblemSpec",
@@ -107,15 +107,6 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN) 
     return (math.pi / (4.0 * lam)) * f1 * f2
 
 
-def _fine_axis(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    rule = build_gauss_rule(_FINE_RULE_K)
-    h = (b - a) / _FINE_RULE_N
-    edges = a + h * np.arange(_FINE_RULE_N)
-    pts = (edges[:, None] + 0.5 * h * (1.0 + rule.nodes[None, :])).ravel()
-    wts = np.tile(0.5 * h * rule.weights, _FINE_RULE_N)
-    return pts, wts
-
-
 def weighted_kernel_box_integral(lam: float, mu: float, x1, x2,
                                  domain: Rectangle = DEFAULT_DOMAIN) -> np.ndarray:
     """Integral of exp(-lam * |x - y|^2) * exp(-mu * |y|^2) over the domain.
@@ -132,14 +123,14 @@ def weighted_kernel_box_integral(lam: float, mu: float, x1, x2,
     """
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
+    fine = build_grid(domain, _FINE_RULE_N, build_gauss_rule(_FINE_RULE_K))
 
-    def axis_factor(x: np.ndarray, a: float, b: float) -> np.ndarray:
-        y, w = _fine_axis(a, b)
+    def axis_factor(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         vals = np.exp(-lam * (x[..., None] - y) ** 2 - mu * y * y)
         return vals @ w
 
-    f1 = axis_factor(x1, domain.a1, domain.b1)
-    f2 = axis_factor(x2, domain.a2, domain.b2)
+    f1 = axis_factor(x1, fine.x1, fine.w1)
+    f2 = axis_factor(x2, fine.x2, fine.w2)
     return f1 * f2
 
 

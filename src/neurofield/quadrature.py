@@ -128,13 +128,13 @@ class Rectangle:
         return float(np.hypot(self.b1 - self.a1, self.b2 - self.a2))
 
 
-def _composite_axis(a: float, b: float, n: int, rule: GaussRule) -> tuple[np.ndarray, np.ndarray, float]:
+def _composite_axis(a: float, b: float, n: int, rule: GaussRule) -> tuple[np.ndarray, np.ndarray]:
     h = (b - a) / n
     edges = a + h * np.arange(n)
     # node s of subinterval i sits at edge_i + (h/2) (1 + xi_s)
     pts = (edges[:, None] + 0.5 * h * (1.0 + rule.nodes[None, :])).ravel()
     wts = np.tile(0.5 * h * rule.weights, n)
-    return pts, wts, h
+    return pts, wts
 
 
 @dataclass
@@ -153,8 +153,6 @@ class SpatialGrid:
     w1, w2 : ndarray, shape (N,)
         Scaled per-axis weights; each sums to the side length, so the
         tensor-product weights sum to the domain area.
-    h1, h2 : float
-        Subinterval widths per axis.
     """
 
     domain: Rectangle
@@ -164,8 +162,6 @@ class SpatialGrid:
     x2: np.ndarray = field(repr=False)
     w1: np.ndarray = field(repr=False)
     w2: np.ndarray = field(repr=False)
-    h1: float
-    h2: float
 
     @property
     def k(self) -> int:
@@ -211,9 +207,9 @@ def build_grid(domain: Rectangle, n: int, rule: GaussRule) -> SpatialGrid:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subinterval count n must be a positive integer, got {n!r}")
-    x1, w1, h1 = _composite_axis(domain.a1, domain.b1, int(n), rule)
-    x2, w2, h2 = _composite_axis(domain.a2, domain.b2, int(n), rule)
-    return SpatialGrid(domain=domain, n=int(n), rule=rule, x1=x1, x2=x2, w1=w1, w2=w2, h1=h1, h2=h2)
+    x1, w1 = _composite_axis(domain.a1, domain.b1, int(n), rule)
+    x2, w2 = _composite_axis(domain.a2, domain.b2, int(n), rule)
+    return SpatialGrid(domain=domain, n=int(n), rule=rule, x1=x1, x2=x2, w1=w1, w2=w2)
 
 
 def apply_quadrature(grid: SpatialGrid, values: np.ndarray) -> float:

@@ -3,12 +3,15 @@ process and checking files, manifests and exit codes."""
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neurofield.analysis
-from neurofield.cli import main
+from neurofield.cli import _SETTINGS, build_parser, main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 
 
@@ -17,6 +20,10 @@ def read_field_csv(path):
     assert lines[0] == "x1,x2,V"
     data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
     return data
+
+
+def reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not valid JSON")
 
 
 def test_run_writes_snapshot_and_manifest(tmp_path):
@@ -28,14 +35,19 @@ def test_run_writes_snapshot_and_manifest(tmp_path):
     # field stays near exp(-0.1) everywhere for this problem
     assert np.max(np.abs(data[:, 2] - math.exp(-0.1))) < 1e-3
 
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=reject_constant)
     assert manifest["command"] == "run"
     assert manifest["problem"] == "example1"
     params = manifest["parameters"]
-    for key in ("example", "lambda", "sigma", "mu", "c", "v", "ht", "T",
+    # example 1's own parameters plus the solver settings; nothing the run
+    # did not use
+    for key in ("example", "lambda", "sigma", "c", "ht", "T",
                 "n", "k", "m", "N", "eps_inner", "max_inner",
-                "rank_reduction", "norm"):
+                "rank_reduction"):
         assert key in params, key
+    for key in ("mu", "v", "norm"):
+        assert key not in params, key
     assert params["ht"] == 0.02 and params["N"] == 24
     assert params["rank_reduction"] is True
     assert manifest["diagnostics"], "per-step diagnostics missing"
@@ -99,13 +111,32 @@ def test_run_rejects_m_above_resolution(tmp_path, capsys):
 
 
 def test_example2_time_constant_is_pinned(tmp_path, capsys):
-    rc = main(["run", "--example", "2", "--c", "2.0", "--ht", "0.05",
+    # example 2 takes no c, so --c is rejected whatever its value
+    for c in ("2.0", "1.0"):
+        rc = main(["run", "--example", "2", "--c", c, "--ht", "0.05",
+                   "--T", "0.05", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "--c" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flag_the_example_does_not_take_is_rejected(tmp_path, capsys):
+    rc = main(["run", "--example", "3", "--sigma", "5", "--ht", "0.05",
                "--T", "0.05", "--out", str(tmp_path)])
     assert rc == 1
-    assert "c=1" in capsys.readouterr().err
-    rc = main(["run", "--example", "2", "--c", "1.0", "--ht", "0.05",
-               "--T", "0.05", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert "--sigma" in err and "example 3" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_records_the_problem_parameters(tmp_path):
+    rc = main(["run", "--example", "3", "--mu", "2", "--ht", "0.05", "--T", "0.05",
+               "--out", str(tmp_path)])
     assert rc == 0
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    assert {key: params[key] for key in ("example", "lambda", "mu", "c")} == {
+        "example": 3, "lambda": 1.0, "mu": 2.0, "c": 1.0}
+    assert "sigma" not in params and "v" not in params
 
 
 def test_converge_time_defaults(tmp_path):
@@ -257,6 +288,42 @@ def test_config_file_rank_reduction_key(tmp_path):
     assert params["rank_reduction"] is False
 
 
+def test_config_file_example_outside_choices(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("example = 7\nv = 1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["run", "--config", str(cfg), "--ht", "0.05", "--T", "0.05",
+               "--out", str(out)])
+    assert rc == 1
+    assert "bad value '7'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_config_file_norm_outside_choices(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("norm = linf\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["compare-delay", "--config", str(cfg), "--ht", "0.1", "--T", "0.2",
+               "--snapshots", "0.2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "bad value 'linf'" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_config_file_norm_does_not_apply_to_run(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("norm = l2\n")
+    rc = main(["run", "--config", str(cfg), "--ht", "0.05", "--T", "0.05",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "does not apply" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "--norm", "l2", "--out", str(tmp_path)])
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("volume = 11\n")
@@ -278,3 +345,22 @@ def test_config_file_missing(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    # every `neurofield ...` line of the README, backslash continuations joined
+    text = README.read_text().replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in text.splitlines()
+                if line.strip().startswith("neurofield ")]
+    assert [argv[0] for argv in commands] == [
+        "run", "converge-time", "converge-space", "compare-delay"]
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_config_keys_match_the_flag_table():
+    listed = README.read_text().split("The config keys are:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(_SETTINGS)
