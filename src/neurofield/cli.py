@@ -12,13 +12,14 @@ that ran, the per-step diagnostics and the wall time.
 Settings come from flags or from a plain key=value config file
 (--config) whose keys are the flag names; flags override the file.  Both
 are defined once, in ``_SETTINGS``, so a file value passes the same type
-and choice checks as its flag.  Problem parameters have no defaults here:
-the example's constructor supplies those not given, and one the example
-does not take is an error.  The other defaults are chosen per subcommand
-so that the bare commands regenerate the standard tables: converge-time
-on examples 1 and 3 and converge-space on example 2 reproduce the
-published error tables, compare-delay on example 4 reproduces the decay
-comparison.
+and choice checks as its flag.  A subcommand takes only the settings it
+reads (``_COMMANDS``); another one is an error, as a flag or a key.
+Problem parameters have no defaults here: the example's constructor
+supplies those not given, and one the example does not take is an error.
+The other defaults are chosen per subcommand so that the bare commands
+regenerate the standard tables: converge-time on examples 1 and 3 and
+converge-space on example 2 reproduce the published error tables,
+compare-delay on example 4 reproduces the decay comparison.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import sys
 import time
 from pathlib import Path
 from typing import Optional
-
-import numpy as np
 
 from .analysis import field_norm, time_convergence_study, space_convergence_study
 from .problems import ProblemSpec, example1, example2, example3, example4
@@ -100,8 +99,7 @@ _SETTINGS: dict[str, dict] = {
 # The problem parameters; which of them an example takes is read off its
 # constructor.
 _PARAMETER_KEYS = ("lambda", "sigma", "mu", "c", "v")
-_COMMON_KEYS = ("example", *_PARAMETER_KEYS, "ht", "T", "n", "k", "m", "out",
-                "rank-reduction")
+_COMMON_KEYS = ("example", *_PARAMETER_KEYS, "T", "k", "m", "out")
 
 
 def _dest(key: str) -> str:
@@ -322,9 +320,6 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
     problem, params = _resolve_problem(args, default_example=2)
     N_values = _parse_int_list(_resolve(args, "N", "12,24,48,96"), "N")
     m_values = _parse_int_list(_resolve(args, "m", "12,24"), "m")
-    if args.rank_reduction is False:
-        raise CliError("the space study measures the rank-reduced operator; "
-                       "--no-rank-reduction does not apply")
     t0 = time.perf_counter()
     try:
         study = space_convergence_study(problem, N_values, m_values,
@@ -391,12 +386,18 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     return 0
 
 
-# subcommand -> (handler, help, the settings it takes besides _COMMON_KEYS)
+# subcommand -> (handler, help, the settings it takes besides _COMMON_KEYS).
+# converge-time takes its steps from --steps, converge-space its n from N / k
+# and always runs the rank-reduced operator, so neither takes those settings.
 _COMMANDS = {
-    "run": (cmd_run, "solve one problem and write snapshots", ("snapshots",)),
-    "converge-time": (cmd_converge_time, "error versus time step", ("norm", "steps")),
-    "converge-space": (cmd_converge_space, "error versus grid resolution", ("norm", "N")),
-    "compare-delay": (cmd_compare_delay, "finite versus infinite speed", ("norm", "snapshots")),
+    "run": (cmd_run, "solve one problem and write snapshots",
+            ("ht", "n", "rank-reduction", "snapshots")),
+    "converge-time": (cmd_converge_time, "error versus time step",
+                      ("n", "rank-reduction", "norm", "steps")),
+    "converge-space": (cmd_converge_space, "error versus grid resolution",
+                       ("ht", "norm", "N")),
+    "compare-delay": (cmd_compare_delay, "finite versus infinite speed",
+                      ("ht", "n", "rank-reduction", "norm", "snapshots")),
 }
 
 

@@ -3,9 +3,9 @@
 The spatial discretisation used throughout this package: each axis of a
 rectangular domain is split into ``n`` equal subintervals carrying a
 ``k``-point Gauss-Legendre rule, giving ``N = n * k`` points per axis and
-``N**2`` points in the plane.  Two-dimensional quantities are stored as flat
-vectors in row-major order, i.e. the value at ``(x1[a], x2[b])`` sits at flat
-index ``a * N + b``.
+``N**2`` points in the plane; the rule itself is numpy's ``leggauss``.
+Two-dimensional quantities are stored as flat vectors in row-major order,
+i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "apply_quadrature",
 ]
 
-_NEWTON_TOL = 1e-15
-_NEWTON_MAX_ITER = 100
 _MAX_RULE_ORDER = 32
 
 
@@ -47,27 +45,10 @@ class GaussRule:
     weights: np.ndarray
 
 
-def _legendre_and_derivative(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate P_k and P_k' at ``x`` by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    if k == 1:
-        return p, np.ones_like(x)
-    for j in range(2, k + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    # derivative identity: (1 - x^2) P_k'(x) = k (P_{k-1}(x) - x P_k(x))
-    dp = k * (p_prev - x * p) / (1.0 - x * x)
-    return p, dp
-
-
 def build_gauss_rule(k: int) -> GaussRule:
     """Construct the k-point Gauss-Legendre rule on [-1, 1].
 
-    Nodes are the roots of the Legendre polynomial P_k, found by Newton
-    iteration started from the Chebyshev-angle estimates
-    ``cos(pi * (4i + 3) / (4k + 2))``.  The iteration is run to an update
-    of at most 1e-15, which the smooth, well-separated root structure of
-    P_k reaches in a handful of steps for every supported order.
+    Nodes and weights are numpy's ``np.polynomial.legendre.leggauss(k)``.
 
     Parameters
     ----------
@@ -82,28 +63,11 @@ def build_gauss_rule(k: int) -> GaussRule:
     ------
     ValueError
         If ``k`` is outside the supported range.
-    RuntimeError
-        If the Newton iteration fails to converge (not observed for any
-        supported order; kept as a guard).
     """
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= _MAX_RULE_ORDER:
         raise ValueError(f"rule order k must be an integer in [1, {_MAX_RULE_ORDER}], got {k!r}")
-    i = np.arange(k, dtype=float)
-    x = np.cos(np.pi * (4.0 * i + 3.0) / (4.0 * k + 2.0))
-    dp = np.ones_like(x)
-    for _ in range(_NEWTON_MAX_ITER):
-        p, dp = _legendre_and_derivative(x, k)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) <= _NEWTON_TOL:
-            break
-    else:
-        raise RuntimeError(f"Legendre root search did not converge for k={k}")
-    # one clean-up evaluation so the weights use the final abscissae
-    _, dp = _legendre_and_derivative(x, k)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return GaussRule(k=int(k), nodes=x[order], weights=w[order])
+    nodes, weights = np.polynomial.legendre.leggauss(int(k))
+    return GaussRule(k=int(k), nodes=nodes, weights=weights)
 
 
 @dataclass

@@ -86,9 +86,10 @@ class SolverConfig:
     h_t is the time step, T the final time (T / h_t must be an integer),
     n and k fix the composite quadrature grid (N = n * k points per axis),
     m the interpolation order of the rank-reduced integral operator.
-    eps_inner and max_inner control the fixed-point loop; rank_reduction
-    switches the Chebyshev lift off, falling back to direct evaluation of
-    the integral at every grid point.
+    eps_inner and max_inner control the fixed-point loop.  rank_reduction
+    True applies the operator at the m x m Chebyshev points and lifts the
+    result to the grid; False evaluates the integral directly at every grid
+    point.
     """
 
     h_t: float

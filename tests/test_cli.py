@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import neurofield.analysis
-from neurofield.cli import _SETTINGS, build_parser, main
+from neurofield.cli import _COMMANDS, _SETTINGS, _command_keys, build_parser, main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 
 
@@ -218,10 +218,43 @@ def test_converge_space_manifest_copies_the_solved_configs(tmp_path, solved_conf
 
 
 def test_converge_space_needs_rank_reduction(tmp_path, capsys):
-    rc = main(["converge-space", "--N", "12", "--m", "12",
-               "--no-rank-reduction", "--out", str(tmp_path)])
-    assert rc == 1
-    assert "rank" in capsys.readouterr().err
+    # the study always runs the rank-reduced operator, so the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["converge-space", "--N", "12", "--m", "12",
+              "--no-rank-reduction", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--no-rank-reduction" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# settings a subcommand does not read: converge-time takes its steps from
+# --steps, converge-space its n from N / k and always reduces rank
+UNREAD_SETTINGS = [
+    ("converge-time", ["--ht", "0.01"], "ht = 0.01"),
+    ("converge-space", ["--n", "1"], "n = 1"),
+    ("converge-space", ["--no-rank-reduction"], "rank-reduction = off"),
+]
+
+
+@pytest.mark.parametrize("command,flag,line", UNREAD_SETTINGS)
+def test_unread_setting_is_rejected_as_a_flag(tmp_path, capsys, command, flag, line):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag,line", UNREAD_SETTINGS)
+def test_unread_setting_is_rejected_as_a_key(tmp_path, capsys, command, flag, line):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    key = line.split(" =")[0]
+    assert f"key {key!r} does not apply to this subcommand" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_compare_delay_quick(tmp_path):
@@ -364,3 +397,13 @@ def test_readme_commands_parse():
 def test_readme_config_keys_match_the_flag_table():
     listed = README.read_text().split("The config keys are:", 1)[1].split(".", 1)[0]
     assert re.findall(r"`([^`]+)`", listed) == list(_SETTINGS)
+
+
+def test_readme_subcommand_keys_match_the_command_table():
+    text = README.read_text()
+    common = text.split("All four take", 1)[1].split("besides those", 1)[0]
+    common_keys = re.findall(r"`([^`]+)`", common)
+    for command in _COMMANDS:
+        # the keys before the parenthesis on the command's list line
+        own = re.findall(r"`([^`]+)`", re.search(rf"^- `{command}`: ([^(\n]*)", text, re.M)[1])
+        assert sorted(common_keys + own) == sorted(_command_keys(command)), command

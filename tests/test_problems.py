@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, roots_legendre
 
 from neurofield.problems import (
     ProblemSpec,
@@ -15,7 +15,6 @@ from neurofield.problems import (
     example3,
     example4,
     kernel_box_integral,
-    weighted_kernel_box_integral,
 )
 from neurofield.quadrature import Rectangle, apply_quadrature, build_gauss_rule, build_grid
 
@@ -67,8 +66,34 @@ def test_kernel_box_integral_vs_quadrature(lam, x1, x2):
         apply_quadrature(grid, vals), abs=1e-12)
 
 
+def composite_axis_integral(lam, mu, x, a, b, n=512, k=16):
+    """int_a^b exp(-lam (x - y)^2 - mu y^2) dy by a composite k-point Gauss
+    sum on n subintervals, fine enough for lam up to several hundred."""
+    nodes, weights = roots_legendre(k)
+    h = (b - a) / n
+    y = (a + h * np.arange(n)[:, None] + 0.5 * h * (1.0 + nodes)).ravel()
+    w = np.tile(0.5 * h * weights, n)
+    return np.exp(-lam * (x - y) ** 2 - mu * y * y) @ w
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)])
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+@pytest.mark.parametrize("lam", [1.0, 100.0, 300.0])
+def test_kernel_box_integral_matches_composite_sum(lam, mu, domain):
+    # interior points and points on and near the edges, where a sharp
+    # kernel is cut off by the boundary
+    t = np.array([0.0, 1e-3, 0.02, 0.3, 0.5, 0.77, 0.99, 1.0])
+    x1 = domain.a1 + t * (domain.b1 - domain.a1)
+    x2 = domain.a2 + t[::-1] * (domain.b2 - domain.a2)
+    got = kernel_box_integral(lam, x1, x2, domain, mu=mu)
+    for g, u, v in zip(got, x1, x2):
+        ref = (composite_axis_integral(lam, mu, u, domain.a1, domain.b1)
+               * composite_axis_integral(lam, mu, v, domain.a2, domain.b2))
+        assert g == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_weighted_kernel_box_integral_center():
-    got = float(weighted_kernel_box_integral(1.0, 1.0, 0.0, 0.0))
+    got = float(kernel_box_integral(1.0, 0.0, 0.0, mu=1.0))
     assert got == pytest.approx(1.4311050108193526, abs=1e-12)
 
 
@@ -77,13 +102,13 @@ def test_weighted_kernel_box_integral_vs_quadrature():
     p1, p2 = grid.flat_points()
     for x1, x2 in [(0.0, 0.0), (0.6, -0.2)]:
         vals = np.exp(-((p1 - x1) ** 2 + (p2 - x2) ** 2) - (p1**2 + p2**2))
-        assert float(weighted_kernel_box_integral(1.0, 1.0, x1, x2)) == pytest.approx(
+        assert float(kernel_box_integral(1.0, x1, x2, mu=1.0)) == pytest.approx(
             apply_quadrature(grid, vals), abs=1e-12)
 
 
 def test_weighted_integral_broadcasts():
     x = np.linspace(-1.0, 1.0, 5)
-    out = weighted_kernel_box_integral(1.0, 1.0, x, np.zeros(5))
+    out = kernel_box_integral(1.0, x, np.zeros(5), mu=1.0)
     assert out.shape == (5,)
     assert out[2] == pytest.approx(1.4311050108193526, abs=1e-12)
 
@@ -223,8 +248,7 @@ def test_input_term_requires_full_domain_integral():
     quadrant = Rectangle(0.0, 1.0, 0.0, 1.0)
 
     def wrong_input(x1, x2, t):
-        return -math.exp(-t) * weighted_kernel_box_integral(1.0, 1.0, x1, x2,
-                                                            domain=quadrant)
+        return -math.exp(-t) * kernel_box_integral(1.0, x1, x2, domain=quadrant, mu=1.0)
 
     import dataclasses
     wrong = dataclasses.replace(p, input_current=wrong_input)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from neurofield.quadrature import (
     GaussRule,
@@ -45,8 +46,9 @@ def test_rule_invariants(k):
 
 @pytest.mark.parametrize("k", [3, 5, 8, 16, 32])
 def test_rule_matches_reference_nodes(k):
+    # scipy's rule is computed independently of numpy's leggauss
     rule = build_gauss_rule(k)
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(k)
+    ref_nodes, ref_weights = roots_legendre(k)
     assert rule.nodes == pytest.approx(ref_nodes, abs=1e-13)
     assert rule.weights == pytest.approx(ref_weights, abs=1e-13)
 
