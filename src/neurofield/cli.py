@@ -32,7 +32,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .analysis import field_norm, time_convergence_study, space_convergence_study
 from .problems import ProblemSpec, example1, example2, example3, example4
@@ -45,18 +45,9 @@ class CliError(Exception):
     """Configuration or runtime failure that should abort with exit 1."""
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    if not text.strip():
-        return []
+def _parse_list(text: str, what: str, convert: Callable[[str], float]) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"cannot parse {what} list {text!r}") from None
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"cannot parse {what} list {text!r}") from None
 
@@ -255,7 +246,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem, params = _resolve_problem(args, default_example=1)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
                        **_solver_flags(args))
-    snapshots = _parse_float_list(_resolve(args, "snapshots", ""), "snapshot")
+    snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
     result = _solve_checked(problem, cfg)
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
@@ -293,7 +284,7 @@ def cmd_converge_time(args: argparse.Namespace) -> int:
     example = params["example"]
     default_steps = "0.01,0.005,0.0025" if example == 3 else "0.02,0.01"
     default_T = 0.05 if example == 3 else 0.1
-    steps = _parse_float_list(_resolve(args, "steps", default_steps), "step")
+    steps = _parse_list(_resolve(args, "steps", default_steps), "step", float)
     t0 = time.perf_counter()
     try:
         study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
@@ -318,8 +309,8 @@ def cmd_converge_time(args: argparse.Namespace) -> int:
 def cmd_converge_space(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     problem, params = _resolve_problem(args, default_example=2)
-    N_values = _parse_int_list(_resolve(args, "N", "12,24,48,96"), "N")
-    m_values = _parse_int_list(_resolve(args, "m", "12,24"), "m")
+    N_values = _parse_list(_resolve(args, "N", "12,24,48,96"), "N", int)
+    m_values = _parse_list(_resolve(args, "m", "12,24"), "m", int)
     t0 = time.perf_counter()
     try:
         study = space_convergence_study(problem, N_values, m_values,
@@ -356,7 +347,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     undelayed = dataclasses.replace(problem, v=math.inf, exact=None)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
                        **_solver_flags(args))
-    snapshots = _parse_float_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot")
+    snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
     res_d = _solve_checked(delayed, cfg)
     res_u = _solve_checked(undelayed, cfg)
     norm = _resolve(args, "norm", "max")

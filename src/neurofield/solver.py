@@ -291,7 +291,7 @@ class _Stepper:
 
         Raises RuntimeError if the inner loop does not reach eps_inner within
         max_inner iterations, which is the symptom of a time step above the
-        admissible bounds.
+        admissible bounds; its message lists the increment of every iteration.
         """
         cfg, c = self.config, self.problem.c
         h = cfg.h_t
@@ -318,7 +318,8 @@ class _Stepper:
             raise RuntimeError(
                 f"fixed-point iteration at t={t_i:g} did not reach {cfg.eps_inner:g} "
                 f"within {cfg.max_inner} iterations; the time step likely violates "
-                f"the admissible bounds")
+                f"the admissible bounds; increments: "
+                f"{', '.join(f'{d:.3e}' for d in increments)}")
         self.u_prev, self.u_prev2 = u, u_prev
 
         # observed contraction: worst consecutive-increment ratio above the

@@ -257,6 +257,18 @@ def test_unread_setting_is_rejected_as_a_key(tmp_path, capsys, command, flag, li
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flag,value,what", [
+    ("run", "--snapshots", "0.1,x", "snapshot"),
+    ("converge-time", "--steps", "0.02,,0.01q", "step"),
+    ("converge-space", "--N", "12,2.5", "N"),
+    ("compare-delay", "--snapshots", "1;2", "snapshot"),
+])
+def test_unparsable_list_is_rejected(tmp_path, capsys, command, flag, value, what):
+    assert main([command, flag, value, "--out", str(tmp_path)]) == 1
+    assert f"cannot parse {what} list {value!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_delay_quick(tmp_path):
     rc = main(["compare-delay", "--ht", "0.1", "--T", "0.4",
                "--snapshots", "0.2,0.4", "--out", str(tmp_path)])

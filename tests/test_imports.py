@@ -1,6 +1,7 @@
-"""Guard against dead imports in the package: every name a module of
+"""Guards against dead code in the package: every name a module of
 ``src/neurofield`` imports is used in that module or listed in its
-``__all__``."""
+``__all__``, and every module-level private name is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,34 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(imported_names(tree)) - used - exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def private_definitions(tree):
+    """Module-level names starting with one underscore: functions, classes
+    and assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def referenced_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    used = {name for module in PACKAGE.glob("*.py")
+            for name in referenced_names(ast.parse(module.read_text()))}
+    unused = set(private_definitions(ast.parse(path.read_text()))) - used
+    assert not unused, f"{path.name} defines {sorted(unused)} and nothing in the package uses them"

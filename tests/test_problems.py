@@ -286,3 +286,42 @@ def test_kernel_norms_reject_nonfinite_kernel():
         p = dataclasses.replace(example1(), kernel=lambda r: 1.0 / r)
         with pytest.raises(ValueError):
             compute_kernel_norms(p, build_grid(UNIT_BOX, 2, build_gauss_rule(2)))
+
+
+def brute_force_kernel_norms(kernel, grid):
+    """Reference: the kernel on every one of the N^4 grid-point pairs."""
+    p1, p2 = grid.flat_points()
+    w = grid.flat_weights()
+    kv = np.asarray(kernel(np.hypot(p1[:, None] - p1[None, :], p2[:, None] - p2[None, :])))
+    return float(np.max(np.abs(kv))), math.sqrt(float(w @ (kv * kv) @ w))
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "offset"])
+@pytest.mark.parametrize("kernel", [
+    lambda r: np.exp(-r * r),
+    lambda r: np.exp(-300.0 * r * r),
+    lambda r: r * r * np.exp(-r * r),          # largest away from r = 0
+    lambda r: (1.0 - r * r) * np.exp(-r * r),  # negative at long range
+], ids=["gauss", "sharp", "ring", "signed"])
+@pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (4, 6)])
+def test_kernel_norms_match_brute_force_scan(domain, kernel, n, k):
+    import dataclasses
+    grid = build_grid(domain, n, build_gauss_rule(k))
+    norms = compute_kernel_norms(dataclasses.replace(example1(domain=domain), kernel=kernel), grid)
+    k_max, l2 = brute_force_kernel_norms(kernel, grid)
+    assert norms.k_max == k_max
+    assert norms.l2_estimate == pytest.approx(l2, rel=1e-13, abs=0.0)
+
+
+def test_kernel_norms_evaluate_far_fewer_than_all_pairs():
+    import dataclasses
+    seen = []
+
+    def counting_kernel(r):
+        seen.append(np.size(r))
+        return np.exp(-r * r)
+
+    grid = build_grid(UNIT_BOX, 24, build_gauss_rule(4))
+    compute_kernel_norms(dataclasses.replace(example1(), kernel=counting_kernel), grid)
+    assert 0 < sum(seen) < grid.points_per_axis ** 4 / 100

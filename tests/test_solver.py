@@ -3,6 +3,7 @@ rank-reduced operator path, delay bookkeeping and the diagnostics."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -412,6 +413,16 @@ def test_inner_loop_divergence_raises():
     cfg = SolverConfig(h_t=5.0, T=10.0, max_inner=30)
     with pytest.raises(RuntimeError, match="did not reach"):
         solve(p, cfg)
+
+
+def test_nonconvergence_error_lists_the_increments():
+    cfg = SolverConfig(h_t=0.1, T=0.2, max_inner=2, eps_inner=1e-300)
+    with pytest.raises(RuntimeError, match="did not reach") as info:
+        solve(example1(), cfg)
+    listed = re.search(r"increments: (.*)$", str(info.value)).group(1).split(", ")
+    first, second = (float(x) for x in listed)
+    # a contracting loop that simply stopped early
+    assert first > second > 0
 
 
 def test_step_above_bound_warns_but_converges():
