@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .problems import ProblemSpec
-from .quadrature import SpatialGrid, apply_quadrature
+from .quadrature import SpatialGrid, apply_quadrature, build_gauss_rule, tensor_values
 from .solver import FieldState, SolverConfig, solve, time_level
 
 __all__ = [
@@ -55,8 +55,7 @@ def error_norm(grid: SpatialGrid, state: FieldState,
                exact: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
                norm: str = "max") -> float:
     """Norm of the difference between a stored state and the exact solution."""
-    p1, p2 = grid.flat_points()
-    diff = state.values - np.asarray(exact(p1, p2, state.time), dtype=float)
+    diff = state.values - tensor_values(exact, grid.x1, grid.x2, state.time)
     return field_norm(grid, diff, norm)
 
 
@@ -297,6 +296,7 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     m_values = sorted(set(int(m) for m in m_values))
     if not N_values or not m_values:
         raise ValueError("need at least one grid resolution and one interpolation order")
+    build_gauss_rule(k)  # rejects a bad rule order before N % k reads it
     for N in N_values:
         if N % k != 0:
             raise ValueError(f"grid resolution N={N} is not a multiple of the rule order k={k}")

@@ -43,11 +43,13 @@ DEFAULT_DOMAIN = Rectangle(-1.0, 1.0, -1.0, 1.0)
 class ProblemSpec:
     """Complete description of one neural field problem.
 
-    All callables must accept numpy arrays and broadcast: ``kernel`` maps
-    distances to connectivity values, ``firing_rate`` maps field values to
-    rates, ``input_current`` and ``initial`` map ``(x1, x2, t)`` to field
-    values (``initial`` must accept any t <= 0 so delayed problems can read
-    their history), and the optional ``exact`` gives the known solution.
+    ``kernel`` maps distance arrays to connectivity values, ``firing_rate``
+    field values to rates.  ``input_current``, ``initial`` and the optional
+    known solution ``exact`` map ``(x1, x2, t)`` to field values: they get
+    two axes, a column ``x1[:, None]`` and a row ``x2[None, :]``, and may
+    return anything that broadcasts to the full tensor (a scalar, say).
+    ``initial`` must accept any t <= 0 so delayed problems can read their
+    history.
     ``firing_rate_slope_max`` bounds |S'| and feeds the step-size
     diagnostics; ``v`` is the transmission speed, ``math.inf`` for an
     undelayed problem.
@@ -115,31 +117,6 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN,
     return (math.pi / (4.0 * s)) * f1 * f2
 
 
-def _cached_weighted_integral(lam: float, mu: float, domain: Rectangle):
-    """Point-set cache around the weighted kernel_box_integral.
-
-    The solver evaluates the input current on the same flat grid arrays at
-    every time step.  The closed form costs about 0.1 ms per call on a
-    32 x 32 grid, ten times a lookup keyed on the raw coordinate bytes, so
-    all steps after the first read the cache.
-    """
-    cache: dict[tuple[bytes, bytes], np.ndarray] = {}
-
-    def beta(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        key = (x1.tobytes(), x2.tobytes())
-        hit = cache.get(key)
-        if hit is None:
-            hit = kernel_box_integral(lam, x1, x2, domain, mu=mu)
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = hit
-        return hit.copy()
-
-    return beta
-
-
 def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
              domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
     """Gaussian kernel, tanh firing rate, spatially uniform exact solution.
@@ -203,10 +180,9 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
     V(x, t) = exp(-t / c) * exp(-mu * |x|^2) solves the equation when the
     input cancels the integral of the kernel against the bump, taken over
     the full domain.  That integral is the weighted kernel_box_integral,
-    in closed form, cached per point set so that the steps after the first
-    skip it.
+    in closed form; on the solver's two axes it costs one erf pair per
+    coordinate, so it is evaluated afresh at every step.
     """
-    beta = _cached_weighted_integral(lam, mu, domain)
 
     def bump(x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -220,7 +196,8 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
         kernel=lambda r: np.exp(-lam * r * r),
         firing_rate=lambda u: np.asarray(u, dtype=float),
         firing_rate_slope_max=1.0,
-        input_current=lambda x1, x2, t: -math.exp(-t / c) * beta(x1, x2),
+        input_current=lambda x1, x2, t: -math.exp(-t / c) * kernel_box_integral(
+            lam, x1, x2, domain, mu=mu),
         initial=lambda x1, x2, t: bump(x1, x2),
         exact=lambda x1, x2, t: math.exp(-t / c) * bump(x1, x2),
         parameters={"lambda": lam, "mu": mu, "c": c},

@@ -5,12 +5,14 @@ rectangular domain is split into ``n`` equal subintervals carrying a
 ``k``-point Gauss-Legendre rule, giving ``N = n * k`` points per axis and
 ``N**2`` points in the plane; the rule itself is numpy's ``leggauss``.
 Two-dimensional quantities are stored as flat vectors in row-major order,
-i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``.
+i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``;
+``tensor_values`` evaluates a function of ``(x1, x2, t)`` into that layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +23,7 @@ __all__ = [
     "build_gauss_rule",
     "build_grid",
     "apply_quadrature",
+    "tensor_values",
 ]
 
 _MAX_RULE_ORDER = 32
@@ -187,3 +190,15 @@ def apply_quadrature(grid: SpatialGrid, values: np.ndarray) -> float:
     if values.shape != (N * N,):
         raise ValueError(f"expected a flat vector of length {N * N}, got shape {values.shape}")
     return float(grid.w1 @ values.reshape(N, N) @ grid.w2)
+
+
+def tensor_values(f: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
+                  x1: np.ndarray, x2: np.ndarray, t: float) -> np.ndarray:
+    """f(x1, x2, t) over the tensor product of two axes, as a new flat row-major vector.
+
+    f is called once, on ``x1[:, None]`` and ``x2[None, :]``, and may return
+    anything that broadcasts to ``(len(x1), len(x2))``: a scalar, say, or
+    an array that reads one axis only.
+    """
+    values = np.asarray(f(x1[:, None], x2[None, :], t), dtype=float)
+    return np.broadcast_to(values, (len(x1), len(x2))).flatten()

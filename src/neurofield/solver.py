@@ -13,12 +13,12 @@ solved at each level by fixed-point iteration
 started from an Euler predictor.  kappa is the quadrature approximation of
 the connectivity integral.
 
-The update is carried in an evaluation space: a set of evaluation points
-where kappa, I and f are formed, and a lift that maps values there to the
-N^2 grid, where the quadrature reads the field.  Without rank reduction the
-evaluation points are the grid nodes and the lift is the identity.  With
-it they are the m^2 Chebyshev tensor points and the lift is interpolation,
-so each iteration costs m^2 N^2 integrand terms instead of N^4.  Lifting
+The update is carried in an evaluation space: the tensor product of two
+axes, where kappa, I and f are formed, and a lift that maps values there
+to the N^2 grid, where the quadrature reads the field.  Without rank
+reduction the axes are the grid's and the lift is the identity.  With it
+they are m Chebyshev points per axis and the lift is interpolation, so
+each iteration costs m^2 N^2 integrand terms instead of N^4.  Lifting
 the updated solution rather than kappa alone matters: the interpolation
 error of the two sides of the update cancels wherever the solution itself
 is smooth, so the lift does not pollute the spatial convergence of the
@@ -46,7 +46,7 @@ import numpy as np
 
 from .chebyshev import ChebOperator, build_cheb_operator, coeffs_from_samples, eval_on_grid
 from .problems import KernelNorms, ProblemSpec, compute_kernel_norms
-from .quadrature import SpatialGrid, build_gauss_rule, build_grid
+from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
 
 __all__ = [
     "SolverConfig",
@@ -72,7 +72,10 @@ def time_level(t: float, h: float) -> Optional[int]:
     """The level index of time t on the step grid of h, or None off that grid.
 
     t is level round(t / h) when |round(t / h) * h - t| <= 1e-9 * max(1, |t|, h).
+    A non-finite t or h lies on no step grid.
     """
+    if not (math.isfinite(t) and math.isfinite(h)):
+        return None
     idx = int(round(t / h))
     if abs(idx * h - t) > _TIME_ALIGN_RTOL * max(1.0, abs(t), h):
         return None
@@ -132,11 +135,11 @@ class DelayTable:
     """Precomputed pairing of evaluation points with grid nodes.
 
     kernel_weights[p, q] holds K(|z_p - y_q|) times the quadrature weight
-    of node q, where z_p runs over the operator evaluation points (the m^2
-    Chebyshev tensor points, or the grid itself when rank reduction is
-    off).  For delayed problems delay_offsets / delay_fractions hold the
-    per-pair level offset j and interpolation weight delta; both are None
-    for undelayed problems.
+    of node q, where z_p runs row-major over the tensor product of the
+    evaluation axes (Chebyshev points, or the grid's own axes when rank
+    reduction is off).  For delayed problems delay_offsets and
+    delay_fractions hold the per-pair level offset j and interpolation
+    weight delta; both are None for undelayed problems.
     """
 
     kernel_weights: np.ndarray
@@ -156,12 +159,14 @@ class DelayTable:
 
 
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
-                      points: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
-    """Evaluate kernel weights (and delay indices) for every pair of an
-    evaluation point (flat coordinate arrays ``points``) and a grid node."""
-    e1, e2 = points
-    p1, p2 = grid.flat_points()
-    d = np.hypot(e1[:, None] - p1[None, :], e2[:, None] - p2[None, :])
+                      axes: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
+    """Evaluate kernel weights (and delay indices) for every pair of a grid
+    node and a point of the tensor product of ``axes``, from the per-axis
+    differences of the coordinates."""
+    e1, e2 = axes
+    D1 = e1[:, None] - grid.x1[None, :]
+    D2 = e2[:, None] - grid.x2[None, :]
+    d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
     kv = np.asarray(problem.kernel(d), dtype=float)
     if not np.all(np.isfinite(kv)):
         raise ValueError("kernel produced a non-finite value while building the pair table")
@@ -248,8 +253,8 @@ class StepDiagnostics:
 class _Stepper:
     """The scheme's state between levels, in one evaluation space.
 
-    ``u_prev`` and ``u_prev2`` are the two newest levels at the evaluation
-    points ``points``; ``lift`` maps values there to the grid.  ``history``
+    ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
+    ``axes``; ``lift`` maps values there to the grid.  ``history``
     is the grid history (see apply_integral_operator); each level shifts it
     once and writes every iterate into row 0.  ``integrand_evals`` counts
     the kernel-times-firing-rate terms of all operator applications.
@@ -258,7 +263,7 @@ class _Stepper:
     problem: ProblemSpec
     config: SolverConfig
     table: DelayTable
-    points: tuple[np.ndarray, np.ndarray]
+    axes: tuple[np.ndarray, np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     history: np.ndarray
     u_prev: np.ndarray
@@ -266,7 +271,7 @@ class _Stepper:
     integrand_evals: int = 0
 
     def _input(self, t: float) -> np.ndarray:
-        return np.asarray(self.problem.input_current(*self.points, t), dtype=float)
+        return tensor_values(self.problem.input_current, *self.axes, t)
 
     def _kappa(self) -> np.ndarray:
         self.integrand_evals += self.table.kernel_weights.size
@@ -367,7 +372,7 @@ class SolveResult:
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
-    Builds the grid, the evaluation space and the pair table, seeds the
+    Builds the grid, the evaluation axes and the pair table, seeds the
     history from the initial data (down to level -(k_max + 1) for delayed
     problems), takes one Euler step and then two-step levels up to T.
     Step-size bounds are checked up front; a step above a bound only logs a
@@ -380,11 +385,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
     if config.rank_reduction:
         cheb_op = build_cheb_operator(config.m, grid)
-        points = cheb_op.flat_sample_points()
+        axes = (cheb_op.points1, cheb_op.points2)
         lift = functools.partial(lift_to_grid, cheb_op)
     else:
         cheb_op = None
-        points = grid.flat_points()
+        axes = (grid.x1, grid.x2)
         lift = np.asarray  # identity: the samples already sit on the grid
     norms = compute_kernel_norms(problem, grid)
     bounds = step_bound(problem, norms)
@@ -403,13 +408,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     for msg in warnings:
         logger.warning(msg)
 
-    table = build_delay_table(problem, grid, points, h)
-    p1, p2 = grid.flat_points()
+    table = build_delay_table(problem, grid, axes, h)
     history = np.empty((table.history_rows, grid.total_points))
     for l in range(table.history_rows):
-        history[l] = problem.initial(p1, p2, -l * h)
-    u0 = np.asarray(problem.initial(*points, 0.0), dtype=float)
-    stepper = _Stepper(problem, config, table, points, lift, history, u0)
+        history[l] = tensor_values(problem.initial, grid.x1, grid.x2, -l * h)
+    u0 = tensor_values(problem.initial, *axes, 0.0)
+    stepper = _Stepper(problem, config, table, axes, lift, history, u0)
 
     def record(level: int) -> FieldState:
         values = history[0].copy()

@@ -210,6 +210,8 @@ def test_space_study_rejects_bad_resolutions():
         space_convergence_study(example2(), [], [12])
     with pytest.raises(ValueError, match="exceeds"):
         space_convergence_study(example2(), [12], [16])
+    with pytest.raises(ValueError, match="rule order"):
+        space_convergence_study(example2(), [12], [12], k=0)
 
 
 def test_space_study_requires_exact_solution():

@@ -4,7 +4,10 @@ process and checking files, manifests and exit codes."""
 import json
 import math
 import re
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,19 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--ht", "0.05", "--T", "0.05", "--snapshots", "inf"], "not a stored level"),
+    (["run", "--ht", "0.05", "--T", "0.05", "--snapshots", "nan"], "not a stored level"),
+    (["converge-time", "--steps", "nan"], "does not divide"),
+    (["converge-space", "--k", "0", "--N", "12"], "rule order"),
+], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero"])
+def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -404,6 +420,17 @@ def test_readme_commands_parse():
         "run", "converge-time", "converge-space", "compare-delay"]
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_library_block_runs():
+    """The README's Library example runs as written, against src/."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", block + "print(repr(err))\n"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # example 1's max error at t = 0.1 with the README's settings
+    assert float(proc.stdout) == pytest.approx(7.7514e-5, rel=1e-3)
 
 
 def test_readme_config_keys_match_the_flag_table():

@@ -182,6 +182,20 @@ def test_example4_shares_fields_with_example3():
     assert p4.exact is None
 
 
+@pytest.mark.parametrize("make", [example1, example2, example3, example4])
+def test_input_on_axes_after_a_flat_call(make):
+    """On one problem instance, the input on a column and a row, asked after
+    a 1-D call on the same values, is the 1-D evaluation over all pairs."""
+    p = make()
+    x = np.array([-0.4, 0.1, 0.7])
+    y = np.array([0.3, -0.8, 0.5])
+    p.input_current(x, y, 0.2)
+    on_axes = p.input_current(x[:, None], y[None, :], 0.2)
+    X, Y = np.meshgrid(x, y, indexing="ij")
+    assert on_axes.shape == (3, 3)
+    assert np.array_equal(on_axes, p.input_current(X.ravel(), Y.ravel(), 0.2).reshape(3, 3))
+
+
 def test_initial_defined_for_negative_times():
     for p in (example1(), example2(), example3(), example4(v=1.0)):
         vals = p.initial(np.array([0.1]), np.array([-0.2]), -2.0)

@@ -64,8 +64,8 @@ def linear_delay_problem(v=1.0):
 
 
 def grid_table(problem, grid, h):
-    """The pair table of the direct path: evaluation points are the nodes."""
-    return build_delay_table(problem, grid, grid.flat_points(), h)
+    """The pair table of the direct path: the evaluation axes are the grid's."""
+    return build_delay_table(problem, grid, (grid.x1, grid.x2), h)
 
 
 def node_distances(grid):
@@ -106,6 +106,9 @@ def test_time_level_rule():
     assert time_level(0.1 + 5e-11, 0.01) == 10  # inside 1e-9 * max(1, |t|, h)
     assert time_level(0.1 + 5e-9, 0.01) is None
     assert time_level(3000.0 + 1e-7, 1.5) == 2000  # the tolerance scales with |t|
+    for bad in (math.inf, -math.inf, math.nan):
+        assert time_level(bad, 0.01) is None
+        assert time_level(0.1, bad) is None
 
 
 # --- history ---------------------------------------------------------------
@@ -199,7 +202,7 @@ def test_delay_table_undelayed_shapes():
     assert table.k_max == 0
     assert table.kernel_weights.shape == (64, 64)
     op = build_cheb_operator(4, grid)
-    table_rr = build_delay_table(example1(), grid, op.flat_sample_points(), 0.01)
+    table_rr = build_delay_table(example1(), grid, (op.points1, op.points2), 0.01)
     assert table_rr.kernel_weights.shape == (16, 64)
 
 
@@ -304,6 +307,59 @@ def test_lift_identity_without_operator():
     kap = apply_integral_operator(p, grid_table(p, res.grid, h), U0[None, :])
     expected = U0 + (h / p.c) * (p.input_current(p1, p2, 0.0) - U0 + kap)
     assert np.array_equal(res.states[1].values, expected)
+
+
+def recording(problem):
+    """The problem with input_current and initial wrapped to record the
+    shapes of the coordinates each call receives."""
+    shapes = set()
+
+    def wrap(f):
+        def recorded(x1, x2, t):
+            shapes.add((np.shape(x1), np.shape(x2)))
+            return f(x1, x2, t)
+        return recorded
+
+    return dataclasses.replace(problem, input_current=wrap(problem.input_current),
+                               initial=wrap(problem.initial)), shapes
+
+
+@pytest.mark.parametrize("problem,config,axis_lengths", [
+    (example1(), SolverConfig(h_t=0.01, T=0.03, n=2, k=4, rank_reduction=False), {8}),
+    (example1(), SolverConfig(h_t=0.01, T=0.03, n=2, k=4, m=4), {8, 4}),
+    (example4(v=1.0), SolverConfig(h_t=0.1, T=0.3, n=2, k=4, m=4), {8, 4}),
+], ids=["direct", "rank-reduced", "delayed"])
+def test_solve_calls_the_problem_on_axes(problem, config, axis_lengths):
+    """solve hands input_current and initial a column and a row, the grid's
+    axes for the history and the evaluation axes for the update, never a
+    flat list of N^2 or m^2 coordinates."""
+    wrapped, shapes = recording(problem)
+    solve(wrapped, config)
+    assert shapes == {((n, 1), (1, n)) for n in axis_lengths}
+
+
+@pytest.mark.parametrize("rank_reduction", [False, True])
+def test_callables_may_read_one_axis_or_return_a_scalar(rank_reduction):
+    """An initial state that reads x1 only and a scalar input run bit for
+    bit like the same problem written with full-shape results."""
+    def full(values, x1, x2):
+        return np.broadcast_to(values, np.broadcast(x1, x2).shape).copy()
+
+    common = dict(name="narrow", domain=UNIT_BOX, c=1.0, kernel=lambda r: np.exp(-r * r),
+                  firing_rate=np.tanh, firing_rate_slope_max=1.0)
+    narrow = ProblemSpec(**common, input_current=lambda x1, x2, t: 0.25 * math.cos(t),
+                         initial=lambda x1, x2, t: 0.4 * x1 + 0.1,
+                         exact=lambda x1, x2, t: 0.0)
+    wide = ProblemSpec(**common,
+                       input_current=lambda x1, x2, t: full(0.25 * math.cos(t), x1, x2),
+                       initial=lambda x1, x2, t: full(0.4 * x1 + 0.1, x1, x2))
+    cfg = SolverConfig(h_t=0.01, T=0.03, n=2, k=4, m=4, rank_reduction=rank_reduction)
+    a, b = solve(narrow, cfg), solve(wide, cfg)
+    for sa, sb in zip(a.states, b.states, strict=True):
+        assert np.array_equal(sa.values, sb.values)
+    # a scalar exact solution is broadcast over the grid too
+    last = a.states[-1]
+    assert error_norm(a.grid, last, narrow.exact) == np.max(np.abs(last.values))
 
 
 def test_lift_constant_field():
