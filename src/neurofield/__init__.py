@@ -7,14 +7,14 @@ cut its cost, and optionally accounting for a finite transmission speed
 via space-dependent delays.
 """
 
-from .problems import ProblemSpec, example1, example2, example3, example4
+from .problems import ProblemSpec, example1, example2, example3, example4, example5
 from .solver import SolveResult, SolverConfig, solve
 from .analysis import error_norm, field_norm, space_convergence_study, time_convergence_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProblemSpec", "example1", "example2", "example3", "example4",
+    "ProblemSpec", "example1", "example2", "example3", "example4", "example5",
     "SolveResult", "SolverConfig", "solve",
     "error_norm", "field_norm", "space_convergence_study", "time_convergence_study",
     "__version__",

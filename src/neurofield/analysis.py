@@ -204,9 +204,10 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
                            rank_reduction: bool = False) -> TimeStudy:
     """Solve at each step size on a fixed grid and collect errors in time.
 
-    Steps must be nested (every coarser step an integer multiple of every
-    finer one) and divide T, so that errors can be compared at shared
-    levels.  A single step size is allowed and yields a ratio-free table.
+    Steps must be positive, nested (every coarser step an integer multiple
+    of every finer one) and divide T, so that errors can be compared at
+    shared levels.  A single step size is allowed and yields a ratio-free
+    table.
 
     Rank reduction defaults to off here, unlike in ordinary runs: the
     study isolates the temporal error, and representing a non-polynomial
@@ -220,6 +221,9 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
     if not steps:
         raise ValueError("need at least one step size")
     steps = sorted(set(float(h) for h in steps), reverse=True)
+    for h in steps:
+        if h <= 0:
+            raise ValueError(f"time steps must be positive, got {h!r}")
     finest = steps[-1]
     for h in steps:
         levels = time_level(T, h)

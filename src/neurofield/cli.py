@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .analysis import field_norm, time_convergence_study, space_convergence_study
-from .problems import ProblemSpec, example1, example2, example3, example4
+from .problems import ProblemSpec, example1, example2, example3, example4, example5
 from .solver import SolveResult, SolverConfig, solve
 
 _FMT = "%.16e"
@@ -66,7 +66,7 @@ def _parse_bool(text: str) -> bool:
 # is converted by "file_type" (else "type") and checked against the same
 # choices as the flag.
 _SETTINGS: dict[str, dict] = {
-    "example": {"type": int, "choices": [1, 2, 3, 4], "help": "paper example"},
+    "example": {"type": int, "choices": [1, 2, 3, 4, 5], "help": "paper example"},
     "lambda": {"dest": "lam", "type": float, "help": "kernel decay rate"},
     "sigma": {"type": float, "help": "firing-rate steepness"},
     "mu": {"type": float, "help": "initial-bump decay rate"},
@@ -172,7 +172,8 @@ def _resolve_problem(args: argparse.Namespace, default_example: int,
     the problem's own record of the values it was built with.
     """
     example = _resolve(args, "example", default_example)
-    constructor = {1: example1, 2: example2, 3: example3, 4: example4}[example]
+    constructor = {1: example1, 2: example2, 3: example3, 4: example4,
+                   5: example5}[example]
     given = _given(**{_dest(key): getattr(args, _dest(key)) for key in keys})
     for key in keys:
         if _dest(key) in given and not _takes(constructor, _dest(key)):
@@ -340,6 +341,10 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     # the speed is this command's own setting, applied to any example
     problem, params = _resolve_problem(args, default_example=4,
                                        keys=("lambda", "sigma", "mu", "c"))
+    if params["example"] == 5:
+        # its kernel holds the speed, so it has no undelayed twin to compare
+        raise CliError("compare-delay does not apply to example 5: its kernel "
+                       "is built for one transmission speed (use run --v)")
     v = _resolve(args, "v", 1.0)
     if not math.isfinite(v) or v <= 0:
         raise CliError("compare-delay needs a finite positive transmission speed (--v)")

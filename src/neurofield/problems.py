@@ -9,9 +9,10 @@ on a rectangular domain: decay time constant c, connectivity kernel K as a
 function of distance, firing-rate function S, external input I, initial
 state V0 and transmission speed v (infinite v switches the delay off).
 
-Four ready-made problems are provided.  The first three have closed-form
+Five ready-made problems are provided.  The first three have closed-form
 solutions and are used for convergence measurements; the fourth adds a
-finite transmission speed to the third and has no closed form.
+finite transmission speed to the third and has no closed form; the fifth
+adds one to a kernel built so that the third's closed form still holds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "example2",
     "example3",
     "example4",
+    "example5",
     "kernel_box_integral",
     "compute_kernel_norms",
 ]
@@ -216,6 +218,24 @@ def example4(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
         raise ValueError(f"example4 needs a finite positive transmission speed, got {v}")
     return replace(example3(lam=lam, mu=mu, c=c, domain=domain), name="example4", v=v,
                    exact=None, parameters={"lambda": lam, "mu": mu, "c": c, "v": v})
+
+
+def example5(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
+             domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
+    """The third problem's solution under a transmission delay.
+
+    The kernel is exp(-lam r^2 - r / (c v)).  The lagged solution
+    V(y, t - r / v) = exp(-t / c) exp(r / (c v)) bump(y) carries the
+    inverse of the extra factor, so the delayed integral equals the third
+    problem's undelayed one and its input and exact solution hold
+    unchanged.  The history for t <= 0 is the exact solution.  v = inf
+    gives the third problem's kernel and initial state bit for bit.
+    """
+    base = example3(lam=lam, mu=mu, c=c, domain=domain)
+    return replace(base, name="example5", v=v,
+                   kernel=lambda r: np.exp(-lam * r * r - r / (c * v)),
+                   initial=base.exact,
+                   parameters={"lambda": lam, "mu": mu, "c": c, "v": v})
 
 
 @dataclass

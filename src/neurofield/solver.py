@@ -31,6 +31,15 @@ delta * U_{i-j} + (1 - delta) * U_{i-j-1}; pairs with j = 0 reference the
 current iterate, which keeps the scheme implicit.  The grid history is one
 array whose row l holds the field l levels back, with row 0 the current
 iterate: k_max + 2 rows for delayed problems and a single row otherwise.
+
+The delayed operator is a frozen part plus a live part.  The frozen part
+sums the pairs with j >= 1: they read history rows 1 and deeper only,
+which stay put for a whole level, so it is one flat gather per history
+alignment, computed when first needed and reused by every inner iteration
+of the level and by the next level's Euler predictor.  The live part sums
+the pairs with j = 0, which read the current iterate in row 0; they are a
+short list (the self pairs and the few whose travel time is under one
+step), so each inner iteration costs one small gather and a bincount.
 """
 
 from __future__ import annotations
@@ -72,9 +81,10 @@ def time_level(t: float, h: float) -> Optional[int]:
     """The level index of time t on the step grid of h, or None off that grid.
 
     t is level round(t / h) when |round(t / h) * h - t| <= 1e-9 * max(1, |t|, h).
-    A non-finite t or h lies on no step grid.
+    A non-finite t or h lies on no step grid, and neither does any t for a
+    step h <= 0.
     """
-    if not (math.isfinite(t) and math.isfinite(h)):
+    if not (math.isfinite(t) and math.isfinite(h) and h > 0):
         return None
     idx = int(round(t / h))
     if abs(idx * h - t) > _TIME_ALIGN_RTOL * max(1.0, abs(t), h):
@@ -137,19 +147,29 @@ class DelayTable:
     kernel_weights[p, q] holds K(|z_p - y_q|) times the quadrature weight
     of node q, where z_p runs row-major over the tensor product of the
     evaluation axes (Chebyshev points, or the grid's own axes when rank
-    reduction is off).  For delayed problems delay_offsets and
-    delay_fractions hold the per-pair level offset j and interpolation
-    weight delta; both are None for undelayed problems.
+    reduction is off).
+
+    For delayed problems delay_index[p, q] = j * N^2 + q is the pair's
+    entry in the flattened history (row j, node q), for its level offset j,
+    and delay_fractions[p, q] its interpolation weight delta; both are None
+    for undelayed problems.  The live pairs, those with j = 0, have weight
+    0 in kernel_weights and sit in the live list instead: pair i of it
+    adds live_weights[i] times the rate of the field at live_index[i],
+    interpolated with live_fractions[i], to evaluation point live_rows[i].
     """
 
     kernel_weights: np.ndarray
-    delay_offsets: Optional[np.ndarray]
+    delay_index: Optional[np.ndarray]
     delay_fractions: Optional[np.ndarray]
     k_max: int
+    live_rows: Optional[np.ndarray] = None
+    live_index: Optional[np.ndarray] = None
+    live_weights: Optional[np.ndarray] = None
+    live_fractions: Optional[np.ndarray] = None
 
     @property
     def has_delay(self) -> bool:
-        return self.delay_offsets is not None
+        return self.delay_index is not None
 
     @property
     def history_rows(self) -> int:
@@ -162,7 +182,11 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                       axes: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
     """Evaluate kernel weights (and delay indices) for every pair of a grid
     node and a point of the tensor product of ``axes``, from the per-axis
-    differences of the coordinates."""
+    differences of the coordinates.
+
+    The delay arithmetic runs in place: the distances become the lag in
+    steps and then delta, and the level offsets become flat indices.
+    """
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
     D2 = e2[:, None] - grid.x2[None, :]
@@ -172,37 +196,74 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         raise ValueError("kernel produced a non-finite value while building the pair table")
     kw = kv * grid.flat_weights()[None, :]
     if not problem.has_delay:
-        return DelayTable(kernel_weights=kw, delay_offsets=None, delay_fractions=None, k_max=0)
+        return DelayTable(kernel_weights=kw, delay_index=None, delay_fractions=None, k_max=0)
     k_max = int(math.floor(problem.tau_max / h_t))
-    steps = d / (problem.v * h_t)
-    j = np.floor(steps).astype(np.int64)
+    steps = np.divide(d, problem.v * h_t, out=d)
+    j = steps.astype(np.int64)  # the floor, as steps >= 0
     np.minimum(j, k_max, out=j)
-    delta = 1.0 - (steps - j)
-    return DelayTable(kernel_weights=kw, delay_offsets=j, delay_fractions=delta, k_max=k_max)
+    steps -= j
+    delta = np.subtract(1.0, steps, out=steps)
+    live_rows, live_index = np.nonzero(j == 0)
+    live_weights = kw[live_rows, live_index]
+    kw[live_rows, live_index] = 0.0
+    j *= kw.shape[1]
+    j += np.arange(kw.shape[1])
+    return DelayTable(kernel_weights=kw, delay_index=j, delay_fractions=delta, k_max=k_max,
+                      live_rows=live_rows, live_index=live_index, live_weights=live_weights,
+                      live_fractions=delta[live_rows, live_index])
 
 
-def apply_integral_operator(problem: ProblemSpec, table: DelayTable,
-                            history: np.ndarray) -> np.ndarray:
+def _lagged_rates(problem: ProblemSpec, history: np.ndarray, index: np.ndarray,
+                  fractions: np.ndarray) -> np.ndarray:
+    """S(delta * U_j + (1 - delta) * U_{j+1}) per pair, from the pairs' flat
+    history indices: row j + 1 is the same index N^2 entries further on."""
+    flat = history.ravel()
+    lagged = flat.take(index)
+    lagged *= fractions
+    later = flat[history.shape[1]:].take(index)
+    later *= 1.0 - fractions
+    lagged += later
+    return np.asarray(problem.firing_rate(lagged), dtype=float)
+
+
+def _frozen_sum(problem: ProblemSpec, table: DelayTable, history: np.ndarray) -> np.ndarray:
+    """The delayed quadrature sum over the pairs with j >= 1.  For finite
+    values of row 0 it depends on rows 1 and deeper only: the live pairs,
+    the only ones that read row 0, carry weight 0 here."""
+    s = _lagged_rates(problem, history, table.delay_index, table.delay_fractions)
+    return np.einsum("pq,pq->p", table.kernel_weights, s)
+
+
+def _live_sum(problem: ProblemSpec, table: DelayTable, history: np.ndarray) -> np.ndarray:
+    """The delayed quadrature sum over the live pairs, which read row 0."""
+    s = _lagged_rates(problem, history, table.live_index, table.live_fractions)
+    return np.bincount(table.live_rows, weights=table.live_weights * s,
+                       minlength=table.kernel_weights.shape[0])
+
+
+def apply_integral_operator(problem: ProblemSpec, table: DelayTable, history: np.ndarray,
+                            frozen: Optional[np.ndarray] = None) -> np.ndarray:
     """Quadrature sum of K * S(field) at every evaluation point of the table.
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
     iterate; it needs ``table.history_rows`` rows.  Undelayed problems read
     row 0 only.  For delayed problems the per-pair field values are linearly
-    interpolated between rows j and j + 1.  Returns a vector with one entry
-    per evaluation point.
+    interpolated between rows j and j + 1, and the sum is the frozen part
+    plus the live part.  ``frozen``, when given, is taken as the frozen part
+    of this history's rows 1 and deeper instead of being summed again; the
+    stepper passes the one it keeps for the current level.  Returns a
+    vector with one entry per evaluation point.
     """
-    if history.ndim != 2 or history.shape[0] < table.history_rows:
-        raise ValueError(f"the operator needs a history of {table.history_rows} grid rows, "
-                         f"got shape {history.shape}")
+    nodes = table.kernel_weights.shape[1]
+    if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
+        raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
+                         f"of {nodes} nodes, got shape {history.shape}")
     if not table.has_delay:
         s = np.asarray(problem.firing_rate(history[0]), dtype=float)
         return table.kernel_weights @ s
-    cols = np.arange(history.shape[1])[None, :]
-    j = table.delay_offsets
-    delta = table.delay_fractions
-    lagged = delta * history[j, cols] + (1.0 - delta) * history[j + 1, cols]
-    s = np.asarray(problem.firing_rate(lagged), dtype=float)
-    return np.einsum("pq,pq->p", table.kernel_weights, s)
+    if frozen is None:
+        frozen = _frozen_sum(problem, table, history)
+    return frozen + _live_sum(problem, table, history)
 
 
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
@@ -239,7 +300,13 @@ def step_bound(problem: ProblemSpec, norms: KernelNorms) -> StepBounds:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record of the fixed-point loop and its operator cost."""
+    """Per-step record of the fixed-point loop and its operator cost.
+
+    ``integrand_evals`` is the size of the quadrature sums of the step's
+    ``kappa_applies`` operator applications, P N^2 each for P evaluation
+    points (the paper's cost model), also on delayed runs, where an inner
+    iteration recomputes only the live pairs.
+    """
 
     level: int
     time: float
@@ -256,8 +323,12 @@ class _Stepper:
     ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
     ``axes``; ``lift`` maps values there to the grid.  ``history``
     is the grid history (see apply_integral_operator); each level shifts it
-    once and writes every iterate into row 0.  ``integrand_evals`` counts
-    the kernel-times-firing-rate terms of all operator applications.
+    once and writes every iterate into row 0.  ``frozen`` is the frozen
+    part of the delayed operator for the current alignment of rows 1 and
+    deeper, None until an application needs it; only _begin_level moves
+    those rows, so only it clears the sum.  ``integrand_evals`` counts the
+    kernel-times-firing-rate terms of all operator applications, P N^2 per
+    application whether or not the frozen part was reused.
     """
 
     problem: ProblemSpec
@@ -268,6 +339,7 @@ class _Stepper:
     history: np.ndarray
     u_prev: np.ndarray
     u_prev2: Optional[np.ndarray] = None
+    frozen: Optional[np.ndarray] = None
     integrand_evals: int = 0
 
     def _input(self, t: float) -> np.ndarray:
@@ -275,12 +347,15 @@ class _Stepper:
 
     def _kappa(self) -> np.ndarray:
         self.integrand_evals += self.table.kernel_weights.size
-        return apply_integral_operator(self.problem, self.table, self.history)
+        if self.table.has_delay and self.frozen is None:
+            self.frozen = _frozen_sum(self.problem, self.table, self.history)
+        return apply_integral_operator(self.problem, self.table, self.history, self.frozen)
 
     def _begin_level(self, u: np.ndarray) -> np.ndarray:
         """Shift the history one level deeper and put the lift of u in row 0."""
         self.history[1:] = self.history[:-1]
         self.history[0] = self.lift(u)
+        self.frozen = None
         return self.history[0]
 
     def euler_step(self) -> None:

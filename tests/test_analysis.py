@@ -158,6 +158,12 @@ def test_time_study_rejects_step_not_dividing_T():
         time_convergence_study(example1(), [0.03], T=0.1)
 
 
+@pytest.mark.parametrize("steps", [[0.0], [0.01, 0.0], [-0.05], [0.02, -0.01]])
+def test_time_study_rejects_non_positive_steps(steps):
+    with pytest.raises(ValueError, match="must be positive"):
+        time_convergence_study(example1(), steps, T=0.1)
+
+
 def test_time_study_requires_exact_solution():
     with pytest.raises(ValueError, match="exact"):
         time_convergence_study(example4(v=1.0), [0.02], T=0.04)

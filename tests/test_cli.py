@@ -103,7 +103,15 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
     (["run", "--ht", "0.05", "--T", "0.05", "--snapshots", "nan"], "not a stored level"),
     (["converge-time", "--steps", "nan"], "does not divide"),
     (["converge-space", "--k", "0", "--N", "12"], "rule order"),
-], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero"])
+    (["converge-time", "--steps", "0"], "must be positive"),
+    (["converge-time", "--steps", "0.01,0"], "must be positive"),
+    (["converge-time", "--steps", "-0.05"], "must be positive"),
+    # example 5's kernel holds its speed: setting v afterwards would pair
+    # one speed's kernel with another speed
+    (["compare-delay", "--example", "5", "--v", "2", "--ht", "0.1", "--T", "0.2",
+      "--snapshots", "0.2"], "does not apply to example 5"),
+], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero", "steps-zero",
+        "steps-with-zero", "steps-negative", "compare-delay-example5"])
 def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -168,6 +176,18 @@ def test_converge_time_defaults(tmp_path):
     assert manifest["parameters"]["steps"] == [0.02, 0.01]
     assert manifest["parameters"]["rank_reduction"] is False
     assert manifest["rows"][1]["ratio"] == pytest.approx(ratio)
+
+
+def test_converge_time_on_the_delayed_example(tmp_path):
+    """converge-time --example 5 measures the delayed scheme's order 2."""
+    rc = main(["converge-time", "--example", "5", "--v", "0.5", "--steps", "0.1,0.05,0.025",
+               "--T", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["problem"] == "example5"
+    assert manifest["parameters"]["v"] == 0.5
+    ratios = [row["ratio"] for row in manifest["rows"][1:]]
+    assert len(ratios) == 2 and all(3.7 <= r <= 4.2 for r in ratios), ratios
 
 
 def test_converge_time_rejects_non_nested_steps(tmp_path, capsys):

@@ -14,6 +14,7 @@ from neurofield.problems import (
     example2,
     example3,
     example4,
+    example5,
     kernel_box_integral,
 )
 from neurofield.quadrature import Rectangle, apply_quadrature, build_gauss_rule, build_grid
@@ -141,6 +142,20 @@ def test_example4_requires_finite_speed():
         example4(v=0.0)
 
 
+def test_example5_delay_cancels_its_kernel_factor():
+    """K5(r) V(y, t - r / v) = K3(r) V(y, t): example 5's delayed integrand
+    is example 3's undelayed one, so example 3's input and solution hold."""
+    p3, p5 = example3(lam=2.0, mu=0.5, c=1.5), example5(lam=2.0, mu=0.5, c=1.5, v=0.7)
+    assert p5.has_delay and p5.exact is p5.initial
+    y = np.array([0.2, -0.6, 0.9])
+    for r in (0.0, 0.3, 1.9, 2.8):
+        for t in (0.0, 0.25, 1.0):
+            delayed = p5.kernel(np.float64(r)) * p5.exact(y, -y, t - r / p5.v)
+            undelayed = p3.kernel(np.float64(r)) * p3.exact(y, -y, t)
+            assert delayed == pytest.approx(undelayed, rel=1e-14)
+            assert np.array_equal(p5.input_current(y, -y, t), p3.input_current(y, -y, t))
+
+
 def test_example1_fields():
     p = example1()
     x = np.array([0.0, 0.5])
@@ -182,7 +197,7 @@ def test_example4_shares_fields_with_example3():
     assert p4.exact is None
 
 
-@pytest.mark.parametrize("make", [example1, example2, example3, example4])
+@pytest.mark.parametrize("make", [example1, example2, example3, example4, example5])
 def test_input_on_axes_after_a_flat_call(make):
     """On one problem instance, the input on a column and a row, asked after
     a 1-D call on the same values, is the 1-D evaluation over all pairs."""
@@ -197,12 +212,12 @@ def test_input_on_axes_after_a_flat_call(make):
 
 
 def test_initial_defined_for_negative_times():
-    for p in (example1(), example2(), example3(), example4(v=1.0)):
+    for p in (example1(), example2(), example3(), example4(v=1.0), example5()):
         vals = p.initial(np.array([0.1]), np.array([-0.2]), -2.0)
         assert np.all(np.isfinite(vals))
 
 
-@pytest.mark.parametrize("make", [example1, example2, example3])
+@pytest.mark.parametrize("make", [example1, example2, example3, example5])
 def test_exact_matches_initial_at_t0(make):
     p = make()
     x = np.linspace(-0.9, 0.9, 7)

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from neurofield.analysis import error_norm
+from neurofield import solver as solver_module
+from neurofield.analysis import error_norm, time_convergence_study
 from neurofield.chebyshev import build_cheb_operator
 from neurofield.problems import (
     ProblemSpec,
@@ -17,6 +18,7 @@ from neurofield.problems import (
     example2,
     example3,
     example4,
+    example5,
     kernel_box_integral,
 )
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
@@ -109,6 +111,9 @@ def test_time_level_rule():
     for bad in (math.inf, -math.inf, math.nan):
         assert time_level(bad, 0.01) is None
         assert time_level(0.1, bad) is None
+    for step in (0.0, -0.0, -0.01):  # no step grid without a positive step
+        assert time_level(0.0, step) is None
+        assert time_level(-0.02, step) is None
 
 
 # --- history ---------------------------------------------------------------
@@ -224,7 +229,9 @@ def test_delay_table_offsets_and_fractions():
     assert table.k_max == 28
     assert table.history_rows == 30
     steps = node_distances(grid) / (p.v * h)
-    j = table.delay_offsets
+    # the flat index j * N^2 + q names history row j at node q
+    j, q = np.divmod(table.delay_index, 64)
+    assert np.array_equal(q, np.broadcast_to(np.arange(64), (64, 64)))
     delta = table.delay_fractions
     assert np.all(j >= 0) and np.all(j <= table.k_max)
     assert np.all(delta > 0.0) and np.all(delta <= 1.0)
@@ -272,6 +279,9 @@ def test_apply_operator_delayed_needs_history():
     table = grid_table(p, grid, 0.1)
     with pytest.raises(ValueError, match="30 grid rows"):
         apply_integral_operator(p, table, np.ones((1, 64)))
+    # the flat indices assume rows of N^2 = 64 nodes
+    with pytest.raises(ValueError, match="of 64 nodes"):
+        apply_integral_operator(p, table, np.ones((30, 63)))
 
 
 def test_apply_operator_delay_reads_history_levels():
@@ -282,7 +292,7 @@ def test_apply_operator_delay_reads_history_levels():
     h = 0.05
     table = grid_table(p, grid, h)
     off_diag = ~np.eye(64, dtype=bool)
-    assert np.all(table.delay_offsets[off_diag] >= 1)
+    assert np.all(table.delay_index[off_diag] // 64 >= 1)
     history = np.random.default_rng(0).standard_normal((table.history_rows, 64))
     history[0] = 0.0
     out_a = apply_integral_operator(p, table, history)
@@ -293,6 +303,102 @@ def test_apply_operator_delay_reads_history_levels():
     diff = np.abs(out_b - out_a)
     expected = 5.0 * grid.flat_weights()
     assert diff == pytest.approx(expected, rel=1e-12)
+
+
+# --- frozen and live parts of the delayed operator ---------------------------
+
+def full_gather(problem, grid, axes, h, history):
+    """The delayed operator as one 2-D gather over every pair, with its own
+    table built from flat distances: rows j and j + 1 interpolated with
+    delta, then a row sum of kernel weights times rates."""
+    e1, e2 = np.meshgrid(*axes, indexing="ij")
+    p1, p2 = grid.flat_points()
+    d = np.hypot(e1.ravel()[:, None] - p1[None, :], e2.ravel()[:, None] - p2[None, :])
+    kw = problem.kernel(d) * grid.flat_weights()[None, :]
+    steps = d / (problem.v * h)
+    j = np.minimum(np.floor(steps).astype(np.int64), int(math.floor(problem.tau_max / h)))
+    delta = 1.0 - (steps - j)
+    cols = np.arange(grid.total_points)[None, :]
+    lagged = delta * history[j, cols] + (1.0 - delta) * history[j + 1, cols]
+    return np.einsum("pq,pq->p", kw, problem.firing_rate(lagged))
+
+
+def split_case(case, grid):
+    """Transmission speed, evaluation axes and time step of one case."""
+    if case == "direct":
+        return 1.0, (grid.x1, grid.x2), 0.1
+    op = build_cheb_operator(4, grid)
+    axes = (op.points1, op.points2)
+    if case == "all-live":  # v h above the domain diameter: k_max = 0
+        return 100.0, axes, 0.1
+    if case == "none-live":  # v h below every point-to-node distance
+        e1, e2 = np.meshgrid(*axes, indexing="ij")
+        p1, p2 = grid.flat_points()
+        d = np.hypot(e1.ravel()[:, None] - p1, e2.ravel()[:, None] - p2)
+        return 1.0, axes, 0.5 * float(np.min(d))
+    return 1.0, axes, 0.1
+
+
+@pytest.mark.parametrize("case", ["direct", "rank-reduced", "all-live", "none-live"])
+def test_split_operator_matches_full_gather(case):
+    """Frozen plus live sums agree with one gather over all pairs to 1e-13
+    relative on random history with a tanh rate, and the frozen sum does
+    not depend on the finite values of row 0."""
+    grid = make_grid(N=8)
+    v, axes, h = split_case(case, grid)
+    p = dataclasses.replace(example4(v=v), firing_rate=np.tanh)
+    table = build_delay_table(p, grid, axes, h)
+    live, pairs = table.live_rows.size, table.kernel_weights.size
+    if case == "all-live":
+        assert table.k_max == 0 and live == pairs
+    elif case == "none-live":
+        assert live == 0
+    else:
+        assert 0 < live < pairs
+    rng = np.random.default_rng(7)
+    history = rng.standard_normal((table.history_rows, grid.total_points))
+    reference = full_gather(p, grid, axes, h, history)
+    out = apply_integral_operator(p, table, history)
+    assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+    frozen = solver_module._frozen_sum(p, table, history)
+    assert np.array_equal(apply_integral_operator(p, table, history, frozen), out)
+    history[0] = rng.standard_normal(grid.total_points)
+    assert np.array_equal(solver_module._frozen_sum(p, table, history), frozen)
+
+
+def test_live_list_holds_the_pairs_of_lag_under_one_step():
+    """The live list is every pair with j = 0, carrying its kernel weight,
+    node and fraction; those pairs weigh 0 in the dense table."""
+    grid = make_grid(N=8)
+    p = example4(v=1.0)
+    h = 0.1
+    table = grid_table(p, grid, h)
+    j = table.delay_index // 64
+    live = np.nonzero(j == 0)
+    assert np.array_equal(np.stack(live), np.stack([table.live_rows, table.live_index]))
+    full = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
+    assert np.array_equal(table.live_weights, full[live])
+    assert np.array_equal(table.live_fractions, table.delay_fractions[live])
+    assert np.all(table.kernel_weights[live] == 0.0)
+    assert np.array_equal(table.kernel_weights[j > 0], full[j > 0])
+
+
+def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
+    """A delayed run forms the frozen part at most once per history
+    alignment, num_steps + 1 times, however many inner iterations run."""
+    calls = []
+    frozen_sum = solver_module._frozen_sum
+
+    def counted(*args):
+        calls.append(args)
+        return frozen_sum(*args)
+
+    monkeypatch.setattr(solver_module, "_frozen_sum", counted)
+    cfg = SolverConfig(h_t=0.1, T=0.5, n=2, k=4, m=4)
+    res = solve(example4(v=1.0), cfg)
+    assert 0 < len(calls) <= cfg.num_steps + 1
+    applies = 1 + sum(d.kappa_applies for d in res.diagnostics)
+    assert applies > 2 * (cfg.num_steps + 1)
 
 
 def test_lift_identity_without_operator():
@@ -525,6 +631,33 @@ def test_solve_delayed_direct_path():
         0.7077656819704597, rel=1e-12)
     assert [d.inner_iterations for d in res.diagnostics] == [4, 4, 4, 4]
     assert res.total_integrand_evals == 6967296
+
+
+def test_example5_time_convergence_is_second_order():
+    """The delayed problem with a closed form converges at second order
+    through the rank-reduced operator: criterion 4's band on every halving
+    at t = 0.5 (measured 4.06, 4.02, 4.01)."""
+    study = time_convergence_study(example5(), [0.1, 0.05, 0.025, 0.0125], T=0.5,
+                                   n=6, k=4, m=12, rank_reduction=True)
+    ratios = [study.ratio(a, b, 0.5) for a, b in zip(study.steps, study.steps[1:])]
+    assert len(ratios) == 3
+    assert all(3.7 <= r <= 4.2 for r in ratios), ratios
+
+
+@pytest.mark.parametrize("rank_reduction", [False, True])
+def test_example5_at_infinite_speed_is_example3(rank_reduction):
+    """v = inf is example 3 bit for bit; v = 1e12 runs the delayed path
+    with k_max = 0, every pair live, and lands within 1e-12 of it."""
+    cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4, rank_reduction=rank_reduction)
+    ref = solve(example3(), cfg)
+    same = solve(example5(v=math.inf), cfg)
+    near = solve(example5(v=1e12), cfg)
+    assert near.problem.has_delay
+    assert int(math.floor(near.problem.tau_max / cfg.h_t)) == 0
+    scale = max(float(np.max(np.abs(s.values))) for s in ref.states)
+    for r, s, n in zip(ref.states, same.states, near.states, strict=True):
+        assert np.array_equal(s.values, r.values)
+        assert np.max(np.abs(n.values - r.values)) <= 1e-12 * scale
 
 
 def test_solve_delayed_problem_lags_undelayed():
