@@ -44,7 +44,10 @@ class ChebOperator:
     the grid's axis coordinates pulled back to [-1, 1]; for a square domain
     they coincide.  points1/points2 are the Chebyshev roots pushed forward
     to the physical axes, so the operator must be sampled at the tensor
-    points (points1[i], points2[j]) in row-major order.
+    points (points1[i], points2[j]) in row-major order.  L1 = P1.T @ C
+    (N x m) and L2 = C.T @ P2 (m x N) fold the coefficient transform into
+    the grid evaluation: samples M lift to L1 @ M @ L2, the same as
+    eval_on_grid(coeffs_from_samples(M)) up to rounding.
     """
 
     m: int
@@ -53,6 +56,8 @@ class ChebOperator:
     P2: np.ndarray = field(repr=False)
     points1: np.ndarray = field(repr=False)
     points2: np.ndarray = field(repr=False)
+    L1: np.ndarray = field(repr=False)
+    L2: np.ndarray = field(repr=False)
 
     def flat_sample_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical coordinates of the m^2 sample points, flat row-major."""
@@ -84,7 +89,8 @@ def build_cheb_operator(m: int, grid: SpatialGrid) -> ChebOperator:
     P2 = _scaled_basis(m, _to_reference(grid.x2, dom.a2, dom.b2))
     points1 = 0.5 * (dom.a1 + dom.b1) + 0.5 * (dom.b1 - dom.a1) * ref_nodes
     points2 = 0.5 * (dom.a2 + dom.b2) + 0.5 * (dom.b2 - dom.a2) * ref_nodes
-    return ChebOperator(m=m, C=C, P1=P1, P2=P2, points1=points1, points2=points2)
+    return ChebOperator(m=m, C=C, P1=P1, P2=P2, points1=points1, points2=points2,
+                        L1=P1.T @ C, L2=C.T @ P2)
 
 
 def coeffs_from_samples(op: ChebOperator, samples: np.ndarray) -> np.ndarray:

@@ -258,6 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         **_run_stability(result),
         "diagnostics": _diag_dicts(result),
         "total_integrand_evals": result.total_integrand_evals,
+        "table_bytes": result.table_bytes,
         "wall_time": result.wall_time,
     }
     _write_all(out, files, manifest)

@@ -55,6 +55,12 @@ class ProblemSpec:
     ``firing_rate_slope_max`` bounds |S'| and feeds the step-size
     diagnostics; ``v`` is the transmission speed, ``math.inf`` for an
     undelayed problem.
+    ``axis_kernel``, when set, declares that the kernel separates by axes:
+    kernel(hypot(d1, d2)) == axis_kernel(d1) * axis_kernel(d2) for signed
+    axis differences d1 and d2.  Undelayed runs then apply the operator from
+    two per-axis factors instead of a pair table (see
+    ``solver.build_delay_table``, which checks the contract on the grid's
+    axis differences).  A ``replace`` of the kernel must reset it.
     """
 
     name: str
@@ -68,6 +74,7 @@ class ProblemSpec:
     v: float = math.inf
     exact: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     parameters: dict = field(default_factory=dict)
+    axis_kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not self.c > 0:
@@ -119,6 +126,12 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN,
     return (math.pi / (4.0 * s)) * f1 * f2
 
 
+def _gaussian(lam: float) -> Callable[[np.ndarray], np.ndarray]:
+    """exp(-lam r^2).  It is its own axis factor, as
+    exp(-lam (d1^2 + d2^2)) = exp(-lam d1^2) exp(-lam d2^2)."""
+    return lambda r: np.exp(-lam * r * r)
+
+
 def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
              domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
     """Gaussian kernel, tanh firing rate, spatially uniform exact solution.
@@ -127,6 +140,7 @@ def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
     the integral term equals tanh(sigma * exp(-t/c)) times the kernel mass
     and the input cancels it exactly.
     """
+    gauss = _gaussian(lam)
 
     def input_current(x1, x2, t):
         mass = kernel_box_integral(lam, x1, x2, domain)
@@ -136,13 +150,14 @@ def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
         name="example1",
         domain=domain,
         c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
+        kernel=gauss,
         firing_rate=lambda u: np.tanh(sigma * u),
         firing_rate_slope_max=sigma,
         input_current=input_current,
         initial=lambda x1, x2, t: np.ones_like(np.asarray(x1, dtype=float)),
         exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), math.exp(-t / c)),
         parameters={"lambda": lam, "sigma": sigma, "c": c},
+        axis_kernel=gauss,
     )
 
 
@@ -155,6 +170,7 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
     spatial.  The time constant is pinned to 1 by the construction of the
     input.
     """
+    gauss = _gaussian(lam)
     c = 1.0
 
     def input_current(x1, x2, t):
@@ -165,13 +181,14 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
         name="example2",
         domain=domain,
         c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
+        kernel=gauss,
         firing_rate=lambda u: np.tanh(sigma * u),
         firing_rate_slope_max=sigma,
         input_current=input_current,
         initial=lambda x1, x2, t: np.zeros_like(np.asarray(x1, dtype=float)),
         exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), float(t)),
         parameters={"lambda": lam, "sigma": sigma, "c": c},
+        axis_kernel=gauss,
     )
 
 
@@ -185,6 +202,7 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
     in closed form; on the solver's two axes it costs one erf pair per
     coordinate, so it is evaluated afresh at every step.
     """
+    gauss = _gaussian(lam)
 
     def bump(x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -195,7 +213,7 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
         name="example3",
         domain=domain,
         c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
+        kernel=gauss,
         firing_rate=lambda u: np.asarray(u, dtype=float),
         firing_rate_slope_max=1.0,
         input_current=lambda x1, x2, t: -math.exp(-t / c) * kernel_box_integral(
@@ -203,6 +221,7 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
         initial=lambda x1, x2, t: bump(x1, x2),
         exact=lambda x1, x2, t: math.exp(-t / c) * bump(x1, x2),
         parameters={"lambda": lam, "mu": mu, "c": c},
+        axis_kernel=gauss,
     )
 
 
@@ -229,11 +248,13 @@ def example5(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
     inverse of the extra factor, so the delayed integral equals the third
     problem's undelayed one and its input and exact solution hold
     unchanged.  The history for t <= 0 is the exact solution.  v = inf
-    gives the third problem's kernel and initial state bit for bit.
+    gives the third problem's kernel, axis factor and initial state bit
+    for bit; a finite v has no axis factor, as r / (c v) does not separate.
     """
     base = example3(lam=lam, mu=mu, c=c, domain=domain)
     return replace(base, name="example5", v=v,
                    kernel=lambda r: np.exp(-lam * r * r - r / (c * v)),
+                   axis_kernel=base.axis_kernel if math.isinf(v) else None,
                    initial=base.exact,
                    parameters={"lambda": lam, "mu": mu, "c": c, "v": v})
 

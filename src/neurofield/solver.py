@@ -22,7 +22,20 @@ each iteration costs m^2 N^2 integrand terms instead of N^4.  Lifting
 the updated solution rather than kappa alone matters: the interpolation
 error of the two sides of the update cancels wherever the solution itself
 is smooth, so the lift does not pollute the spatial convergence of the
-quadrature.
+quadrature.  The lift is two precomputed matrix products.
+
+An undelayed problem whose kernel separates by axes (it declares
+``axis_kernel``, see ProblemSpec) needs no pair table: the quadrature sum
+over the nodes (x1_a, x2_b) of k(e1_p - x1_a) k(e2_q - x2_b) w1_a w2_b S_ab
+is A1 @ S @ A2.T, with one factor per axis,
+
+    A1[p, a] = k(e1_p - x1_a) w1_a,     A2[q, b] = k(e2_q - x2_b) w2_b,
+
+which costs O(m N^2) per application rank-reduced and O(N^3) direct, and
+holds two m x N (direct: N x N) factors instead of the P x N^2 table.  The
+factors are built only after the problem's kernel has been checked against
+them on the axis differences, so a kernel swapped out without resetting
+``axis_kernel`` raises instead of being silently ignored.
 
 With a finite transmission speed the integrand reads the field at
 t_i - |y - x| / v.  Writing that lag as (j + 1 - delta) * h_t with integer
@@ -53,7 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chebyshev import ChebOperator, build_cheb_operator, coeffs_from_samples, eval_on_grid
+from .chebyshev import ChebOperator, build_cheb_operator
 from .problems import KernelNorms, ProblemSpec, compute_kernel_norms
 from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
 
@@ -142,12 +155,19 @@ class FieldState:
 
 @dataclass
 class DelayTable:
-    """Precomputed pairing of evaluation points with grid nodes.
+    """Precomputed pairing of evaluation points with grid nodes, in one of
+    two forms.
 
-    kernel_weights[p, q] holds K(|z_p - y_q|) times the quadrature weight
-    of node q, where z_p runs row-major over the tensor product of the
-    evaluation axes (Chebyshev points, or the grid's own axes when rank
-    reduction is off).
+    The pair table: kernel_weights[p, q] holds K(|z_p - y_q|) times the
+    quadrature weight of node q, where z_p runs row-major over the tensor
+    product of the evaluation axes (Chebyshev points, or the grid's own axes
+    when rank reduction is off).
+
+    The axis factors, for undelayed problems with an ``axis_kernel`` k:
+    kernel_weights is None, A1[p, a] = k(e1_p - x1_a) w1_a and
+    A2[q, b] = k(e2_q - x2_b) w2_b, with e1 and e2 the evaluation axes and
+    x, w the grid's axes and weights.  The pair table would be their
+    Kronecker product; build_delay_table checks the kernel against them.
 
     For delayed problems delay_index[p, q] = j * N^2 + q is the pair's
     entry in the flattened history (row j, node q), for its level offset j,
@@ -158,18 +178,38 @@ class DelayTable:
     interpolated with live_fractions[i], to evaluation point live_rows[i].
     """
 
-    kernel_weights: np.ndarray
-    delay_index: Optional[np.ndarray]
-    delay_fractions: Optional[np.ndarray]
-    k_max: int
+    kernel_weights: Optional[np.ndarray] = None
+    delay_index: Optional[np.ndarray] = None
+    delay_fractions: Optional[np.ndarray] = None
+    k_max: int = 0
     live_rows: Optional[np.ndarray] = None
     live_index: Optional[np.ndarray] = None
     live_weights: Optional[np.ndarray] = None
     live_fractions: Optional[np.ndarray] = None
+    A1: Optional[np.ndarray] = None
+    A2: Optional[np.ndarray] = None
 
     @property
     def has_delay(self) -> bool:
         return self.delay_index is not None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(P, N^2): evaluation points by grid nodes."""
+        if self.kernel_weights is not None:
+            return self.kernel_weights.shape
+        return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
+
+    @property
+    def pair_count(self) -> int:
+        """P N^2, the number of terms of one quadrature sum, in either form."""
+        points, nodes = self.shape
+        return points * nodes
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the table's arrays."""
+        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
     @property
     def history_rows(self) -> int:
@@ -178,11 +218,28 @@ class DelayTable:
         return self.k_max + 2 if self.has_delay else 1
 
 
+def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """axis_kernel(D) times the node weights w, for the signed axis
+    differences D, once the kernel is finite there and
+    kernel(|D|) == axis_kernel(D) * axis_kernel(0) holds to 1e-13 of its
+    largest value."""
+    f = np.asarray(problem.axis_kernel(D), dtype=float)
+    f0 = np.asarray(problem.axis_kernel(np.zeros(1)), dtype=float)
+    kv = np.asarray(problem.kernel(np.abs(D)), dtype=float)
+    if not (np.all(np.isfinite(kv)) and np.all(np.abs(kv - f * f0) <= 1e-13 * np.max(np.abs(kv)))):
+        raise ValueError("kernel(|d|) differs from axis_kernel(d) * axis_kernel(0) on the grid "
+                         "(or is non-finite): axis_kernel must satisfy kernel(hypot(d1, d2)) == "
+                         "axis_kernel(d1) * axis_kernel(d2); set it to None for this kernel")
+    return f * w[None, :]
+
+
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                       axes: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
     """Evaluate kernel weights (and delay indices) for every pair of a grid
     node and a point of the tensor product of ``axes``, from the per-axis
-    differences of the coordinates.
+    differences of the coordinates.  An undelayed problem with an
+    ``axis_kernel`` gets the two axis factors instead; ValueError if its
+    kernel does not match them.
 
     The delay arithmetic runs in place: the distances become the lag in
     steps and then delta, and the level offsets become flat indices.
@@ -190,13 +247,16 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
     D2 = e2[:, None] - grid.x2[None, :]
+    if not problem.has_delay and problem.axis_kernel is not None:
+        return DelayTable(A1=_axis_factor(problem, D1, grid.w1),
+                          A2=_axis_factor(problem, D2, grid.w2))
     d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
     kv = np.asarray(problem.kernel(d), dtype=float)
     if not np.all(np.isfinite(kv)):
         raise ValueError("kernel produced a non-finite value while building the pair table")
     kw = kv * grid.flat_weights()[None, :]
     if not problem.has_delay:
-        return DelayTable(kernel_weights=kw, delay_index=None, delay_fractions=None, k_max=0)
+        return DelayTable(kernel_weights=kw)
     k_max = int(math.floor(problem.tau_max / h_t))
     steps = np.divide(d, problem.v * h_t, out=d)
     j = steps.astype(np.int64)  # the floor, as steps >= 0
@@ -247,19 +307,22 @@ def apply_integral_operator(problem: ProblemSpec, table: DelayTable, history: np
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
     iterate; it needs ``table.history_rows`` rows.  Undelayed problems read
-    row 0 only.  For delayed problems the per-pair field values are linearly
+    row 0 only, through the pair table or the axis factors.  For delayed
+    problems the per-pair field values are linearly
     interpolated between rows j and j + 1, and the sum is the frozen part
     plus the live part.  ``frozen``, when given, is taken as the frozen part
     of this history's rows 1 and deeper instead of being summed again; the
     stepper passes the one it keeps for the current level.  Returns a
     vector with one entry per evaluation point.
     """
-    nodes = table.kernel_weights.shape[1]
+    nodes = table.shape[1]
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
     if not table.has_delay:
         s = np.asarray(problem.firing_rate(history[0]), dtype=float)
+        if table.kernel_weights is None:
+            return (table.A1 @ s.reshape(table.A1.shape[1], -1) @ table.A2.T).ravel()
         return table.kernel_weights @ s
     if frozen is None:
         frozen = _frozen_sum(problem, table, history)
@@ -267,10 +330,10 @@ def apply_integral_operator(problem: ProblemSpec, table: DelayTable, history: np
 
 
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
-    """Interpolate values at the m^2 Chebyshev points onto the flat grid,
-    through the coefficient transform and grid evaluation."""
+    """Interpolate values at the m^2 Chebyshev points onto the flat grid:
+    L1 @ M @ L2, the coefficient transform and grid evaluation in one."""
     M = samples.reshape(cheb_op.m, cheb_op.m)
-    return eval_on_grid(cheb_op, coeffs_from_samples(cheb_op, M)).ravel()
+    return (cheb_op.L1 @ M @ cheb_op.L2).ravel()
 
 
 @dataclass
@@ -304,8 +367,10 @@ class StepDiagnostics:
 
     ``integrand_evals`` is the size of the quadrature sums of the step's
     ``kappa_applies`` operator applications, P N^2 each for P evaluation
-    points (the paper's cost model), also on delayed runs, where an inner
-    iteration recomputes only the live pairs.
+    points (the paper's cost model), whatever the table's form: also on
+    delayed runs, where an inner iteration recomputes only the live pairs,
+    and on runs with axis factors, where the same sum is formed as two
+    matrix products in O(m N^2) or O(N^3) operations.
     """
 
     level: int
@@ -328,7 +393,8 @@ class _Stepper:
     deeper, None until an application needs it; only _begin_level moves
     those rows, so only it clears the sum.  ``integrand_evals`` counts the
     kernel-times-firing-rate terms of all operator applications, P N^2 per
-    application whether or not the frozen part was reused.
+    application whether or not the frozen part was reused and whatever
+    the table's form (StepDiagnostics).
     """
 
     problem: ProblemSpec
@@ -346,7 +412,7 @@ class _Stepper:
         return tensor_values(self.problem.input_current, *self.axes, t)
 
     def _kappa(self) -> np.ndarray:
-        self.integrand_evals += self.table.kernel_weights.size
+        self.integrand_evals += self.table.pair_count
         if self.table.has_delay and self.frozen is None:
             self.frozen = _frozen_sum(self.problem, self.table, self.history)
         return apply_integral_operator(self.problem, self.table, self.history, self.frozen)
@@ -415,7 +481,10 @@ class _Stepper:
 
 @dataclass
 class SolveResult:
-    """States at every time level plus the run's diagnostics."""
+    """States at every time level plus the run's diagnostics.
+
+    ``table_bytes`` is the size of the run's DelayTable arrays.
+    """
 
     problem: ProblemSpec
     config: SolverConfig
@@ -430,6 +499,7 @@ class SolveResult:
     warnings: list[str] = field(default_factory=list)
     wall_time: float = 0.0
     total_integrand_evals: int = 0
+    table_bytes: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -510,4 +580,4 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         kernel_norms=norms, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics,
         warnings=warnings, wall_time=time.perf_counter() - t_start,
-        total_integrand_evals=stepper.integrand_evals)
+        total_integrand_evals=stepper.integrand_evals, table_bytes=table.nbytes)

@@ -156,6 +156,28 @@ def test_example5_delay_cancels_its_kernel_factor():
             assert np.array_equal(p5.input_current(y, -y, t), p3.input_current(y, -y, t))
 
 
+@pytest.mark.parametrize("problem", [example1(lam=2.0), example2(lam=0.5), example3(lam=3.0),
+                                     example4(lam=3.0), example5(lam=3.0, v=math.inf)],
+                         ids=["example1", "example2", "example3", "example4", "example5-inf"])
+def test_axis_kernel_separates_the_kernel(problem):
+    """kernel(hypot(d1, d2)) == axis_kernel(d1) * axis_kernel(d2) on signed
+    axis differences."""
+    d = np.linspace(-2.5, 2.5, 41)
+    d1, d2 = d[:, None], d[None, :]
+    want = problem.kernel(np.hypot(d1, d2))
+    assert np.max(np.abs(problem.axis_kernel(d1) * problem.axis_kernel(d2) - want)) <= 1e-15
+
+
+def test_example5_has_an_axis_kernel_only_without_delay():
+    """A finite v adds exp(-r / (c v)), which does not separate by axes;
+    v = inf keeps the third problem's factor."""
+    assert example5(v=1.0).axis_kernel is None
+    assert example5(v=1e12).axis_kernel is None
+    d = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(example5(lam=2.0, v=math.inf).axis_kernel(d),
+                          example3(lam=2.0).axis_kernel(d))
+
+
 def test_example1_fields():
     p = example1()
     x = np.array([0.0, 0.5])

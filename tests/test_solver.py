@@ -10,7 +10,7 @@ import pytest
 
 from neurofield import solver as solver_module
 from neurofield.analysis import error_norm, time_convergence_study
-from neurofield.chebyshev import build_cheb_operator
+from neurofield.chebyshev import build_cheb_operator, coeffs_from_samples, eval_on_grid
 from neurofield.problems import (
     ProblemSpec,
     compute_kernel_norms,
@@ -200,20 +200,26 @@ def test_history_rejects_bad_depth():
 
 # --- pair table and operator application ------------------------------------
 
+def pair_path(problem):
+    """The problem without its axis kernel, so undelayed runs build the pair table."""
+    return dataclasses.replace(problem, axis_kernel=None)
+
+
 def test_delay_table_undelayed_shapes():
     grid = make_grid(N=8)
-    table = grid_table(example1(), grid, 0.01)
+    p = pair_path(example1())
+    table = grid_table(p, grid, 0.01)
     assert not table.has_delay
     assert table.k_max == 0
     assert table.kernel_weights.shape == (64, 64)
     op = build_cheb_operator(4, grid)
-    table_rr = build_delay_table(example1(), grid, (op.points1, op.points2), 0.01)
+    table_rr = build_delay_table(p, grid, (op.points1, op.points2), 0.01)
     assert table_rr.kernel_weights.shape == (16, 64)
 
 
 def test_delay_table_weights_are_kernel_times_weights():
     grid = make_grid(N=8)
-    p = example1()
+    p = pair_path(example1())
     table = grid_table(p, grid, 0.01)
     expected = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
     assert np.array_equal(table.kernel_weights, expected)
@@ -241,6 +247,105 @@ def test_delay_table_offsets_and_fractions():
     diag = np.arange(64)
     assert np.all(j[diag, diag] == 0)
     assert delta[diag, diag] == pytest.approx(np.ones(64))
+
+
+# --- axis factors of a separable kernel -------------------------------------
+
+def eval_axes(grid, rank_reduction):
+    if not rank_reduction:
+        return grid.x1, grid.x2
+    op = build_cheb_operator(6, grid)
+    return op.points1, op.points2
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "rectangle"])
+@pytest.mark.parametrize("rank_reduction", [False, True], ids=["direct", "rank-reduced"])
+def test_axis_factors_match_the_pair_table(domain, rank_reduction):
+    """A1 @ S @ A2.T is the pair table's quadrature sum to 1e-13, on random
+    fields through a tanh rate."""
+    grid = build_grid(domain, 3, build_gauss_rule(4))
+    axes = eval_axes(grid, rank_reduction)
+    p = example1(lam=2.0, sigma=1.5, domain=domain)
+    fast = build_delay_table(p, grid, axes, 0.01)
+    ref = build_delay_table(pair_path(p), grid, axes, 0.01)
+    assert fast.kernel_weights is None and ref.kernel_weights is not None
+    assert fast.shape == ref.shape == (axes[0].size * axes[1].size, 144)
+    assert fast.pair_count == ref.kernel_weights.size
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        history = rng.standard_normal((1, 144))
+        want = apply_integral_operator(p, ref, history)
+        got = apply_integral_operator(p, fast, history)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_axis_factor_table_checks_the_history_first():
+    """A history of the wrong width raises ValueError before the firing
+    rate sees it."""
+    grid = make_grid(N=8)
+
+    def no_rate(u):
+        raise AssertionError("firing_rate called")
+
+    p = dataclasses.replace(example1(), firing_rate=no_rate)
+    table = grid_table(p, grid, 0.01)
+    assert table.kernel_weights is None
+    for bad in (np.ones((1, 63)), np.ones(64), np.ones((0, 64))):
+        with pytest.raises(ValueError, match="1 grid rows of 64 nodes"):
+            apply_integral_operator(p, table, bad)
+
+
+@pytest.mark.parametrize("make", [example1, example2, example3, lambda: example5(v=math.inf)],
+                         ids=["example1", "example2", "example3", "example5-inf"])
+@pytest.mark.parametrize("rank_reduction", [False, True], ids=["direct", "rank-reduced"])
+def test_separable_examples_hold_no_pair_table(make, rank_reduction):
+    """The undelayed Gaussian examples take the axis factors: no array of
+    the table is P x N^2 wide, and the run reports their few bytes."""
+    cfg = SolverConfig(h_t=0.01, T=0.0, n=4, k=4, m=6, rank_reduction=rank_reduction)
+    res = solve(make(), cfg)
+    axes = eval_axes(res.grid, rank_reduction)
+    table = build_delay_table(res.problem, res.grid, axes, cfg.h_t)
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    assert [a.shape for a in arrays] == [(axes[0].size, 16), (axes[1].size, 16)]
+    assert res.table_bytes == table.nbytes == 8 * (axes[0].size + axes[1].size) * 16
+
+
+def test_delayed_and_plain_kernels_keep_the_pair_table():
+    grid = make_grid(N=8)
+    for p in (example4(v=1.0), example5(v=1.0), decay_problem()):
+        table = grid_table(p, grid, 0.1)
+        assert table.kernel_weights.shape == (64, 64) and table.A1 is None
+
+
+def test_stale_axis_kernel_raises():
+    """A kernel swapped in by replace keeps the old axis_kernel; building
+    the table then names axis_kernel instead of using the wrong kernel."""
+    grid = make_grid(N=8)
+    kernels = (lambda r: np.exp(-2.0 * r * r), lambda r: np.exp(-r), lambda r: np.zeros_like(r),
+               lambda r: np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0))
+    for kernel in kernels:
+        p = dataclasses.replace(example1(), kernel=kernel)
+        with pytest.raises(ValueError, match="axis_kernel"):
+            grid_table(p, grid, 0.01)
+    p = dataclasses.replace(example1(), kernel=lambda r: np.exp(-r))
+    with pytest.raises(ValueError, match="axis_kernel"):
+        solve(p, SolverConfig(h_t=0.01, T=0.01, n=2, k=4, m=4))
+    # resetting it restores the pair path
+    assert grid_table(pair_path(p), grid, 0.01).kernel_weights.shape == (64, 64)
+
+
+def test_lift_matches_coefficient_round_trip():
+    """The two-matmul lift is eval_on_grid(coeffs_from_samples(.)) to 1e-13."""
+    rng = np.random.default_rng(3)
+    for domain in (UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)):
+        grid = build_grid(domain, 6, build_gauss_rule(4))
+        for m in (4, 12):
+            op = build_cheb_operator(m, grid)
+            M = rng.standard_normal((m, m))
+            want = eval_on_grid(op, coeffs_from_samples(op, M)).ravel()
+            got = lift_to_grid(op, M.ravel())
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_apply_operator_zero_kernel():
