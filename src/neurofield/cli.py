@@ -7,7 +7,14 @@ transmission speed, and reports both fields.  Every command writes its
 outputs into an existing directory given by --out: CSV files with a fixed
 17-significant-digit format (so runs are bit-reproducible) plus a JSON
 manifest recording the problem's own parameters, the solver configuration
-that ran, the per-step diagnostics and the wall time.
+that ran, the per-step diagnostics and the wall time of the whole command.
+
+Each ``cmd_*`` function maps the parsed settings to the files it would
+write, the manifest and the message for stdout, and raises on failure;
+``main`` alone checks --out, times the command, writes the files and
+prints.  A ``CliError``, or a ``ValueError`` or ``RuntimeError`` from the
+library, ends the command with ``error: <message>`` on stderr, exit
+status 1 and no files written.
 
 Settings come from flags or from a plain key=value config file
 (--config) whose keys are the flag names; flags override the file.  Both
@@ -178,10 +185,7 @@ def _resolve_problem(args: argparse.Namespace, default_example: int,
     for key in keys:
         if _dest(key) in given and not _takes(constructor, _dest(key)):
             raise CliError(f"--{key} does not apply to example {example}")
-    try:
-        problem = constructor(**given)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    problem = constructor(**given)
     return problem, {"example": example, **problem.parameters}
 
 
@@ -195,13 +199,9 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _snapshot_csv(result: SolveResult, t: float) -> str:
-    try:
-        state = result.state_at(t)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     p1, p2 = result.grid.flat_points()
     lines = ["x1,x2,V"]
-    for a, b, value in zip(p1, p2, state.values):
+    for a, b, value in zip(p1, p2, result.state_at(t).values):
         lines.append(f"{_FMT % a},{_FMT % b},{_FMT % value}")
     return "\n".join(lines) + "\n"
 
@@ -235,20 +235,17 @@ def _write_all(out: Path, files: dict[str, str], manifest: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _solve_checked(problem: ProblemSpec, cfg: SolverConfig) -> SolveResult:
-    try:
-        return solve(problem, cfg)
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from None
+# A command's outcome: the files to write besides manifest.json, the
+# manifest without its wall time, and the text for stdout.
+_Outcome = tuple[dict[str, str], dict, str]
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_run(args: argparse.Namespace) -> _Outcome:
     problem, params = _resolve_problem(args, default_example=1)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
                        **_solver_flags(args))
     snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
-    result = _solve_checked(problem, cfg)
+    result = solve(problem, cfg)
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
         "command": "run", "problem": problem.name,
@@ -259,11 +256,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "diagnostics": _diag_dicts(result),
         "total_integrand_evals": result.total_integrand_evals,
         "table_bytes": result.table_bytes,
-        "wall_time": result.wall_time,
     }
-    _write_all(out, files, manifest)
-    print(f"wrote {len(files)} snapshot(s) and manifest.json to {out}")
-    return 0
+    return files, manifest, f"wrote {len(files)} snapshot(s) and manifest.json to {Path(args.out)}"
 
 
 def _parse_single_m(args: argparse.Namespace) -> Optional[int]:
@@ -280,19 +274,14 @@ def _solver_flags(args: argparse.Namespace) -> dict:
                   rank_reduction=args.rank_reduction)
 
 
-def cmd_converge_time(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
     problem, params = _resolve_problem(args, default_example=1)
     example = params["example"]
     default_steps = "0.01,0.005,0.0025" if example == 3 else "0.02,0.01"
     default_T = 0.05 if example == 3 else 0.1
     steps = _parse_list(_resolve(args, "steps", default_steps), "step", float)
-    t0 = time.perf_counter()
-    try:
-        study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
-                                       **_solver_flags(args), **_given(norm=args.norm))
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from None
+    study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
+                                   **_solver_flags(args), **_given(norm=args.norm))
     report = study.report()
     files = {"report.csv": report.to_csv(),
              "report.txt": study.to_text() + "\n"}
@@ -301,25 +290,16 @@ def cmd_converge_time(args: argparse.Namespace) -> int:
         "parameters": {**params, **_shared_solver_params(study.configs),
                        "steps": study.steps, "norm": study.norm},
         "rows": [dataclasses.asdict(r) for r in report.rows],
-        "wall_time": time.perf_counter() - t0,
     }
-    _write_all(out, files, manifest)
-    print(study.to_text())
-    return 0
+    return files, manifest, study.to_text()
 
 
-def cmd_converge_space(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
     problem, params = _resolve_problem(args, default_example=2)
     N_values = _parse_list(_resolve(args, "N", "12,24,48,96"), "N", int)
     m_values = _parse_list(_resolve(args, "m", "12,24"), "m", int)
-    t0 = time.perf_counter()
-    try:
-        study = space_convergence_study(problem, N_values, m_values,
-                                        **_given(k=args.k, h_t=args.ht, T=args.T,
-                                                 norm=args.norm))
-    except (ValueError, RuntimeError) as exc:
-        raise CliError(str(exc)) from None
+    study = space_convergence_study(problem, N_values, m_values,
+                                    **_given(k=args.k, h_t=args.ht, T=args.T, norm=args.norm))
     files = {"report.txt": study.to_text() + "\n"}
     rows = {}
     for m, report in study.reports().items():
@@ -330,15 +310,11 @@ def cmd_converge_space(args: argparse.Namespace) -> int:
         "parameters": {**params, **_shared_solver_params(study.configs),
                        "N": study.N_values, "m": study.m_values, "norm": study.norm},
         "rows": rows,
-        "wall_time": time.perf_counter() - t0,
     }
-    _write_all(out, files, manifest)
-    print(study.to_text())
-    return 0
+    return files, manifest, study.to_text()
 
 
-def cmd_compare_delay(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
+def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     # the speed is this command's own setting, applied to any example
     problem, params = _resolve_problem(args, default_example=4,
                                        keys=("lambda", "sigma", "mu", "c"))
@@ -354,8 +330,8 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
                        **_solver_flags(args))
     snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
-    res_d = _solve_checked(delayed, cfg)
-    res_u = _solve_checked(undelayed, cfg)
+    res_d = solve(delayed, cfg)
+    res_u = solve(undelayed, cfg)
     norm = _resolve(args, "norm", "max")
     files: dict[str, str] = {}
     summary = ["t,delayed,undelayed"]
@@ -375,12 +351,8 @@ def cmd_compare_delay(args: argparse.Namespace) -> int:
         "warnings": res_d.warnings + res_u.warnings,
         **_run_stability(res_d),
         "diagnostics": {"delayed": _diag_dicts(res_d), "undelayed": _diag_dicts(res_u)},
-        "wall_time": res_d.wall_time + res_u.wall_time,
     }
-    _write_all(out, files, manifest)
-    for line in lines:
-        print(line)
-    return 0
+    return files, manifest, "\n".join(lines)
 
 
 # subcommand -> (handler, help, the settings it takes besides _COMMON_KEYS).
@@ -403,10 +375,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.config is not None:
             _load_config_file(args.config, args)
-        return _COMMANDS[args.command][0](args)
-    except CliError as exc:
+        out = _out_dir(args)
+        t0 = time.perf_counter()
+        files, manifest, message = _COMMANDS[args.command][0](args)
+        manifest["wall_time"] = time.perf_counter() - t0
+    except (CliError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    _write_all(out, files, manifest)
+    if message:  # compare-delay without snapshots prints nothing
+        print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -126,6 +126,13 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN,
     return (math.pi / (4.0 * s)) * f1 * f2
 
 
+def _check_rate(name: str, s: float) -> None:
+    """The closed-form inputs divide by s = lam + mu (mu = 0 in the first
+    two examples) and take sqrt(s), so s must be finite and positive."""
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"the closed-form input needs a finite positive {name}, got {s}")
+
+
 def _gaussian(lam: float) -> Callable[[np.ndarray], np.ndarray]:
     """exp(-lam r^2).  It is its own axis factor, as
     exp(-lam (d1^2 + d2^2)) = exp(-lam d1^2) exp(-lam d2^2)."""
@@ -140,6 +147,7 @@ def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
     the integral term equals tanh(sigma * exp(-t/c)) times the kernel mass
     and the input cancels it exactly.
     """
+    _check_rate("lambda", lam)
     gauss = _gaussian(lam)
 
     def input_current(x1, x2, t):
@@ -170,6 +178,7 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
     spatial.  The time constant is pinned to 1 by the construction of the
     input.
     """
+    _check_rate("lambda", lam)
     gauss = _gaussian(lam)
     c = 1.0
 
@@ -200,8 +209,10 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
     input cancels the integral of the kernel against the bump, taken over
     the full domain.  That integral is the weighted kernel_box_integral,
     in closed form; on the solver's two axes it costs one erf pair per
-    coordinate, so it is evaluated afresh at every step.
+    coordinate, so it is evaluated afresh at every step.  lam = 0 (a
+    constant kernel) is allowed as long as lam + mu > 0.
     """
+    _check_rate("lambda + mu", lam + mu)
     gauss = _gaussian(lam)
 
     def bump(x1, x2):

@@ -95,9 +95,9 @@ def time_level(t: float, h: float) -> Optional[int]:
 
     t is level round(t / h) when |round(t / h) * h - t| <= 1e-9 * max(1, |t|, h).
     A non-finite t or h lies on no step grid, and neither does any t for a
-    step h <= 0.
+    step h <= 0 or a t / h that overflows.
     """
-    if not (math.isfinite(t) and math.isfinite(h) and h > 0):
+    if not (math.isfinite(t) and math.isfinite(h) and h > 0 and math.isfinite(t / h)):
         return None
     idx = int(round(t / h))
     if abs(idx * h - t) > _TIME_ALIGN_RTOL * max(1.0, abs(t), h):
@@ -489,8 +489,6 @@ class SolveResult:
     problem: ProblemSpec
     config: SolverConfig
     grid: SpatialGrid
-    cheb_op: Optional[ChebOperator]
-    kernel_norms: KernelNorms
     bounds: StepBounds
     contraction_bound: float
     stability_margin: float
@@ -533,7 +531,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         axes = (cheb_op.points1, cheb_op.points2)
         lift = functools.partial(lift_to_grid, cheb_op)
     else:
-        cheb_op = None
         axes = (grid.x1, grid.x2)
         lift = np.asarray  # identity: the samples already sit on the grid
     norms = compute_kernel_norms(problem, grid)
@@ -576,8 +573,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         states.append(record(i))
 
     return SolveResult(
-        problem=problem, config=config, grid=grid, cheb_op=cheb_op,
-        kernel_norms=norms, bounds=bounds, contraction_bound=L1,
+        problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics,
         warnings=warnings, wall_time=time.perf_counter() - t_start,
         total_integrand_evals=stepper.integrand_evals, table_bytes=table.nbytes)

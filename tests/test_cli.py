@@ -112,8 +112,18 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
     # one speed's kernel with another speed
     (["compare-delay", "--example", "5", "--v", "2", "--ht", "0.1", "--T", "0.2",
       "--snapshots", "0.2"], "does not apply to example 5"),
+    # T / h_t overflows to inf
+    (["run", "--ht", "5e-324", "--T", "1"], "integer multiple"),
+    (["converge-time", "--steps", "1e-300", "--T", "1e300"], "does not divide"),
+    # the closed-form input divides by lambda + mu
+    (["run", "--example", "3", "--lambda", "0", "--mu", "0"], "lambda + mu"),
+    # a RuntimeError from the solver: the fixed-point loop diverges
+    (["run", "--example", "3", "--c", "0.01", "--ht", "1", "--T", "2",
+      "--n", "1", "--k", "2", "--m", "2"], "did not reach"),
 ], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero", "steps-zero",
-        "steps-with-zero", "steps-negative", "compare-delay-example5"])
+        "steps-with-zero", "steps-negative", "compare-delay-example5",
+        "run-steps-overflow", "converge-time-steps-overflow", "zero-decay-rate",
+        "inner-iteration-diverges"])
 def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

@@ -37,6 +37,30 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+def calls_to(func, name):
+    return [node for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_only_main_writes_or_prints_in_the_cli():
+    """The commands in cli.py return their files, manifest and message and
+    raise on failure; main alone writes, prints and turns errors into exit
+    status 1.  The parse helpers keep their own try, for their messages."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [func for name, func in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 4
+    for func in commands:
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(func)), func.name
+    for name, func in functions.items():
+        if name != "main":
+            assert not calls_to(func, "_write_all") + calls_to(func, "print"), name
+    main = functions["main"]
+    stdout_prints = [call for call in calls_to(main, "print")
+                     if not any(kw.arg == "file" for kw in call.keywords)]
+    assert len(calls_to(main, "_write_all")) == 1 and len(stdout_prints) == 1
+
+
 def private_definitions(tree):
     """Module-level names starting with one underscore: functions, classes
     and assigned constants."""

@@ -2,6 +2,7 @@
 kernel norms, and the field equation residual of every exact solution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,36 @@ def test_example4_requires_finite_speed():
         example4(v=math.inf)
     with pytest.raises(ValueError):
         example4(v=0.0)
+
+
+@pytest.mark.parametrize("make,kwargs,names", [
+    (example1, {"lam": 0.0}, "lambda"),
+    (example1, {"lam": -1.0}, "lambda"),
+    (example1, {"lam": math.nan}, "lambda"),
+    (example1, {"lam": math.inf}, "lambda"),
+    (example2, {"lam": -0.5}, "lambda"),
+    (example3, {"lam": 0.0, "mu": 0.0}, "lambda + mu"),
+    (example3, {"lam": -2.0, "mu": 1.0}, "lambda + mu"),
+    (example3, {"lam": 1.0, "mu": math.inf}, "lambda + mu"),
+    (example4, {"lam": 0.0, "mu": 0.0}, "lambda + mu"),
+    (example5, {"lam": -1.0, "mu": 0.5}, "lambda + mu"),
+], ids=["ex1-zero", "ex1-negative", "ex1-nan", "ex1-inf", "ex2-negative",
+        "ex3-zero-sum", "ex3-negative-sum", "ex3-infinite-mu", "ex4-zero-sum",
+        "ex5-negative-sum"])
+def test_closed_form_inputs_need_a_positive_decay_rate(make, kwargs, names):
+    # the inputs divide by lambda + mu (mu = 0 for examples 1 and 2) and
+    # take its square root
+    with pytest.raises(ValueError, match=f"finite positive {re.escape(names)},"):
+        make(**kwargs)
+
+
+def test_example3_allows_a_constant_kernel():
+    # lambda = 0 is the kernel 1; the bump weight alone keeps the input finite
+    p = example3(lam=0.0, mu=1.0)
+    assert p.kernel(np.array([0.0, 3.0])) == pytest.approx([1.0, 1.0])
+    mass = kernel_box_integral(0.0, 0.0, 0.0, mu=1.0)
+    assert float(mass) == pytest.approx(math.pi * erf(1.0) ** 2, rel=1e-14)
+    assert np.all(np.isfinite(p.input_current(np.zeros(1), np.zeros(1), 0.5)))
 
 
 def test_example5_delay_cancels_its_kernel_factor():

@@ -111,6 +111,9 @@ def test_time_level_rule():
     for bad in (math.inf, -math.inf, math.nan):
         assert time_level(bad, 0.01) is None
         assert time_level(0.1, bad) is None
+    # t / h overflows to inf: no finite level, rather than an OverflowError
+    assert time_level(1e300, 1e-300) is None
+    assert time_level(1.0, 5e-324) is None
     for step in (0.0, -0.0, -0.01):  # no step grid without a positive step
         assert time_level(0.0, step) is None
         assert time_level(-0.02, step) is None
