@@ -54,13 +54,9 @@ class ProblemSpec:
     history.
     ``firing_rate_slope_max`` bounds |S'| and feeds the step-size
     diagnostics; ``v`` is the transmission speed, ``math.inf`` for an
-    undelayed problem.
-    ``axis_kernel``, when set, declares that the kernel separates by axes:
-    kernel(hypot(d1, d2)) == axis_kernel(d1) * axis_kernel(d2) for signed
-    axis differences d1 and d2.  Undelayed runs then apply the operator from
-    two per-axis factors instead of a pair table (see
-    ``solver.build_delay_table``, which checks the contract on the grid's
-    axis differences).  A ``replace`` of the kernel must reset it.
+    undelayed problem; c and firing_rate_slope_max are finite and positive.
+    Whether the kernel separates by axes is read off its values on the grid
+    (KernelNorms.separable), not declared.
     """
 
     name: str
@@ -74,15 +70,15 @@ class ProblemSpec:
     v: float = math.inf
     exact: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     parameters: dict = field(default_factory=dict)
-    axis_kernel: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError(f"time constant c must be positive, got {self.c}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"time constant c must be positive and finite, got {self.c}")
         if not self.v > 0:
             raise ValueError(f"transmission speed v must be positive, got {self.v}")
-        if not self.firing_rate_slope_max > 0:
-            raise ValueError("firing_rate_slope_max must be positive")
+        if not 0 < self.firing_rate_slope_max < math.inf:
+            raise ValueError(f"firing_rate_slope_max must be positive and finite, "
+                             f"got {self.firing_rate_slope_max}")
 
     @property
     def has_delay(self) -> bool:
@@ -133,12 +129,6 @@ def _check_rate(name: str, s: float) -> None:
         raise ValueError(f"the closed-form input needs a finite positive {name}, got {s}")
 
 
-def _gaussian(lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """exp(-lam r^2).  It is its own axis factor, as
-    exp(-lam (d1^2 + d2^2)) = exp(-lam d1^2) exp(-lam d2^2)."""
-    return lambda r: np.exp(-lam * r * r)
-
-
 def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
              domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
     """Gaussian kernel, tanh firing rate, spatially uniform exact solution.
@@ -148,7 +138,6 @@ def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
     and the input cancels it exactly.
     """
     _check_rate("lambda", lam)
-    gauss = _gaussian(lam)
 
     def input_current(x1, x2, t):
         mass = kernel_box_integral(lam, x1, x2, domain)
@@ -158,14 +147,13 @@ def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
         name="example1",
         domain=domain,
         c=c,
-        kernel=gauss,
+        kernel=lambda r: np.exp(-lam * r * r),
         firing_rate=lambda u: np.tanh(sigma * u),
         firing_rate_slope_max=sigma,
         input_current=input_current,
         initial=lambda x1, x2, t: np.ones_like(np.asarray(x1, dtype=float)),
         exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), math.exp(-t / c)),
         parameters={"lambda": lam, "sigma": sigma, "c": c},
-        axis_kernel=gauss,
     )
 
 
@@ -179,7 +167,6 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
     input.
     """
     _check_rate("lambda", lam)
-    gauss = _gaussian(lam)
     c = 1.0
 
     def input_current(x1, x2, t):
@@ -190,14 +177,13 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
         name="example2",
         domain=domain,
         c=c,
-        kernel=gauss,
+        kernel=lambda r: np.exp(-lam * r * r),
         firing_rate=lambda u: np.tanh(sigma * u),
         firing_rate_slope_max=sigma,
         input_current=input_current,
         initial=lambda x1, x2, t: np.zeros_like(np.asarray(x1, dtype=float)),
         exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), float(t)),
         parameters={"lambda": lam, "sigma": sigma, "c": c},
-        axis_kernel=gauss,
     )
 
 
@@ -213,7 +199,6 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
     constant kernel) is allowed as long as lam + mu > 0.
     """
     _check_rate("lambda + mu", lam + mu)
-    gauss = _gaussian(lam)
 
     def bump(x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -224,7 +209,7 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
         name="example3",
         domain=domain,
         c=c,
-        kernel=gauss,
+        kernel=lambda r: np.exp(-lam * r * r),
         firing_rate=lambda u: np.asarray(u, dtype=float),
         firing_rate_slope_max=1.0,
         input_current=lambda x1, x2, t: -math.exp(-t / c) * kernel_box_integral(
@@ -232,7 +217,6 @@ def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
         initial=lambda x1, x2, t: bump(x1, x2),
         exact=lambda x1, x2, t: math.exp(-t / c) * bump(x1, x2),
         parameters={"lambda": lam, "mu": mu, "c": c},
-        axis_kernel=gauss,
     )
 
 
@@ -259,13 +243,12 @@ def example5(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
     inverse of the extra factor, so the delayed integral equals the third
     problem's undelayed one and its input and exact solution hold
     unchanged.  The history for t <= 0 is the exact solution.  v = inf
-    gives the third problem's kernel, axis factor and initial state bit
-    for bit; a finite v has no axis factor, as r / (c v) does not separate.
+    gives the third problem's kernel values and initial state bit for bit;
+    only then does the kernel separate by axes, as r / (c v) does not.
     """
     base = example3(lam=lam, mu=mu, c=c, domain=domain)
     return replace(base, name="example5", v=v,
                    kernel=lambda r: np.exp(-lam * r * r - r / (c * v)),
-                   axis_kernel=base.axis_kernel if math.isinf(v) else None,
                    initial=base.exact,
                    parameters={"lambda": lam, "mu": mu, "c": c, "v": v})
 
@@ -278,10 +261,14 @@ class KernelNorms:
     (self-pairs included, so for a kernel peaked at zero distance this is
     K(0)).  ``l2_estimate`` approximates the L2 norm of K(|x - y|) over
     domain x domain by the tensor quadrature on the same grid.
+    ``separable``: K(0) > 0 and K(hypot(d1, d2)) K(0) == K(d1) K(d2) to
+    1e-13 k_max^2 on every pair of the grid's axis distances, as for any
+    Gaussian a exp(-lam r^2) and not for exp(-r).
     """
 
     k_max: float
     l2_estimate: float
+    separable: bool
 
 
 def _axis_distance_groups(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +279,8 @@ def _axis_distance_groups(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms:
-    """Kernel max and L2 estimate over all N^4 grid-point pairs, from N^2 axis pairs.
+    """Kernel max, L2 estimate and separability over all N^4 grid-point
+    pairs, from N^2 axis pairs.
 
     The pair (x1_a, x2_b), (x1_c, x2_d) sits at distance
     hypot(|x1_a - x1_c|, |x2_b - x2_d|) and carries the weight
@@ -301,12 +289,20 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     and the kernel is evaluated once per pair of distinct axis distances:
     k_max = max |K| and l2_estimate = sqrt(W1 @ K^2 @ W2).  The kernel sees
     exactly the distances of the full pair scan, so k_max is the scan's bit
-    for bit and the L2 sum differs from it only in summation order.
+    for bit and the L2 sum differs from it only in summation order.  The
+    smallest distance on each axis is 0, so K(0) and K on each axis alone
+    sit in row 0 and column 0, and separability costs no more kernel values.
     """
     d1, W1 = _axis_distance_groups(grid.x1, grid.w1)
     d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
     kv = np.asarray(problem.kernel(np.hypot(d1[:, None], d2[None, :])), dtype=float)
     if not np.all(np.isfinite(kv)):
         raise ValueError("kernel produced a non-finite value on a grid-pair distance")
-    return KernelNorms(k_max=float(np.max(np.abs(kv))),
-                       l2_estimate=math.sqrt(float(W1 @ (kv * kv) @ W2)))
+    k_max, k0 = float(np.max(np.abs(kv))), kv[0, 0]
+    separable = bool(k0 > 0)
+    if separable:  # |K(d1) K(d2) / K(0) - K(hypot(d1, d2))| in place, one temporary
+        gap = np.multiply.outer(kv[:, 0] / k0, kv[0])
+        gap -= kv
+        separable = bool(np.max(np.abs(gap, out=gap)) <= 1e-13 * k_max * k_max / k0)
+    return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(W1 @ (kv * kv) @ W2)),
+                       separable=separable)

@@ -131,10 +131,6 @@ class SpatialGrid:
     w2: np.ndarray = field(repr=False)
 
     @property
-    def k(self) -> int:
-        return self.rule.k
-
-    @property
     def points_per_axis(self) -> int:
         return self.n * self.rule.k
 
@@ -149,9 +145,7 @@ class SpatialGrid:
         ``p2[a * N + b] == x2[b]``.
         """
         N = self.points_per_axis
-        p1 = np.repeat(self.x1, N)
-        p2 = np.tile(self.x2, N)
-        return p1, p2
+        return np.repeat(self.x1, N), np.tile(self.x2, N)
 
     def flat_weights(self) -> np.ndarray:
         """Tensor-product weights in flat row-major order; sums to the area."""

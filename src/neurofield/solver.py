@@ -24,18 +24,17 @@ error of the two sides of the update cancels wherever the solution itself
 is smooth, so the lift does not pollute the spatial convergence of the
 quadrature.  The lift is two precomputed matrix products.
 
-An undelayed problem whose kernel separates by axes (it declares
-``axis_kernel``, see ProblemSpec) needs no pair table: the quadrature sum
-over the nodes (x1_a, x2_b) of k(e1_p - x1_a) k(e2_q - x2_b) w1_a w2_b S_ab
-is A1 @ S @ A2.T, with one factor per axis,
+An undelayed problem whose kernel separates by axes needs no pair table.
+KernelNorms.separable reads off the norms' kernel values that
+K(hypot(d1, d2)) K(0) == K(d1) K(d2) on the grid's axis distances; then,
+with k = K / sqrt(K(0)), the quadrature sum over the nodes (x1_a, x2_b) of
+k(|e1_p - x1_a|) k(|e2_q - x2_b|) w1_a w2_b S_ab is A1 @ S @ A2.T, with
 
-    A1[p, a] = k(e1_p - x1_a) w1_a,     A2[q, b] = k(e2_q - x2_b) w2_b,
+    A1[p, a] = k(|e1_p - x1_a|) w1_a,     A2[q, b] = k(|e2_q - x2_b|) w2_b,
 
 which costs O(m N^2) per application rank-reduced and O(N^3) direct, and
-holds two m x N (direct: N x N) factors instead of the P x N^2 table.  The
-factors are built only after the problem's kernel has been checked against
-them on the axis differences, so a kernel swapped out without resetting
-``axis_kernel`` raises instead of being silently ignored.
+holds two m x N (direct: N x N) factors instead of the P x N^2 table.
+Every Gaussian takes this path with nothing declared; exp(-r) does not.
 
 With a finite transmission speed the integrand reads the field at
 t_i - |y - x| / v.  Writing that lag as (j + 1 - delta) * h_t with integer
@@ -163,11 +162,12 @@ class DelayTable:
     product of the evaluation axes (Chebyshev points, or the grid's own axes
     when rank reduction is off).
 
-    The axis factors, for undelayed problems with an ``axis_kernel`` k:
-    kernel_weights is None, A1[p, a] = k(e1_p - x1_a) w1_a and
-    A2[q, b] = k(e2_q - x2_b) w2_b, with e1 and e2 the evaluation axes and
-    x, w the grid's axes and weights.  The pair table would be their
-    Kronecker product; build_delay_table checks the kernel against them.
+    The axis factors, for undelayed problems whose kernel K separates by
+    axes (KernelNorms.separable): kernel_weights is None,
+    A1[p, a] = K(|e1_p - x1_a|) w1_a / sqrt(K(0)) and
+    A2[q, b] = K(|e2_q - x2_b|) w2_b / sqrt(K(0)), with e1 and e2 the
+    evaluation axes and x, w the grid's axes and weights.  The pair table
+    would be their Kronecker product.
 
     For delayed problems delay_index[p, q] = j * N^2 + q is the pair's
     entry in the flattened history (row j, node q), for its level offset j,
@@ -218,28 +218,26 @@ class DelayTable:
         return self.k_max + 2 if self.has_delay else 1
 
 
-def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """axis_kernel(D) times the node weights w, for the signed axis
-    differences D, once the kernel is finite there and
-    kernel(|D|) == axis_kernel(D) * axis_kernel(0) holds to 1e-13 of its
-    largest value."""
-    f = np.asarray(problem.axis_kernel(D), dtype=float)
-    f0 = np.asarray(problem.axis_kernel(np.zeros(1)), dtype=float)
+def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
+    """K(|D|) / sqrt(k0) times the node weights w, once K(|D|) is finite."""
     kv = np.asarray(problem.kernel(np.abs(D)), dtype=float)
-    if not (np.all(np.isfinite(kv)) and np.all(np.abs(kv - f * f0) <= 1e-13 * np.max(np.abs(kv)))):
-        raise ValueError("kernel(|d|) differs from axis_kernel(d) * axis_kernel(0) on the grid "
-                         "(or is non-finite): axis_kernel must satisfy kernel(hypot(d1, d2)) == "
-                         "axis_kernel(d1) * axis_kernel(d2); set it to None for this kernel")
-    return f * w[None, :]
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel produced a non-finite value while building the axis factors")
+    return kv / math.sqrt(k0) * w[None, :]
 
 
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
-                      axes: tuple[np.ndarray, np.ndarray], h_t: float) -> DelayTable:
+                      axes: tuple[np.ndarray, np.ndarray], h_t: float,
+                      separable: bool = False) -> DelayTable:
     """Evaluate kernel weights (and delay indices) for every pair of a grid
     node and a point of the tensor product of ``axes``, from the per-axis
-    differences of the coordinates.  An undelayed problem with an
-    ``axis_kernel`` gets the two axis factors instead; ValueError if its
-    kernel does not match them.
+    differences of the coordinates.
+
+    With ``separable``, KernelNorms.separable of this problem and grid, an
+    undelayed problem gets the two axis factors; without it, the pair table.
+    The check saw exactly the distances of a direct run, not the
+    Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
+    tau_max / h_t levels of history are too many to index in int64.
 
     The delay arithmetic runs in place: the distances become the lag in
     steps and then delta, and the level offsets become flat indices.
@@ -247,9 +245,15 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
     D2 = e2[:, None] - grid.x2[None, :]
-    if not problem.has_delay and problem.axis_kernel is not None:
-        return DelayTable(A1=_axis_factor(problem, D1, grid.w1),
-                          A2=_axis_factor(problem, D2, grid.w2))
+    if not problem.has_delay and separable:
+        k0 = float(np.asarray(problem.kernel(np.zeros(1)), dtype=float)[0])
+        return DelayTable(A1=_axis_factor(problem, D1, grid.w1, k0),
+                          A2=_axis_factor(problem, D2, grid.w2, k0))
+    depth = problem.tau_max / h_t  # 0 without delay
+    if not (math.isfinite(depth)
+            and (math.floor(depth) + 2) * grid.total_points <= np.iinfo(np.int64).max):
+        raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
+                         f"h_t={h_t:g} is too deep to index the history")
     d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
     kv = np.asarray(problem.kernel(d), dtype=float)
     if not np.all(np.isfinite(kv)):
@@ -257,7 +261,7 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     kw = kv * grid.flat_weights()[None, :]
     if not problem.has_delay:
         return DelayTable(kernel_weights=kw)
-    k_max = int(math.floor(problem.tau_max / h_t))
+    k_max = math.floor(depth)
     steps = np.divide(d, problem.v * h_t, out=d)
     j = steps.astype(np.int64)  # the floor, as steps >= 0
     np.minimum(j, k_max, out=j)
@@ -438,6 +442,7 @@ class _Stepper:
         Raises RuntimeError if the inner loop does not reach eps_inner within
         max_inner iterations, which is the symptom of a time step above the
         admissible bounds; its message lists the increment of every iteration.
+        A non-finite increment stops the loop at once with a RuntimeError.
         """
         cfg, c = self.config, self.problem.c
         h = cfg.h_t
@@ -456,6 +461,9 @@ class _Stepper:
             u = lam * self._kappa() + f_i
             U_next = self.lift(u)
             inc = float(np.max(np.abs(U_next - U)))
+            if not math.isfinite(inc):
+                raise RuntimeError(f"fixed-point iteration at t={t_i:g} reached a non-finite "
+                                   f"increment in iteration {len(increments) + 1}")
             increments.append(inc)
             U[:] = U_next
             if inc < cfg.eps_inner:
@@ -550,7 +558,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     for msg in warnings:
         logger.warning(msg)
 
-    table = build_delay_table(problem, grid, axes, h)
+    table = build_delay_table(problem, grid, axes, h, norms.separable)
     history = np.empty((table.history_rows, grid.total_points))
     for l in range(table.history_rows):
         history[l] = tensor_values(problem.initial, grid.x1, grid.x2, -l * h)

@@ -120,10 +120,20 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
     # a RuntimeError from the solver: the fixed-point loop diverges
     (["run", "--example", "3", "--c", "0.01", "--ht", "1", "--T", "2",
       "--n", "1", "--k", "2", "--m", "2"], "did not reach"),
+    # an infinite time constant fails at construction; a tiny one overflows
+    # the Euler step to 1e298 and the first inner iteration to inf
+    (["run", "--c", "inf"], "c must be positive and finite"),
+    (["run", "--c", "1e-300"], "non-finite increment"),
+    # tau_max / h_t = 2.8e301 levels of history cannot be indexed
+    (["run", "--example", "4", "--v", "1e-300", "--ht", "0.1", "--T", "0.1"],
+     "v=1e-300, h_t=0.1"),
+    (["compare-delay", "--v", "1e-300", "--ht", "0.1", "--T", "0.1", "--snapshots", "0.1"],
+     "v=1e-300, h_t=0.1"),
 ], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero", "steps-zero",
         "steps-with-zero", "steps-negative", "compare-delay-example5",
         "run-steps-overflow", "converge-time-steps-overflow", "zero-decay-rate",
-        "inner-iteration-diverges"])
+        "inner-iteration-diverges", "c-inf", "c-tiny", "run-delay-too-deep",
+        "compare-delay-too-deep"])
 def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

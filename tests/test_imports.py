@@ -90,3 +90,24 @@ def test_every_private_name_is_used(path):
             for name in referenced_names(ast.parse(module.read_text()))}
     unused = set(private_definitions(ast.parse(path.read_text()))) - used
     assert not unused, f"{path.name} defines {sorted(unused)} and nothing in the package uses them"
+
+
+def dataclass_fields(tree, class_name):
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == class_name)
+    return [node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+
+
+@pytest.mark.parametrize("module,class_name", [("problems.py", "ProblemSpec"),
+                                                ("solver.py", "SolverConfig")])
+def test_every_setting_field_is_read(module, class_name):
+    """A field of a problem or a run configuration that no code in the
+    package reads as an attribute is a knob with no effect."""
+    read = {node.attr for path in PACKAGE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = dataclass_fields(ast.parse((PACKAGE / module).read_text()), class_name)
+    assert fields
+    unread = [name for name in fields if name not in read]
+    assert not unread, f"{class_name} declares {unread} and nothing in the package reads them"

@@ -1,6 +1,7 @@
 """Tests for the bundled problems: closed-form inputs, exact solutions,
 kernel norms, and the field equation residual of every exact solution."""
 
+import dataclasses
 import math
 import re
 
@@ -127,6 +128,15 @@ def test_problem_validation():
         ProblemSpec(c=1.0, firing_rate_slope_max=0.0, **kwargs)
 
 
+@pytest.mark.parametrize("field_name", ["c", "firing_rate_slope_max"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_problem_rejects_non_finite_constants(field_name, value):
+    """An infinite time constant or slope bound fails at construction, not
+    as NaN increments in the stepper."""
+    with pytest.raises(ValueError, match=field_name):
+        dataclasses.replace(example1(), **{field_name: value})
+
+
 def test_delay_properties():
     p3 = example3()
     assert not p3.has_delay
@@ -187,26 +197,59 @@ def test_example5_delay_cancels_its_kernel_factor():
             assert np.array_equal(p5.input_current(y, -y, t), p3.input_current(y, -y, t))
 
 
+SEPARABILITY_GRIDS = [build_grid(UNIT_BOX, 3, build_gauss_rule(4)),
+                      build_grid(Rectangle(1.0, 2.0, -3.0, -1.0), 2, build_gauss_rule(6))]
+
+
 @pytest.mark.parametrize("problem", [example1(lam=2.0), example2(lam=0.5), example3(lam=3.0),
                                      example4(lam=3.0), example5(lam=3.0, v=math.inf)],
                          ids=["example1", "example2", "example3", "example4", "example5-inf"])
-def test_axis_kernel_separates_the_kernel(problem):
-    """kernel(hypot(d1, d2)) == axis_kernel(d1) * axis_kernel(d2) on signed
-    axis differences."""
+def test_kernel_norms_find_the_gaussians_separable(problem):
+    """The Gaussian kernels are found separable on the grids, and they are:
+    kernel(hypot(d1, d2)) kernel(0) == kernel(|d1|) kernel(|d2|) on signed
+    axis differences.  Example 4's delay keeps it on the pair table all the
+    same (see the solver tests)."""
+    for grid in SEPARABILITY_GRIDS:
+        assert compute_kernel_norms(problem, grid).separable
     d = np.linspace(-2.5, 2.5, 41)
     d1, d2 = d[:, None], d[None, :]
-    want = problem.kernel(np.hypot(d1, d2))
-    assert np.max(np.abs(problem.axis_kernel(d1) * problem.axis_kernel(d2) - want)) <= 1e-15
+    want = problem.kernel(np.hypot(d1, d2)) * problem.kernel(np.zeros(1))
+    assert np.max(np.abs(problem.kernel(np.abs(d1)) * problem.kernel(np.abs(d2)) - want)) <= 1e-15
 
 
-def test_example5_has_an_axis_kernel_only_without_delay():
+def test_example5_separates_only_without_delay():
     """A finite v adds exp(-r / (c v)), which does not separate by axes;
-    v = inf keeps the third problem's factor."""
-    assert example5(v=1.0).axis_kernel is None
-    assert example5(v=1e12).axis_kernel is None
-    d = np.linspace(-2.0, 2.0, 9)
-    assert np.array_equal(example5(lam=2.0, v=math.inf).axis_kernel(d),
-                          example3(lam=2.0).axis_kernel(d))
+    v = inf gives the third problem's kernel values bit for bit."""
+    for grid in SEPARABILITY_GRIDS:
+        assert not compute_kernel_norms(example5(v=1.0), grid).separable
+        assert not compute_kernel_norms(example5(v=1e12), grid).separable
+        assert compute_kernel_norms(example5(lam=2.0, v=math.inf), grid).separable
+    d = np.linspace(0.0, 3.0, 13)
+    assert np.array_equal(example5(lam=2.0, v=math.inf).kernel(d), example3(lam=2.0).kernel(d))
+
+
+@pytest.mark.parametrize("kernel,separable", [
+    (lambda r: 2.0 * np.exp(-3.0 * r * r), True),   # scaled: K(0) = 2
+    (lambda r: np.exp(0.5 * r * r), True),          # growing: largest away from r = 0
+    (lambda r: np.ones_like(r), True),              # constant
+    (lambda r: np.exp(-r), False),
+    (lambda r: np.zeros_like(r), False),            # K(0) = 0
+    (lambda r: -np.exp(-r * r), False),             # K(0) < 0: no real factor
+    (lambda r: r * r * np.exp(-r * r), False),
+    (lambda r: np.exp(-r * r) + 1e-12 * r, False),  # off by 1e-12, above the 1e-13 tolerance
+], ids=["scaled", "growing", "constant", "exp", "zero", "negative", "ring", "perturbed"])
+def test_kernel_norms_separability_matches_a_full_pair_scan(kernel, separable):
+    """The verdict from the axis distances agrees with the separability
+    condition checked on every one of the N^4 grid-point pairs."""
+    for grid in SEPARABILITY_GRIDS:
+        p = dataclasses.replace(example1(domain=grid.domain), kernel=kernel)
+        assert compute_kernel_norms(p, grid).separable is separable
+        p1, p2 = grid.flat_points()
+        D1, D2 = np.abs(p1[:, None] - p1[None, :]), np.abs(p2[:, None] - p2[None, :])
+        k0 = kernel(np.zeros(1))[0]
+        gap = kernel(np.hypot(D1, D2)) * k0 - kernel(D1) * kernel(D2)
+        k_max = np.max(np.abs(kernel(np.hypot(D1, D2))))
+        assert (k0 > 0 and np.max(np.abs(gap)) <= 1e-13 * k_max ** 2) == separable
 
 
 def test_example1_fields():

@@ -66,8 +66,15 @@ def linear_delay_problem(v=1.0):
 
 
 def grid_table(problem, grid, h):
-    """The pair table of the direct path: the evaluation axes are the grid's."""
+    """The pair table of the direct path: the evaluation axes are the grid's,
+    and without the norms' separability verdict every problem gets the
+    pair table."""
     return build_delay_table(problem, grid, (grid.x1, grid.x2), h)
+
+
+def solver_table(problem, grid, axes, h):
+    """The table solve builds: with the verdict of the kernel norms."""
+    return build_delay_table(problem, grid, axes, h, compute_kernel_norms(problem, grid).separable)
 
 
 def node_distances(grid):
@@ -203,14 +210,9 @@ def test_history_rejects_bad_depth():
 
 # --- pair table and operator application ------------------------------------
 
-def pair_path(problem):
-    """The problem without its axis kernel, so undelayed runs build the pair table."""
-    return dataclasses.replace(problem, axis_kernel=None)
-
-
 def test_delay_table_undelayed_shapes():
     grid = make_grid(N=8)
-    p = pair_path(example1())
+    p = example1()
     table = grid_table(p, grid, 0.01)
     assert not table.has_delay
     assert table.k_max == 0
@@ -222,7 +224,7 @@ def test_delay_table_undelayed_shapes():
 
 def test_delay_table_weights_are_kernel_times_weights():
     grid = make_grid(N=8)
-    p = pair_path(example1())
+    p = example1()
     table = grid_table(p, grid, 0.01)
     expected = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
     assert np.array_equal(table.kernel_weights, expected)
@@ -270,8 +272,8 @@ def test_axis_factors_match_the_pair_table(domain, rank_reduction):
     grid = build_grid(domain, 3, build_gauss_rule(4))
     axes = eval_axes(grid, rank_reduction)
     p = example1(lam=2.0, sigma=1.5, domain=domain)
-    fast = build_delay_table(p, grid, axes, 0.01)
-    ref = build_delay_table(pair_path(p), grid, axes, 0.01)
+    fast = solver_table(p, grid, axes, 0.01)
+    ref = build_delay_table(p, grid, axes, 0.01)
     assert fast.kernel_weights is None and ref.kernel_weights is not None
     assert fast.shape == ref.shape == (axes[0].size * axes[1].size, 144)
     assert fast.pair_count == ref.kernel_weights.size
@@ -292,7 +294,7 @@ def test_axis_factor_table_checks_the_history_first():
         raise AssertionError("firing_rate called")
 
     p = dataclasses.replace(example1(), firing_rate=no_rate)
-    table = grid_table(p, grid, 0.01)
+    table = solver_table(p, grid, (grid.x1, grid.x2), 0.01)
     assert table.kernel_weights is None
     for bad in (np.ones((1, 63)), np.ones(64), np.ones((0, 64))):
         with pytest.raises(ValueError, match="1 grid rows of 64 nodes"):
@@ -308,7 +310,7 @@ def test_separable_examples_hold_no_pair_table(make, rank_reduction):
     cfg = SolverConfig(h_t=0.01, T=0.0, n=4, k=4, m=6, rank_reduction=rank_reduction)
     res = solve(make(), cfg)
     axes = eval_axes(res.grid, rank_reduction)
-    table = build_delay_table(res.problem, res.grid, axes, cfg.h_t)
+    table = solver_table(res.problem, res.grid, axes, cfg.h_t)
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
     assert [a.shape for a in arrays] == [(axes[0].size, 16), (axes[1].size, 16)]
     assert res.table_bytes == table.nbytes == 8 * (axes[0].size + axes[1].size) * 16
@@ -317,25 +319,74 @@ def test_separable_examples_hold_no_pair_table(make, rank_reduction):
 def test_delayed_and_plain_kernels_keep_the_pair_table():
     grid = make_grid(N=8)
     for p in (example4(v=1.0), example5(v=1.0), decay_problem()):
-        table = grid_table(p, grid, 0.1)
+        table = solver_table(p, grid, (grid.x1, grid.x2), 0.1)
         assert table.kernel_weights.shape == (64, 64) and table.A1 is None
 
 
-def test_stale_axis_kernel_raises():
-    """A kernel swapped in by replace keeps the old axis_kernel; building
-    the table then names axis_kernel instead of using the wrong kernel."""
+def test_swapped_kernel_picks_its_own_form():
+    """A kernel swapped in by replace is judged on its own values: a
+    Gaussian gets the axis factors, exp(-r) and the zero kernel the pair
+    table, and 1/r, infinite at r = 0, raises."""
     grid = make_grid(N=8)
-    kernels = (lambda r: np.exp(-2.0 * r * r), lambda r: np.exp(-r), lambda r: np.zeros_like(r),
-               lambda r: np.divide(1.0, r, out=np.full_like(r, np.inf), where=r > 0))
-    for kernel in kernels:
+    cfg = SolverConfig(h_t=0.01, T=0.01, n=2, k=4, m=4)
+    factor_bytes, pair_bytes = 8 * 2 * 4 * 8, 8 * 16 * 64
+    for kernel, nbytes in ((lambda r: np.exp(-2.0 * r * r), factor_bytes),
+                           (lambda r: np.exp(-r), pair_bytes),
+                           (lambda r: np.zeros_like(r), pair_bytes)):
         p = dataclasses.replace(example1(), kernel=kernel)
-        with pytest.raises(ValueError, match="axis_kernel"):
-            grid_table(p, grid, 0.01)
-    p = dataclasses.replace(example1(), kernel=lambda r: np.exp(-r))
-    with pytest.raises(ValueError, match="axis_kernel"):
-        solve(p, SolverConfig(h_t=0.01, T=0.01, n=2, k=4, m=4))
-    # resetting it restores the pair path
-    assert grid_table(pair_path(p), grid, 0.01).kernel_weights.shape == (64, 64)
+        table = solver_table(p, grid, (grid.x1, grid.x2), 0.01)
+        assert (table.kernel_weights is None) == (nbytes == factor_bytes)
+        assert solve(p, cfg).table_bytes == nbytes
+    p = dataclasses.replace(example1(),
+                            kernel=lambda r: np.divide(1.0, r, out=np.full_like(r, np.inf),
+                                                       where=r > 0))
+    with pytest.raises(ValueError, match="non-finite"):
+        solver_table(p, grid, (grid.x1, grid.x2), 0.01)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(p, cfg)
+    # a verdict given by hand does not get past the factors' own check
+    with pytest.raises(ValueError, match="non-finite"):
+        build_delay_table(p, grid, (grid.x1, grid.x2), 0.01, separable=True)
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "rectangle"])
+@pytest.mark.parametrize("rank_reduction", [False, True], ids=["direct", "rank-reduced"])
+@pytest.mark.parametrize("kernel", [lambda r: np.exp(-r * r),
+                                    lambda r: 2.0 * np.exp(-3.0 * r * r)],
+                         ids=["exp(-r^2)", "2exp(-3r^2)"])
+def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, domain, monkeypatch):
+    """A Gaussian written by the user, with nothing declared about it, is
+    found separable and applied from the two axis factors; one that is
+    scaled has K(0) = 2 and so factors K / sqrt(2).  Both match the pair
+    table to 1e-13 on random fields, and a whole run matches it too."""
+    p = ProblemSpec(name="user", domain=domain, c=1.0, kernel=kernel, firing_rate=np.tanh,
+                    firing_rate_slope_max=1.0,
+                    input_current=lambda x1, x2, t: 0.1 * x1 + x2 * t,
+                    initial=lambda x1, x2, t: np.cos(x1) * np.sin(x2))
+    grid = build_grid(domain, 3, build_gauss_rule(4))
+    assert compute_kernel_norms(p, grid).separable
+    axes = eval_axes(grid, rank_reduction)
+    fast = solver_table(p, grid, axes, 0.01)
+    ref = build_delay_table(p, grid, axes, 0.01)
+    assert fast.kernel_weights is None and ref.kernel_weights is not None
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        history = rng.standard_normal((1, 144))
+        want = apply_integral_operator(p, ref, history)
+        got = apply_integral_operator(p, fast, history)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    cfg = SolverConfig(h_t=0.01, T=0.05, n=3, k=4, m=6, rank_reduction=rank_reduction)
+    res = solve(p, cfg)
+    assert res.table_bytes == fast.nbytes == 8 * (axes[0].size + axes[1].size) * 12
+    # the same run with the verdict withheld, so on the pair table
+    monkeypatch.setattr(solver_module, "build_delay_table",
+                        lambda problem, grid, axes, h_t, separable:
+                        build_delay_table(problem, grid, axes, h_t))
+    ref_res = solve(p, cfg)
+    assert ref_res.table_bytes == ref.nbytes
+    for a, b in zip(res.states, ref_res.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
 def test_lift_matches_coefficient_round_trip():
@@ -693,6 +744,22 @@ def test_nonconvergence_error_lists_the_increments():
     first, second = (float(x) for x in listed)
     # a contracting loop that simply stopped early
     assert first > second > 0
+
+
+def test_non_finite_increment_stops_the_loop_at_once(monkeypatch):
+    """c = 1e-300 overflows the first inner iteration: the loop stops there,
+    naming t and the non-finite increment, instead of running max_inner NaN
+    iterations and blaming the step bounds."""
+    applies = []
+    apply = solver_module.apply_integral_operator
+    monkeypatch.setattr(solver_module, "apply_integral_operator",
+                        lambda *args: applies.append(1) or apply(*args))
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError, match=r"t=0\.02 reached a non-finite increment "
+                                               r"in iteration 1$"):
+            solve(example1(c=1e-300), SolverConfig(h_t=0.01, T=0.02, n=2, k=4, m=4))
+    # the Euler step, the level's predictor and one inner iteration
+    assert len(applies) == 3
 
 
 def test_step_above_bound_warns_but_converges():
