@@ -24,6 +24,10 @@ error of the two sides of the update cancels wherever the solution itself
 is smooth, so the lift does not pollute the spatial convergence of the
 quadrature.  The lift is two precomputed matrix products.
 
+build_delay_table picks the operator table's form, which applies itself:
+PairTable, the P x N^2 kernel weights of an undelayed kernel; AxisFactors,
+two per-axis factors for one that separates; DelayedPairs, for delays.
+
 An undelayed problem whose kernel separates by axes needs no pair table.
 KernelNorms.separable reads off the norms' kernel values that
 K(hypot(d1, d2)) K(0) == K(d1) K(d2) on the grid's axis distances; then,
@@ -59,7 +63,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -72,7 +75,9 @@ from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
 __all__ = [
     "SolverConfig",
     "FieldState",
-    "DelayTable",
+    "PairTable",
+    "AxisFactors",
+    "DelayedPairs",
     "StepBounds",
     "StepDiagnostics",
     "SolveResult",
@@ -152,129 +157,21 @@ class FieldState:
     time: float
 
 
-@dataclass
-class DelayTable:
-    """Precomputed pairing of evaluation points with grid nodes, in one of
-    two forms.
+class _Table:
+    """What the forms of the operator table share.  Each has its own arrays,
+    ``shape`` (P, N^2: evaluation points by grid nodes) and ``apply``."""
 
-    The pair table: kernel_weights[p, q] holds K(|z_p - y_q|) times the
-    quadrature weight of node q, where z_p runs row-major over the tensor
-    product of the evaluation axes (Chebyshev points, or the grid's own axes
-    when rank reduction is off).
-
-    The axis factors, for undelayed problems whose kernel K separates by
-    axes (KernelNorms.separable): kernel_weights is None,
-    A1[p, a] = K(|e1_p - x1_a|) w1_a / sqrt(K(0)) and
-    A2[q, b] = K(|e2_q - x2_b|) w2_b / sqrt(K(0)), with e1 and e2 the
-    evaluation axes and x, w the grid's axes and weights.  The pair table
-    would be their Kronecker product.
-
-    For delayed problems delay_index[p, q] = j * N^2 + q is the pair's
-    entry in the flattened history (row j, node q), for its level offset j,
-    and delay_fractions[p, q] its interpolation weight delta; both are None
-    for undelayed problems.  The live pairs, those with j = 0, have weight
-    0 in kernel_weights and sit in the live list instead: pair i of it
-    adds live_weights[i] times the rate of the field at live_index[i],
-    interpolated with live_fractions[i], to evaluation point live_rows[i].
-    """
-
-    kernel_weights: Optional[np.ndarray] = None
-    delay_index: Optional[np.ndarray] = None
-    delay_fractions: Optional[np.ndarray] = None
-    k_max: int = 0
-    live_rows: Optional[np.ndarray] = None
-    live_index: Optional[np.ndarray] = None
-    live_weights: Optional[np.ndarray] = None
-    live_fractions: Optional[np.ndarray] = None
-    A1: Optional[np.ndarray] = None
-    A2: Optional[np.ndarray] = None
-
-    @property
-    def has_delay(self) -> bool:
-        return self.delay_index is not None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(P, N^2): evaluation points by grid nodes."""
-        if self.kernel_weights is not None:
-            return self.kernel_weights.shape
-        return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
+    history_rows = 1
 
     @property
     def pair_count(self) -> int:
-        """P N^2, the number of terms of one quadrature sum, in either form."""
-        points, nodes = self.shape
-        return points * nodes
+        """P N^2, the number of terms of one quadrature sum, in any form."""
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the table's arrays."""
         return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
-
-    @property
-    def history_rows(self) -> int:
-        """Grid levels the operator reads: the iterate, plus k_max + 1 older
-        levels for delayed problems."""
-        return self.k_max + 2 if self.has_delay else 1
-
-
-def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
-    """K(|D|) / sqrt(k0) times the node weights w, once K(|D|) is finite."""
-    kv = np.asarray(problem.kernel(np.abs(D)), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced a non-finite value while building the axis factors")
-    return kv / math.sqrt(k0) * w[None, :]
-
-
-def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
-                      axes: tuple[np.ndarray, np.ndarray], h_t: float,
-                      separable: bool = False) -> DelayTable:
-    """Evaluate kernel weights (and delay indices) for every pair of a grid
-    node and a point of the tensor product of ``axes``, from the per-axis
-    differences of the coordinates.
-
-    With ``separable``, KernelNorms.separable of this problem and grid, an
-    undelayed problem gets the two axis factors; without it, the pair table.
-    The check saw exactly the distances of a direct run, not the
-    Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
-    tau_max / h_t levels of history are too many to index in int64.
-
-    The delay arithmetic runs in place: the distances become the lag in
-    steps and then delta, and the level offsets become flat indices.
-    """
-    e1, e2 = axes
-    D1 = e1[:, None] - grid.x1[None, :]
-    D2 = e2[:, None] - grid.x2[None, :]
-    if not problem.has_delay and separable:
-        k0 = float(np.asarray(problem.kernel(np.zeros(1)), dtype=float)[0])
-        return DelayTable(A1=_axis_factor(problem, D1, grid.w1, k0),
-                          A2=_axis_factor(problem, D2, grid.w2, k0))
-    depth = problem.tau_max / h_t  # 0 without delay
-    if not (math.isfinite(depth)
-            and (math.floor(depth) + 2) * grid.total_points <= np.iinfo(np.int64).max):
-        raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
-                         f"h_t={h_t:g} is too deep to index the history")
-    d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
-    kv = np.asarray(problem.kernel(d), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced a non-finite value while building the pair table")
-    kw = kv * grid.flat_weights()[None, :]
-    if not problem.has_delay:
-        return DelayTable(kernel_weights=kw)
-    k_max = math.floor(depth)
-    steps = np.divide(d, problem.v * h_t, out=d)
-    j = steps.astype(np.int64)  # the floor, as steps >= 0
-    np.minimum(j, k_max, out=j)
-    steps -= j
-    delta = np.subtract(1.0, steps, out=steps)
-    live_rows, live_index = np.nonzero(j == 0)
-    live_weights = kw[live_rows, live_index]
-    kw[live_rows, live_index] = 0.0
-    j *= kw.shape[1]
-    j += np.arange(kw.shape[1])
-    return DelayTable(kernel_weights=kw, delay_index=j, delay_fractions=delta, k_max=k_max,
-                      live_rows=live_rows, live_index=live_index, live_weights=live_weights,
-                      live_fractions=delta[live_rows, live_index])
 
 
 def _lagged_rates(problem: ProblemSpec, history: np.ndarray, index: np.ndarray,
@@ -290,47 +187,157 @@ def _lagged_rates(problem: ProblemSpec, history: np.ndarray, index: np.ndarray,
     return np.asarray(problem.firing_rate(lagged), dtype=float)
 
 
-def _frozen_sum(problem: ProblemSpec, table: DelayTable, history: np.ndarray) -> np.ndarray:
-    """The delayed quadrature sum over the pairs with j >= 1.  For finite
-    values of row 0 it depends on rows 1 and deeper only: the live pairs,
-    the only ones that read row 0, carry weight 0 here."""
-    s = _lagged_rates(problem, history, table.delay_index, table.delay_fractions)
-    return np.einsum("pq,pq->p", table.kernel_weights, s)
+@dataclass
+class PairTable(_Table):
+    """The pair table of an undelayed kernel: weights[p, q] holds
+    K(|z_p - y_q|) times the quadrature weight of node q, where z_p runs
+    row-major over the tensor product of the evaluation axes (Chebyshev
+    points, or the grid's own axes when rank reduction is off)."""
+
+    weights: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.weights.shape
+
+    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
+        return self.weights @ np.asarray(problem.firing_rate(history[0]), dtype=float)
 
 
-def _live_sum(problem: ProblemSpec, table: DelayTable, history: np.ndarray) -> np.ndarray:
-    """The delayed quadrature sum over the live pairs, which read row 0."""
-    s = _lagged_rates(problem, history, table.live_index, table.live_fractions)
-    return np.bincount(table.live_rows, weights=table.live_weights * s,
-                       minlength=table.kernel_weights.shape[0])
+@dataclass
+class AxisFactors(_Table):
+    """The pair table of an undelayed kernel that separates by axes, as the
+    two factors A1 and A2 whose Kronecker product it is (module docstring)."""
+
+    A1: np.ndarray
+    A2: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
+
+    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
+        s = np.asarray(problem.firing_rate(history[0]), dtype=float)
+        s = s.reshape(self.A1.shape[1], -1)
+        return (self.A1 @ s @ self.A2.T).ravel()
 
 
-def apply_integral_operator(problem: ProblemSpec, table: DelayTable, history: np.ndarray,
+@dataclass
+class DelayedPairs(_Table):
+    """The pairs of a delayed kernel.  index[p, q] = j * N^2 + q is the
+    pair's entry in the flattened history (row j, node q), for its level
+    offset j <= k_max, and fractions[p, q] its interpolation weight delta.
+    weights is the pair table with the live pairs, those with j = 0, set to
+    0: they sit in the live list instead, whose pair i adds live_weights[i]
+    times the rate of the field at live_index[i], interpolated with
+    live_fractions[i], to evaluation point live_rows[i]."""
+
+    weights: np.ndarray
+    index: np.ndarray
+    fractions: np.ndarray
+    k_max: int
+    live_rows: np.ndarray
+    live_index: np.ndarray
+    live_weights: np.ndarray
+    live_fractions: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.weights.shape
+
+    @property
+    def history_rows(self) -> int:
+        return self.k_max + 2
+
+    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
+        """The quadrature sum over the pairs with j >= 1.  For finite values
+        of row 0 it depends on rows 1 and deeper only: the live pairs, the
+        only ones that read row 0, carry weight 0 here."""
+        s = _lagged_rates(problem, history, self.index, self.fractions)
+        return np.einsum("pq,pq->p", self.weights, s)
+
+    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
+        if frozen is None:
+            frozen = self.frozen_sum(problem, history)
+        s = _lagged_rates(problem, history, self.live_index, self.live_fractions)
+        return frozen + np.bincount(self.live_rows, weights=self.live_weights * s,
+                                    minlength=self.weights.shape[0])
+
+
+def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
+    """K(|D|) / sqrt(k0) times the node weights w, once K(|D|) is finite."""
+    kv = np.asarray(problem.kernel(np.abs(D)), dtype=float)
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel produced a non-finite value while building the axis factors")
+    return kv / math.sqrt(k0) * w[None, :]
+
+
+def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
+                      axes: tuple[np.ndarray, np.ndarray], h_t: float,
+                      separable: bool = False) -> _Table:
+    """The operator table of every pair of a grid node and a point of the
+    tensor product of ``axes``, from the per-axis coordinate differences.
+
+    The one place that picks the table's form: a delayed problem gets
+    DelayedPairs; an undelayed one AxisFactors with ``separable``
+    (KernelNorms.separable of this problem and grid), else a PairTable.
+    The check saw exactly the distances of a direct run, not the
+    Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
+    tau_max / h_t levels of history are too many to index in int64.
+
+    The delay arithmetic runs in place: the distances become the lag in
+    steps and then delta, and the level offsets become flat indices.
+    """
+    e1, e2 = axes
+    D1 = e1[:, None] - grid.x1[None, :]
+    D2 = e2[:, None] - grid.x2[None, :]
+    if not problem.has_delay and separable:
+        k0 = float(np.asarray(problem.kernel(np.zeros(1)), dtype=float)[0])
+        return AxisFactors(A1=_axis_factor(problem, D1, grid.w1, k0),
+                           A2=_axis_factor(problem, D2, grid.w2, k0))
+    depth = problem.tau_max / h_t  # 0 without delay
+    if not (math.isfinite(depth)
+            and (math.floor(depth) + 2) * grid.total_points <= np.iinfo(np.int64).max):
+        raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
+                         f"h_t={h_t:g} is too deep to index the history")
+    d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
+    kv = np.asarray(problem.kernel(d), dtype=float)
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel produced a non-finite value while building the pair table")
+    kw = kv * grid.flat_weights()[None, :]
+    if not problem.has_delay:
+        return PairTable(kw)
+    k_max = math.floor(depth)
+    steps = np.divide(d, problem.v * h_t, out=d)
+    j = steps.astype(np.int64)  # the floor, as steps >= 0
+    np.minimum(j, k_max, out=j)
+    steps -= j
+    delta = np.subtract(1.0, steps, out=steps)
+    live_rows, live_index = np.nonzero(j == 0)
+    live_weights = kw[live_rows, live_index]
+    kw[live_rows, live_index] = 0.0
+    j *= kw.shape[1]
+    j += np.arange(kw.shape[1])
+    return DelayedPairs(weights=kw, index=j, fractions=delta, k_max=k_max,
+                        live_rows=live_rows, live_index=live_index, live_weights=live_weights,
+                        live_fractions=delta[live_rows, live_index])
+
+
+def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.ndarray,
                             frozen: Optional[np.ndarray] = None) -> np.ndarray:
     """Quadrature sum of K * S(field) at every evaluation point of the table.
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
-    iterate; it needs ``table.history_rows`` rows.  Undelayed problems read
-    row 0 only, through the pair table or the axis factors.  For delayed
-    problems the per-pair field values are linearly
-    interpolated between rows j and j + 1, and the sum is the frozen part
-    plus the live part.  ``frozen``, when given, is taken as the frozen part
-    of this history's rows 1 and deeper instead of being summed again; the
-    stepper passes the one it keeps for the current level.  Returns a
-    vector with one entry per evaluation point.
+    iterate; it needs ``table.history_rows`` rows.  ``frozen``, when given,
+    is taken as the frozen sum of a DelayedPairs table over this history
+    instead of being summed again; the stepper passes the one it keeps for
+    the current level.  Returns a vector with one entry per evaluation point.
     """
     nodes = table.shape[1]
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
-    if not table.has_delay:
-        s = np.asarray(problem.firing_rate(history[0]), dtype=float)
-        if table.kernel_weights is None:
-            return (table.A1 @ s.reshape(table.A1.shape[1], -1) @ table.A2.T).ravel()
-        return table.kernel_weights @ s
-    if frozen is None:
-        frozen = _frozen_sum(problem, table, history)
-    return frozen + _live_sum(problem, table, history)
+    return table.apply(problem, history, frozen)
 
 
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
@@ -369,12 +376,9 @@ def step_bound(problem: ProblemSpec, norms: KernelNorms) -> StepBounds:
 class StepDiagnostics:
     """Per-step record of the fixed-point loop and its operator cost.
 
-    ``integrand_evals`` is the size of the quadrature sums of the step's
-    ``kappa_applies`` operator applications, P N^2 each for P evaluation
-    points (the paper's cost model), whatever the table's form: also on
-    delayed runs, where an inner iteration recomputes only the live pairs,
-    and on runs with axis factors, where the same sum is formed as two
-    matrix products in O(m N^2) or O(N^3) operations.
+    ``integrand_evals`` is ``kappa_applies`` times the table's pair_count:
+    P N^2 terms per operator application for P evaluation points, the
+    paper's cost model, however the table's form computes the sum.
     """
 
     level: int
@@ -392,33 +396,28 @@ class _Stepper:
     ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
     ``axes``; ``lift`` maps values there to the grid.  ``history``
     is the grid history (see apply_integral_operator); each level shifts it
-    once and writes every iterate into row 0.  ``frozen`` is the frozen
-    part of the delayed operator for the current alignment of rows 1 and
-    deeper, None until an application needs it; only _begin_level moves
-    those rows, so only it clears the sum.  ``integrand_evals`` counts the
-    kernel-times-firing-rate terms of all operator applications, P N^2 per
-    application whether or not the frozen part was reused and whatever
-    the table's form (StepDiagnostics).
+    once and writes every iterate into row 0.  ``frozen`` is the frozen sum
+    of a DelayedPairs table for the current alignment of rows 1 and deeper,
+    None until an application needs it; only _begin_level moves those rows,
+    so only it clears the sum.
     """
 
     problem: ProblemSpec
     config: SolverConfig
-    table: DelayTable
+    table: _Table
     axes: tuple[np.ndarray, np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
     history: np.ndarray
     u_prev: np.ndarray
     u_prev2: Optional[np.ndarray] = None
     frozen: Optional[np.ndarray] = None
-    integrand_evals: int = 0
 
     def _input(self, t: float) -> np.ndarray:
         return tensor_values(self.problem.input_current, *self.axes, t)
 
     def _kappa(self) -> np.ndarray:
-        self.integrand_evals += self.table.pair_count
-        if self.table.has_delay and self.frozen is None:
-            self.frozen = _frozen_sum(self.problem, self.table, self.history)
+        if isinstance(self.table, DelayedPairs) and self.frozen is None:
+            self.frozen = self.table.frozen_sum(self.problem, self.history)
         return apply_integral_operator(self.problem, self.table, self.history, self.frozen)
 
     def _begin_level(self, u: np.ndarray) -> np.ndarray:
@@ -452,7 +451,6 @@ class _Stepper:
         lam = 2.0 * h / (2.0 * h + 3.0 * c)
         f_i = lam * (I_i + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
 
-        evals_before = self.integrand_evals
         # Euler predictor from the previous level as the initial iterate
         u = u_prev + (h / c) * (I_i - u_prev + self._kappa())
         U = self._begin_level(u)
@@ -484,14 +482,15 @@ class _Stepper:
             level=level, time=t_i, inner_iterations=len(increments),
             contraction_estimate=max(ratios) if ratios else math.nan,
             kappa_applies=len(increments) + 1,
-            integrand_evals=self.integrand_evals - evals_before)
+            integrand_evals=(len(increments) + 1) * self.table.pair_count)
 
 
 @dataclass
 class SolveResult:
     """States at every time level plus the run's diagnostics.
 
-    ``table_bytes`` is the size of the run's DelayTable arrays.
+    ``total_integrand_evals`` counts every operator application of the run
+    as StepDiagnostics does, and ``table_bytes`` sizes the table's arrays.
     """
 
     problem: ProblemSpec
@@ -503,7 +502,6 @@ class SolveResult:
     states: list[FieldState]
     diagnostics: list[StepDiagnostics]
     warnings: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
     total_integrand_evals: int = 0
     table_bytes: int = 0
 
@@ -523,14 +521,13 @@ class SolveResult:
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
-    Builds the grid, the evaluation axes and the pair table, seeds the
+    Builds the grid, the evaluation axes and the operator table, seeds the
     history from the initial data (down to level -(k_max + 1) for delayed
     problems), takes one Euler step and then two-step levels up to T.
     Step-size bounds are checked up front; a step above a bound only logs a
     warning, but the run fails hard if the inner iteration stops converging
     or a state goes non-finite.
     """
-    t_start = time.perf_counter()
     config.validate()
     h, c = config.h_t, problem.c
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
@@ -573,15 +570,17 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
 
     states = [record(0)]
     diagnostics: list[StepDiagnostics] = []
-    for i in range(1, config.num_steps + 1):
-        if i == 1:
-            stepper.euler_step()
-        else:
-            diagnostics.append(stepper.bdf2_step(i))
-        states.append(record(i))
+    # overflow ends in a non-finite increment or state, on which the march raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, config.num_steps + 1):
+            if i == 1:
+                stepper.euler_step()
+            else:
+                diagnostics.append(stepper.bdf2_step(i))
+            states.append(record(i))
 
+    applies = min(config.num_steps, 1) + sum(d.kappa_applies for d in diagnostics)
     return SolveResult(
         problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
-        stability_margin=margin, states=states, diagnostics=diagnostics,
-        warnings=warnings, wall_time=time.perf_counter() - t_start,
-        total_integrand_evals=stepper.integrand_evals, table_bytes=table.nbytes)
+        stability_margin=margin, states=states, diagnostics=diagnostics, warnings=warnings,
+        total_integrand_evals=applies * table.pair_count, table_bytes=table.nbytes)

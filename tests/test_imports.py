@@ -111,3 +111,18 @@ def test_every_setting_field_is_read(module, class_name):
     assert fields
     unread = [name for name in fields if name not in read]
     assert not unread, f"{class_name} declares {unread} and nothing in the package reads them"
+
+
+@pytest.mark.parametrize("class_name", ["SolveResult", "StepDiagnostics"])
+def test_every_result_field_is_read(class_name):
+    """A field of a run's result that no code in the package, its tests or
+    its benchmarks reads as an attribute is output that nobody uses."""
+    root = PACKAGE.parents[1]
+    read = {node.attr for folder in ("src", "tests", "benchmarks")
+            for path in (root / folder).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = dataclass_fields(ast.parse((PACKAGE / "solver.py").read_text()), class_name)
+    assert fields
+    unread = [name for name in fields if name not in read]
+    assert not unread, f"{class_name} declares {unread} and nothing reads them"

@@ -4,6 +4,7 @@ rank-reduced operator path, delay bookkeeping and the diagnostics."""
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from neurofield.problems import (
 )
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 from neurofield.solver import (
+    AxisFactors,
+    DelayedPairs,
+    PairTable,
     SolverConfig,
     apply_integral_operator,
     build_delay_table,
@@ -214,12 +218,12 @@ def test_delay_table_undelayed_shapes():
     grid = make_grid(N=8)
     p = example1()
     table = grid_table(p, grid, 0.01)
-    assert not table.has_delay
-    assert table.k_max == 0
-    assert table.kernel_weights.shape == (64, 64)
+    assert type(table) is PairTable
+    assert table.history_rows == 1
+    assert table.weights.shape == (64, 64)
     op = build_cheb_operator(4, grid)
     table_rr = build_delay_table(p, grid, (op.points1, op.points2), 0.01)
-    assert table_rr.kernel_weights.shape == (16, 64)
+    assert table_rr.weights.shape == (16, 64)
 
 
 def test_delay_table_weights_are_kernel_times_weights():
@@ -227,7 +231,7 @@ def test_delay_table_weights_are_kernel_times_weights():
     p = example1()
     table = grid_table(p, grid, 0.01)
     expected = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
-    assert np.array_equal(table.kernel_weights, expected)
+    assert np.array_equal(table.weights, expected)
 
 
 def test_delay_table_offsets_and_fractions():
@@ -235,15 +239,15 @@ def test_delay_table_offsets_and_fractions():
     p = example4(v=1.0)
     h = 0.1
     table = grid_table(p, grid, h)
-    assert table.has_delay
+    assert type(table) is DelayedPairs
     assert table.k_max == int(math.floor(p.tau_max / h))
     assert table.k_max == 28
     assert table.history_rows == 30
     steps = node_distances(grid) / (p.v * h)
     # the flat index j * N^2 + q names history row j at node q
-    j, q = np.divmod(table.delay_index, 64)
+    j, q = np.divmod(table.index, 64)
     assert np.array_equal(q, np.broadcast_to(np.arange(64), (64, 64)))
-    delta = table.delay_fractions
+    delta = table.fractions
     assert np.all(j >= 0) and np.all(j <= table.k_max)
     assert np.all(delta > 0.0) and np.all(delta <= 1.0)
     # lag (j + 1 - delta) h equals the travel time d / v for every pair
@@ -274,9 +278,9 @@ def test_axis_factors_match_the_pair_table(domain, rank_reduction):
     p = example1(lam=2.0, sigma=1.5, domain=domain)
     fast = solver_table(p, grid, axes, 0.01)
     ref = build_delay_table(p, grid, axes, 0.01)
-    assert fast.kernel_weights is None and ref.kernel_weights is not None
+    assert isinstance(fast, AxisFactors) and isinstance(ref, PairTable)
     assert fast.shape == ref.shape == (axes[0].size * axes[1].size, 144)
-    assert fast.pair_count == ref.kernel_weights.size
+    assert fast.pair_count == ref.weights.size
     rng = np.random.default_rng(7)
     for _ in range(3):
         history = rng.standard_normal((1, 144))
@@ -295,7 +299,7 @@ def test_axis_factor_table_checks_the_history_first():
 
     p = dataclasses.replace(example1(), firing_rate=no_rate)
     table = solver_table(p, grid, (grid.x1, grid.x2), 0.01)
-    assert table.kernel_weights is None
+    assert isinstance(table, AxisFactors)
     for bad in (np.ones((1, 63)), np.ones(64), np.ones((0, 64))):
         with pytest.raises(ValueError, match="1 grid rows of 64 nodes"):
             apply_integral_operator(p, table, bad)
@@ -318,9 +322,10 @@ def test_separable_examples_hold_no_pair_table(make, rank_reduction):
 
 def test_delayed_and_plain_kernels_keep_the_pair_table():
     grid = make_grid(N=8)
-    for p in (example4(v=1.0), example5(v=1.0), decay_problem()):
+    for p, form in ((example4(v=1.0), DelayedPairs), (example5(v=1.0), DelayedPairs),
+                    (decay_problem(), PairTable)):
         table = solver_table(p, grid, (grid.x1, grid.x2), 0.1)
-        assert table.kernel_weights.shape == (64, 64) and table.A1 is None
+        assert type(table) is form and table.weights.shape == (64, 64)
 
 
 def test_swapped_kernel_picks_its_own_form():
@@ -330,12 +335,12 @@ def test_swapped_kernel_picks_its_own_form():
     grid = make_grid(N=8)
     cfg = SolverConfig(h_t=0.01, T=0.01, n=2, k=4, m=4)
     factor_bytes, pair_bytes = 8 * 2 * 4 * 8, 8 * 16 * 64
-    for kernel, nbytes in ((lambda r: np.exp(-2.0 * r * r), factor_bytes),
-                           (lambda r: np.exp(-r), pair_bytes),
-                           (lambda r: np.zeros_like(r), pair_bytes)):
+    for kernel, form, nbytes in ((lambda r: np.exp(-2.0 * r * r), AxisFactors, factor_bytes),
+                                 (lambda r: np.exp(-r), PairTable, pair_bytes),
+                                 (lambda r: np.zeros_like(r), PairTable, pair_bytes)):
         p = dataclasses.replace(example1(), kernel=kernel)
         table = solver_table(p, grid, (grid.x1, grid.x2), 0.01)
-        assert (table.kernel_weights is None) == (nbytes == factor_bytes)
+        assert type(table) is form
         assert solve(p, cfg).table_bytes == nbytes
     p = dataclasses.replace(example1(),
                             kernel=lambda r: np.divide(1.0, r, out=np.full_like(r, np.inf),
@@ -369,7 +374,7 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
     axes = eval_axes(grid, rank_reduction)
     fast = solver_table(p, grid, axes, 0.01)
     ref = build_delay_table(p, grid, axes, 0.01)
-    assert fast.kernel_weights is None and ref.kernel_weights is not None
+    assert isinstance(fast, AxisFactors) and isinstance(ref, PairTable)
     rng = np.random.default_rng(11)
     for _ in range(3):
         history = rng.standard_normal((1, 144))
@@ -432,6 +437,15 @@ def test_apply_operator_counts_integrand_terms():
     assert res.total_integrand_evals == applies * 16 * 64
 
 
+def test_overflow_raises_without_numpy_warnings():
+    """A state that overflows stops the run with the stepper's own error;
+    numpy's overflow and invalid-value warnings stay quiet."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="non-finite increment"):
+            solve(example1(c=1e-300), SolverConfig(h_t=0.01, T=0.02, n=2, k=4, m=4))
+
+
 def test_apply_operator_delayed_needs_history():
     grid = make_grid(N=8)
     p = example4(v=1.0)
@@ -451,7 +465,7 @@ def test_apply_operator_delay_reads_history_levels():
     h = 0.05
     table = grid_table(p, grid, h)
     off_diag = ~np.eye(64, dtype=bool)
-    assert np.all(table.delay_index[off_diag] // 64 >= 1)
+    assert np.all(table.index[off_diag] // 64 >= 1)
     history = np.random.default_rng(0).standard_normal((table.history_rows, 64))
     history[0] = 0.0
     out_a = apply_integral_operator(p, table, history)
@@ -507,7 +521,7 @@ def test_split_operator_matches_full_gather(case):
     v, axes, h = split_case(case, grid)
     p = dataclasses.replace(example4(v=v), firing_rate=np.tanh)
     table = build_delay_table(p, grid, axes, h)
-    live, pairs = table.live_rows.size, table.kernel_weights.size
+    live, pairs = table.live_rows.size, table.weights.size
     if case == "all-live":
         assert table.k_max == 0 and live == pairs
     elif case == "none-live":
@@ -519,10 +533,10 @@ def test_split_operator_matches_full_gather(case):
     reference = full_gather(p, grid, axes, h, history)
     out = apply_integral_operator(p, table, history)
     assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
-    frozen = solver_module._frozen_sum(p, table, history)
+    frozen = table.frozen_sum(p, history)
     assert np.array_equal(apply_integral_operator(p, table, history, frozen), out)
     history[0] = rng.standard_normal(grid.total_points)
-    assert np.array_equal(solver_module._frozen_sum(p, table, history), frozen)
+    assert np.array_equal(table.frozen_sum(p, history), frozen)
 
 
 def test_live_list_holds_the_pairs_of_lag_under_one_step():
@@ -532,27 +546,27 @@ def test_live_list_holds_the_pairs_of_lag_under_one_step():
     p = example4(v=1.0)
     h = 0.1
     table = grid_table(p, grid, h)
-    j = table.delay_index // 64
+    j = table.index // 64
     live = np.nonzero(j == 0)
     assert np.array_equal(np.stack(live), np.stack([table.live_rows, table.live_index]))
     full = p.kernel(node_distances(grid)) * grid.flat_weights()[None, :]
     assert np.array_equal(table.live_weights, full[live])
-    assert np.array_equal(table.live_fractions, table.delay_fractions[live])
-    assert np.all(table.kernel_weights[live] == 0.0)
-    assert np.array_equal(table.kernel_weights[j > 0], full[j > 0])
+    assert np.array_equal(table.live_fractions, table.fractions[live])
+    assert np.all(table.weights[live] == 0.0)
+    assert np.array_equal(table.weights[j > 0], full[j > 0])
 
 
 def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
     """A delayed run forms the frozen part at most once per history
     alignment, num_steps + 1 times, however many inner iterations run."""
     calls = []
-    frozen_sum = solver_module._frozen_sum
+    frozen_sum = DelayedPairs.frozen_sum
 
     def counted(*args):
         calls.append(args)
         return frozen_sum(*args)
 
-    monkeypatch.setattr(solver_module, "_frozen_sum", counted)
+    monkeypatch.setattr(DelayedPairs, "frozen_sum", counted)
     cfg = SolverConfig(h_t=0.1, T=0.5, n=2, k=4, m=4)
     res = solve(example4(v=1.0), cfg)
     assert 0 < len(calls) <= cfg.num_steps + 1
