@@ -47,12 +47,15 @@ delta * U_{i-j} + (1 - delta) * U_{i-j-1}; pairs with j = 0 reference the
 current iterate, which keeps the scheme implicit.  The grid history is one
 array whose row l holds the field l levels back, with row 0 the current
 iterate: k_max + 2 rows for delayed problems and a single row otherwise.
+Each level shifts it one row deeper as one in-place move of its flat view.
 
 The delayed operator is a frozen part plus a live part.  The frozen part
 sums the pairs with j >= 1: they read history rows 1 and deeper only,
-which stay put for a whole level, so it is one flat gather per history
+which stay put for a whole level, so it is summed once per history
 alignment, computed when first needed and reused by every inner iteration
-of the level and by the next level's Euler predictor.  The live part sums
+of the level and by the next level's Euler predictor.  It is summed in
+cache-sized blocks of at least 2 table rows, each one flat gather, so no
+temporary is as large as the table.  The live part sums
 the pairs with j = 0, which read the current iterate in row 0; they are a
 short list (the self pairs and the few whose travel time is under one
 step), so each inner iteration costs one small gather and a bincount.
@@ -92,6 +95,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TIME_ALIGN_RTOL = 1e-9
+# Bytes of one temporary of a frozen-sum block: the block's few temporaries
+# then fit in a 2 MB L2 cache (7 rows of 2304 nodes at N = 48).
+_BLOCK_BYTES = 128 * 1024
 
 
 def time_level(t: float, h: float) -> Optional[int]:
@@ -252,9 +258,24 @@ class DelayedPairs(_Table):
     def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
         """The quadrature sum over the pairs with j >= 1.  For finite values
         of row 0 it depends on rows 1 and deeper only: the live pairs, the
-        only ones that read row 0, carry weight 0 here."""
-        s = _lagged_rates(problem, history, self.index, self.fractions)
-        return np.einsum("pq,pq->p", self.weights, s)
+        only ones that read row 0, carry weight 0 here.
+
+        Summed in blocks of rows whose temporaries take about _BLOCK_BYTES
+        each, so that they stay in cache instead of streaming whole-table
+        arrays through memory.  A block has at least 2 rows (a 1-row
+        remainder joins the block before it): np.einsum sums a single row
+        in another order, while blocks of 2 or more rows give every row
+        the same bits as one whole-table sum."""
+        P, Q = self.shape
+        rows = max(2, _BLOCK_BYTES // (Q * self.weights.itemsize))
+        out = np.empty(P)
+        lo = 0
+        while lo < P:
+            hi = P if P - lo <= rows + 1 else lo + rows
+            s = _lagged_rates(problem, history, self.index[lo:hi], self.fractions[lo:hi])
+            out[lo:hi] = np.einsum("pq,pq->p", self.weights[lo:hi], s)
+            lo = hi
+        return out
 
     def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
         if frozen is None:
@@ -421,8 +442,13 @@ class _Stepper:
         return apply_integral_operator(self.problem, self.table, self.history, self.frozen)
 
     def _begin_level(self, u: np.ndarray) -> np.ndarray:
-        """Shift the history one level deeper and put the lift of u in row 0."""
-        self.history[1:] = self.history[:-1]
+        """Shift the history one level deeper and put the lift of u in row 0.
+
+        The shift is one move of the flat history by a row's length, which
+        numpy makes in place, without the temporary that an overlapping
+        2-D row copy takes."""
+        flat, nodes = self.history.ravel(), self.history.shape[1]
+        flat[nodes:] = flat[:-nodes]
         self.history[0] = self.lift(u)
         self.frozen = None
         return self.history[0]
@@ -472,6 +498,8 @@ class _Stepper:
                 f"within {cfg.max_inner} iterations; the time step likely violates "
                 f"the admissible bounds; increments: "
                 f"{', '.join(f'{d:.3e}' for d in increments)}")
+        logger.debug("level %d t=%g: %d inner iterations, last increment %.3e",
+                     level, t_i, len(increments), increments[-1])
         self.u_prev, self.u_prev2 = u, u_prev
 
         # observed contraction: worst consecutive-increment ratio above the

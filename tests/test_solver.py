@@ -2,8 +2,10 @@
 rank-reduced operator path, delay bookkeeping and the diagnostics."""
 
 import dataclasses
+import logging
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -539,6 +541,27 @@ def test_split_operator_matches_full_gather(case):
     assert np.array_equal(table.frozen_sum(p, history), frozen)
 
 
+@pytest.mark.parametrize("N, m", [
+    (48, 4),    # 16 rows in blocks of 7: two full blocks and a 2-row remainder
+    (96, 11),   # 121 rows in blocks of 2: a 1-row remainder at a width where
+                # np.einsum sums a single row in another order
+    (96, 12),   # 144 rows in 72 blocks of 2
+])
+def test_blocked_frozen_sum_equals_one_whole_table_sum(N, m):
+    """The frozen sum, taken in row blocks, equals one einsum over the whole
+    table bit for bit, with a tanh rate on random history."""
+    p = dataclasses.replace(example4(v=1.0), firing_rate=np.tanh)
+    grid = make_grid(N=N)
+    op = build_cheb_operator(m, grid)
+    table = build_delay_table(p, grid, (op.points1, op.points2), 0.02)
+    history = np.random.default_rng(7).standard_normal((table.history_rows, grid.total_points))
+    flat = history.ravel()
+    lagged = (table.fractions * flat[table.index]
+              + (1.0 - table.fractions) * flat[table.index + grid.total_points])
+    reference = np.einsum("pq,pq->p", table.weights, np.tanh(lagged))
+    assert np.array_equal(table.frozen_sum(p, history), reference)
+
+
 def test_live_list_holds_the_pairs_of_lag_under_one_step():
     """The live list is every pair with j = 0, carrying its kernel weight,
     node and fraction; those pairs weigh 0 in the dense table."""
@@ -572,6 +595,24 @@ def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
     assert 0 < len(calls) <= cfg.num_steps + 1
     applies = 1 + sum(d.kappa_applies for d in res.diagnostics)
     assert applies > 2 * (cfg.num_steps + 1)
+
+
+def test_delayed_solve_peak_memory_is_the_table_history_and_states():
+    """A delayed solve allocates little beyond its table, its history and
+    the states it keeps: no whole-table temporary in the frozen sum and no
+    copy of the history in the level shift."""
+    p = example4(v=1.0)
+    cfg = SolverConfig(h_t=0.02, T=0.1, n=12, k=4, m=12)
+    tracemalloc.start()
+    try:
+        res = solve(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_bytes = res.grid.total_points * 8
+    history_bytes = (math.floor(p.tau_max / cfg.h_t) + 2) * row_bytes
+    states_bytes = len(res.states) * row_bytes
+    assert peak < res.table_bytes + history_bytes + states_bytes + 2**20
 
 
 def test_lift_identity_without_operator():
@@ -892,3 +933,13 @@ def test_diagnostics_fields():
     assert res.bounds.bound_max == pytest.approx(0.375, abs=1e-15)
     assert res.stability_margin == pytest.approx(
         (0.02 / 3.0) * (1.0 + res.contraction_bound), rel=1e-12)
+
+
+def test_debug_log_has_one_line_per_two_step_level(caplog):
+    with caplog.at_level(logging.DEBUG, logger="neurofield.solver"):
+        res = solve(example1(), SolverConfig(h_t=0.01, T=0.05))
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == len(res.diagnostics) == 4
+    for line, diag in zip(lines, res.diagnostics):
+        assert line.startswith(f"level {diag.level} t={diag.time:g}: "
+                               f"{diag.inner_iterations} inner iterations, last increment ")
