@@ -199,8 +199,9 @@ class TimeStudy:
 
 
 def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: float,
-                           n: int = 6, k: int = 4, m: int = 12, norm: str = "max",
-                           eps_inner: float = 1e-10,
+                           n: int = SolverConfig.n, k: int = SolverConfig.k,
+                           m: int = SolverConfig.m, norm: str = "max",
+                           eps_inner: float = SolverConfig.eps_inner,
                            rank_reduction: bool = False) -> TimeStudy:
     """Solve at each step size on a fixed grid and collect errors in time.
 
@@ -284,7 +285,7 @@ class SpaceStudy:
 
 
 def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
-                            m_values: Sequence[int], k: int = 4, h_t: float = 0.01,
+                            m_values: Sequence[int], k: int = SolverConfig.k, h_t: float = 0.01,
                             T: float = 0.1, norm: str = "max",
                             eps_inner: float = 1e-14) -> SpaceStudy:
     """Errors at t = T while the grid is refined at fixed k and time step.

@@ -24,7 +24,7 @@ error of the two sides of the update cancels wherever the solution itself
 is smooth, so the lift does not pollute the spatial convergence of the
 quadrature.  The lift is two precomputed matrix products.
 
-build_delay_table picks the operator table's form, which applies itself:
+build_delay_table picks the operator table's form, which sums its own pairs:
 PairTable, the P x N^2 kernel weights of an undelayed kernel; AxisFactors,
 two per-axis factors for one that separates; DelayedPairs, for delays.
 
@@ -44,10 +44,11 @@ With a finite transmission speed the integrand reads the field at
 t_i - |y - x| / v.  Writing that lag as (j + 1 - delta) * h_t with integer
 j and delta in (0, 1], the value is linearly interpolated as
 delta * U_{i-j} + (1 - delta) * U_{i-j-1}; pairs with j = 0 reference the
-current iterate, which keeps the scheme implicit.  The grid history is one
-array whose row l holds the field l levels back, with row 0 the current
-iterate: k_max + 2 rows for delayed problems and a single row otherwise.
-Each level shifts it one row deeper as one in-place move of its flat view.
+current iterate, which keeps the scheme implicit.  One array holds every
+grid level of the run, newest first, down to level -(k_max + 1).  The grid
+history is a window onto it whose row l holds the field l levels back, with
+row 0 the current iterate: k_max + 2 rows for delayed problems and a single
+row otherwise.  Each level moves the window one row up and copies nothing.
 
 The delayed operator is a frozen part plus a live part.  The frozen part
 sums the pairs with j >= 1: they read history rows 1 and deeper only,
@@ -66,6 +67,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -98,6 +100,11 @@ _TIME_ALIGN_RTOL = 1e-9
 # Bytes of one temporary of a frozen-sum block: the block's few temporaries
 # then fit in a 2 MB L2 cache (7 rows of 2304 nodes at N = 48).
 _BLOCK_BYTES = 128 * 1024
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine, as the operating system reports it."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def time_level(t: float, h: float) -> Optional[int]:
@@ -165,9 +172,15 @@ class FieldState:
 
 class _Table:
     """What the forms of the operator table share.  Each has its own arrays,
-    ``shape`` (P, N^2: evaluation points by grid nodes) and ``apply``."""
+    ``shape`` (P, N^2: evaluation points by grid nodes) and ``live_sum``,
+    the sum over the pairs that read the current iterate in history row 0;
+    ``frozen_sum`` sums the others, if there are any."""
 
     history_rows = 1
+
+    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> Optional[np.ndarray]:
+        """None: every pair of an undelayed table reads row 0, so none is frozen."""
+        return None
 
     @property
     def pair_count(self) -> int:
@@ -206,7 +219,7 @@ class PairTable(_Table):
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
 
-    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
+    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
         return self.weights @ np.asarray(problem.firing_rate(history[0]), dtype=float)
 
 
@@ -222,7 +235,7 @@ class AxisFactors(_Table):
     def shape(self) -> tuple[int, int]:
         return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
 
-    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
+    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
         s = np.asarray(problem.firing_rate(history[0]), dtype=float)
         s = s.reshape(self.A1.shape[1], -1)
         return (self.A1 @ s @ self.A2.T).ravel()
@@ -277,12 +290,10 @@ class DelayedPairs(_Table):
             lo = hi
         return out
 
-    def apply(self, problem: ProblemSpec, history: np.ndarray, frozen=None) -> np.ndarray:
-        if frozen is None:
-            frozen = self.frozen_sum(problem, history)
+    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
         s = _lagged_rates(problem, history, self.live_index, self.live_fractions)
-        return frozen + np.bincount(self.live_rows, weights=self.live_weights * s,
-                                    minlength=self.weights.shape[0])
+        return np.bincount(self.live_rows, weights=self.live_weights * s,
+                           minlength=self.weights.shape[0])
 
 
 def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
@@ -349,8 +360,9 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
     """Quadrature sum of K * S(field) at every evaluation point of the table.
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
-    iterate; it needs ``table.history_rows`` rows.  ``frozen``, when given,
-    is taken as the frozen sum of a DelayedPairs table over this history
+    iterate; it needs ``table.history_rows`` rows.  The sum is the table's
+    live sum plus, for a table with frozen pairs, its frozen sum.
+    ``frozen``, when given, is taken as the frozen sum over this history
     instead of being summed again; the stepper passes the one it keeps for
     the current level.  Returns a vector with one entry per evaluation point.
     """
@@ -358,7 +370,10 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
-    return table.apply(problem, history, frozen)
+    if frozen is None:
+        frozen = table.frozen_sum(problem, history)
+    live = table.live_sum(problem, history)
+    return live if frozen is None else frozen + live
 
 
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
@@ -415,12 +430,12 @@ class _Stepper:
     """The scheme's state between levels, in one evaluation space.
 
     ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
-    ``axes``; ``lift`` maps values there to the grid.  ``history``
-    is the grid history (see apply_integral_operator); each level shifts it
-    once and writes every iterate into row 0.  ``frozen`` is the frozen sum
-    of a DelayedPairs table for the current alignment of rows 1 and deeper,
-    None until an application needs it; only _begin_level moves those rows,
-    so only it clears the sum.
+    ``axes``; ``lift`` maps values there to the grid.  ``levels`` holds every
+    grid level, newest first; the history (see apply_integral_operator) is
+    its window of history_rows rows from the current level's ``row`` on,
+    whose row 0 takes every iterate.  ``frozen`` is the table's frozen sum
+    for the current window, None until an application needs it or when the
+    table has none; only _begin_level moves the window, so only it clears it.
     """
 
     problem: ProblemSpec
@@ -428,7 +443,8 @@ class _Stepper:
     table: _Table
     axes: tuple[np.ndarray, np.ndarray]
     lift: Callable[[np.ndarray], np.ndarray]
-    history: np.ndarray
+    levels: np.ndarray
+    row: int
     u_prev: np.ndarray
     u_prev2: Optional[np.ndarray] = None
     frozen: Optional[np.ndarray] = None
@@ -437,21 +453,17 @@ class _Stepper:
         return tensor_values(self.problem.input_current, *self.axes, t)
 
     def _kappa(self) -> np.ndarray:
-        if isinstance(self.table, DelayedPairs) and self.frozen is None:
-            self.frozen = self.table.frozen_sum(self.problem, self.history)
-        return apply_integral_operator(self.problem, self.table, self.history, self.frozen)
+        history = self.levels[self.row:self.row + self.table.history_rows]
+        if self.frozen is None:
+            self.frozen = self.table.frozen_sum(self.problem, history)
+        return apply_integral_operator(self.problem, self.table, history, self.frozen)
 
     def _begin_level(self, u: np.ndarray) -> np.ndarray:
-        """Shift the history one level deeper and put the lift of u in row 0.
-
-        The shift is one move of the flat history by a row's length, which
-        numpy makes in place, without the temporary that an overlapping
-        2-D row copy takes."""
-        flat, nodes = self.history.ravel(), self.history.shape[1]
-        flat[nodes:] = flat[:-nodes]
-        self.history[0] = self.lift(u)
+        """Move the history window up onto the next level's row; put u's lift there."""
+        self.row -= 1
         self.frozen = None
-        return self.history[0]
+        self.levels[self.row] = self.lift(u)
+        return self.levels[self.row]
 
     def euler_step(self) -> None:
         """U_1 = U_0 + (h_t / c) (I_0 - U_0 + kappa(U_0)), starting the two-step scheme."""
@@ -519,6 +531,8 @@ class SolveResult:
 
     ``total_integrand_evals`` counts every operator application of the run
     as StepDiagnostics does, and ``table_bytes`` sizes the table's arrays.
+    The states are rows of one array, so holding any one keeps every level
+    alive, with a delayed run's history_rows - 1 rows of initial data.
     """
 
     problem: ProblemSpec
@@ -549,12 +563,13 @@ class SolveResult:
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
-    Builds the grid, the evaluation axes and the operator table, seeds the
-    history from the initial data (down to level -(k_max + 1) for delayed
-    problems), takes one Euler step and then two-step levels up to T.
+    Builds the grid, the evaluation axes, the operator table and one array
+    of every level, seeded from the initial data down to level -(k_max + 1)
+    for delayed problems, then takes one Euler step and two-step levels.
     Step-size bounds are checked up front; a step above a bound only logs a
-    warning, but the run fails hard if the inner iteration stops converging
-    or a state goes non-finite.
+    warning.  The run raises ValueError before allocating the levels if they
+    and the table exceed the machine's physical memory, and fails hard if
+    the inner iteration stops converging or a state goes non-finite.
     """
     config.validate()
     h, c = config.h_t, problem.c
@@ -584,14 +599,19 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         logger.warning(msg)
 
     table = build_delay_table(problem, grid, axes, h, norms.separable)
-    history = np.empty((table.history_rows, grid.total_points))
+    rows = config.num_steps + table.history_rows
+    needed, available = table.nbytes + rows * grid.total_points * 8, _physical_memory()
+    if needed > available:
+        raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
+                         f"levels, above the {available} B of physical memory")
+    levels = np.empty((rows, grid.total_points))
     for l in range(table.history_rows):
-        history[l] = tensor_values(problem.initial, grid.x1, grid.x2, -l * h)
+        levels[config.num_steps + l] = tensor_values(problem.initial, grid.x1, grid.x2, -l * h)
     u0 = tensor_values(problem.initial, *axes, 0.0)
-    stepper = _Stepper(problem, config, table, axes, lift, history, u0)
+    stepper = _Stepper(problem, config, table, axes, lift, levels, config.num_steps, u0)
 
     def record(level: int) -> FieldState:
-        values = history[0].copy()
+        values = levels[config.num_steps - level]
         if not np.all(np.isfinite(values)):
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
         return FieldState(values=values, time=level * h)

@@ -1,5 +1,7 @@
 """Tests for norms, convergence reports and the two study drivers."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -251,3 +253,20 @@ def test_study_l2_norm_option():
     study_max = time_convergence_study(p, [0.02], T=0.04, norm="max")
     assert study.error_at(0.02, 0.04) == pytest.approx(
         2.0 * study_max.error_at(0.02, 0.04), rel=0.05)
+
+
+@pytest.mark.parametrize("study,differs", [(time_convergence_study, {"rank_reduction"}),
+                                           (space_convergence_study, {"eps_inner"})],
+                         ids=["time", "space"])
+def test_study_defaults_are_the_solver_defaults(study, differs):
+    """A study's default for a SolverConfig field is that field's default,
+    except the ones its docstring gives a reason to differ: the time study
+    runs without rank reduction, the space study with a tighter tolerance."""
+    config = {f.name: f.default for f in dataclasses.fields(SolverConfig)
+              if f.default is not dataclasses.MISSING}
+    shared = {name: param.default for name, param in inspect.signature(study).parameters.items()
+              if name in config and param.default is not inspect.Parameter.empty}
+    assert shared.keys() - differs
+    assert {name: shared[name] for name in shared.keys() - differs} == \
+        {name: config[name] for name in shared.keys() - differs}
+    assert all(shared[name] != config[name] for name in differs)

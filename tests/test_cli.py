@@ -129,11 +129,15 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
      "v=1e-300, h_t=0.1"),
     (["compare-delay", "--v", "1e-300", "--ht", "0.1", "--T", "0.1", "--snapshots", "0.1"],
      "v=1e-300, h_t=0.1"),
+    # tau_max / h_t = 2.8e10 levels of history at N = 24 fit in int64 but
+    # not in memory
+    (["run", "--example", "4", "--v", "1e-9", "--ht", "0.1", "--T", "0.1"],
+     "B of physical memory"),
 ], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero", "steps-zero",
         "steps-with-zero", "steps-negative", "compare-delay-example5",
         "run-steps-overflow", "converge-time-steps-overflow", "zero-decay-rate",
         "inner-iteration-diverges", "c-inf", "c-tiny", "run-delay-too-deep",
-        "compare-delay-too-deep"])
+        "compare-delay-too-deep", "run-delay-beyond-memory"])
 def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err

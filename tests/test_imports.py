@@ -126,3 +126,17 @@ def test_every_result_field_is_read(class_name):
     assert fields
     unread = [name for name in fields if name not in read]
     assert not unread, f"{class_name} declares {unread} and nothing reads them"
+
+
+def test_only_build_delay_table_names_the_table_forms():
+    """Outside their class definitions and ``__all__``, the names of the
+    operator-table forms appear in solver.py only in build_delay_table, the
+    one place that picks a form; every other caller goes through the
+    methods the forms share."""
+    forms = {"PairTable", "AxisFactors", "DelayedPairs"}
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    allowed = forms | {"build_delay_table"}  # ``__all__`` holds strings, not names
+    named = [(getattr(node, "name", "module level"), name.id) for node in tree.body
+             if getattr(node, "name", None) not in allowed
+             for name in ast.walk(node) if isinstance(name, ast.Name) and name.id in forms]
+    assert not named, f"solver.py names a table form outside build_delay_table: {named}"

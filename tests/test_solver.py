@@ -615,6 +615,30 @@ def test_delayed_solve_peak_memory_is_the_table_history_and_states():
     assert peak < res.table_bytes + history_bytes + states_bytes + 2**20
 
 
+@pytest.mark.parametrize("problem,config", [
+    (example1(), SolverConfig(h_t=1e-10, T=1e10, n=1, k=1, rank_reduction=False)),
+    (example4(v=1e-9), SolverConfig(h_t=0.1, T=0.1)),
+], ids=["1e20-levels", "2.8e10-history-rows"])
+def test_run_beyond_physical_memory_fails_before_allocating(problem, config):
+    """1e20 levels of one node, or tau_max / h_t = 2.8e10 levels of history
+    at N = 24 (1.3e14 B), raise ValueError instead of allocating them."""
+    with pytest.raises(ValueError, match=r"the run needs \d+ B .* above the \d+ B of physical"):
+        solve(problem, config)
+
+
+def test_memory_check_compares_the_table_and_levels_with_physical_memory(monkeypatch):
+    """The run fits exactly when its table and its three levels (0, 1 and 2)
+    take no more bytes than the machine has."""
+    p, cfg = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
+    needed = solve(p, cfg).table_bytes + 3 * 64 * 8
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ValueError, match=f"needs {needed} B .* 3 grid levels, above the "
+                                         f"{needed - 1} B of physical memory"):
+        solve(p, cfg)
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
+    assert len(solve(p, cfg).states) == 3
+
+
 def test_lift_identity_without_operator():
     """Without rank reduction the evaluation points are the grid nodes and
     the lift is the identity: the first level is the Euler formula at the
