@@ -25,6 +25,7 @@ from .quadrature import SpatialGrid, apply_quadrature, build_gauss_rule, tensor_
 from .solver import FieldState, SolverConfig, solve, time_level
 
 __all__ = [
+    "NORMS",
     "ROUNDOFF_FLOOR",
     "ReportRow",
     "ConvergenceReport",
@@ -32,19 +33,21 @@ __all__ = [
     "SpaceStudy",
     "field_norm",
     "error_norm",
+    "solver_settings",
     "time_convergence_study",
     "space_convergence_study",
 ]
 
 ROUNDOFF_FLOOR = 1e-13
 
-_NORMS = ("max", "l2")
+NORMS = ("max", "l2")  # the first is the default
+_SPACE_EPS_INNER = 1e-14
 
 
-def field_norm(grid: SpatialGrid, values: np.ndarray, norm: str = "max") -> float:
+def field_norm(grid: SpatialGrid, values: np.ndarray, norm: str = NORMS[0]) -> float:
     """Grid max norm or quadrature-weighted L2 norm of a flat field."""
-    if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}, expected one of {_NORMS}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}, expected one of {NORMS}")
     values = np.asarray(values, dtype=float)
     if norm == "max":
         return float(np.max(np.abs(values)))
@@ -53,10 +56,21 @@ def field_norm(grid: SpatialGrid, values: np.ndarray, norm: str = "max") -> floa
 
 def error_norm(grid: SpatialGrid, state: FieldState,
                exact: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
-               norm: str = "max") -> float:
+               norm: str = NORMS[0]) -> float:
     """Norm of the difference between a stored state and the exact solution."""
     diff = state.values - tensor_values(exact, grid.x1, grid.x2, state.time)
     return field_norm(grid, diff, norm)
+
+
+def solver_settings(configs: Sequence[SolverConfig]) -> dict:
+    """The settings that every one of ``configs`` shares, under the keys
+    that reports and manifests show (N = n * k, the points per axis)."""
+    settings = [{"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
+                 "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
+                 "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
+                for cfg in configs]
+    return {key: value for key, value in settings[0].items()
+            if all(s[key] == value for s in settings)}
 
 
 @dataclass
@@ -122,34 +136,33 @@ def _report_rows(entries: Sequence[tuple[str, float, Sequence[str]]]) -> list[Re
 class TimeStudy:
     """Errors of several time steps on one grid, aligned on shared levels.
 
+    ``configs`` are the solver configurations the study ran, one per step
+    (coarsest first), and its only record of their settings.
     ``errors[h]`` maps an integer multiple of the finest step to the error
     at that physical time; multiples not resolved by a coarser step are
     absent.  ``ratio(coarse, fine, t)`` is the usual error quotient at a
-    time both steps reach.  ``configs`` are the solver configurations the
-    study ran, one per step.
+    time both steps reach.
     """
 
     problem_name: str
     norm: str
     steps: list[float]
-    finest: float
-    T: float
-    space: dict
     errors: dict[float, dict[int, float]]
-    configs: list[SolverConfig] = field(default_factory=list)
+    configs: list[SolverConfig]
 
     def times(self) -> list[float]:
-        last = time_level(self.T, self.finest)
-        return [i * self.finest for i in range(1, last + 1)]
+        finest = self.configs[-1].h_t
+        return [i * finest for i in range(1, time_level(self.configs[-1].T, finest) + 1)]
 
     def error_at(self, step: float, t: float) -> Optional[float]:
         """The error of ``step`` at time t, None where that step has no level.
 
         Raises ValueError when t is not a level of the finest step.
         """
-        key = time_level(t, self.finest)
+        finest = self.configs[-1].h_t
+        key = time_level(t, finest)
         if key is None:
-            raise ValueError(f"time {t!r} is not a level of the finest step {self.finest!r}")
+            raise ValueError(f"time {t!r} is not a level of the finest step {finest!r}")
         return self.errors[step].get(key)
 
     def ratio(self, coarse: float, fine: float, t: float) -> Optional[float]:
@@ -161,7 +174,7 @@ class TimeStudy:
 
     def report(self, at_time: Optional[float] = None) -> ConvergenceReport:
         """Rows over the step sizes at one report time (default: T)."""
-        t = self.T if at_time is None else at_time
+        t = self.configs[-1].T if at_time is None else at_time
         entries = []
         for h in self.steps:
             err = self.error_at(h, t)
@@ -171,7 +184,7 @@ class TimeStudy:
             entries.append((f"{h:g}", err, extra))
         return ConvergenceReport(
             title=f"time convergence of {self.problem_name} at t={t:g}",
-            norm=self.norm, fixed=dict(self.space), rows=_report_rows(entries))
+            norm=self.norm, fixed=solver_settings(self.configs), rows=_report_rows(entries))
 
     def to_text(self) -> str:
         """Per-time table: one error column per step, ratio columns between
@@ -181,8 +194,8 @@ class TimeStudy:
             head.append(f"{'e(' + format(h, 'g') + ')':>13}")
         for a, b in zip(self.steps, self.steps[1:]):
             head.append(f"{format(a, 'g') + '/' + format(b, 'g'):>12}")
-        lines = [f"time convergence of {self.problem_name}  "
-                 f"({', '.join(f'{k}={v}' for k, v in self.space.items())}, norm {self.norm})",
+        fixed = ", ".join(f"{k}={v}" for k, v in solver_settings(self.configs).items())
+        lines = [f"time convergence of {self.problem_name}  ({fixed}, norm {self.norm})",
                  "  ".join(head)]
         for t in self.times():
             cells = [f"{t:8.4f}"]
@@ -200,7 +213,7 @@ class TimeStudy:
 
 def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: float,
                            n: int = SolverConfig.n, k: int = SolverConfig.k,
-                           m: int = SolverConfig.m, norm: str = "max",
+                           m: int = SolverConfig.m, norm: str = NORMS[0],
                            eps_inner: float = SolverConfig.eps_inner,
                            rank_reduction: bool = False) -> TimeStudy:
     """Solve at each step size on a fixed grid and collect errors in time.
@@ -243,38 +256,37 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
             i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
             for i in range(1, len(res.states))
         }
-    return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, finest=finest,
-                     T=T, space={"n": n, "k": k, "m": m}, errors=errors, configs=configs)
+    return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, errors=errors,
+                     configs=configs)
 
 
 @dataclass
 class SpaceStudy:
     """Errors over grid resolutions N for one or more interpolation orders.
 
-    ``configs`` are the solver configurations the study ran, one per
-    (N, m) pair with m <= N.
+    ``configs``, one solver configuration per (N, m) pair with m <= N, are
+    the study's only record of the settings it ran.
     """
 
     problem_name: str
     norm: str
     N_values: list[int]
     m_values: list[int]
-    k: int
-    h_t: float
-    T: float
     errors: dict[tuple[int, int], float]
-    configs: list[SolverConfig] = field(default_factory=list)
+    configs: list[SolverConfig]
 
     def error(self, N: int, m: int) -> Optional[float]:
         return self.errors.get((N, m))
 
     def report(self, m: int) -> ConvergenceReport:
+        if m not in self.m_values:
+            raise ValueError(f"the study ran no interpolation order m={m}")
         entries = [(str(N), self.errors[(N, m)], ()) for N in self.N_values
                    if (N, m) in self.errors]
         return ConvergenceReport(
             title=f"space convergence of {self.problem_name} with m={m}",
             norm=self.norm,
-            fixed={"k": self.k, "h_t": self.h_t, "T": self.T},
+            fixed=solver_settings([cfg for cfg in self.configs if cfg.m == m]),
             rows=_report_rows(entries))
 
     def reports(self) -> dict[int, ConvergenceReport]:
@@ -286,14 +298,14 @@ class SpaceStudy:
 
 def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
                             m_values: Sequence[int], k: int = SolverConfig.k, h_t: float = 0.01,
-                            T: float = 0.1, norm: str = "max",
-                            eps_inner: float = 1e-14) -> SpaceStudy:
+                            T: float = 0.1, norm: str = NORMS[0]) -> SpaceStudy:
     """Errors at t = T while the grid is refined at fixed k and time step.
 
-    Each N must be a multiple of k (N = n * k subinterval structure);
-    pairs with m > N are skipped so that a shared m list can span several
-    resolutions.  The inner tolerance defaults far below the one used in
-    ordinary runs because the measured errors approach machine precision.
+    Each N must be a multiple of k (N = n * k subinterval structure).
+    Pairs with m > N are skipped so that a shared m list can span several
+    resolutions, but every N and every m must be in some pair with m <= N.
+    The inner tolerance is _SPACE_EPS_INNER, far below the default, because
+    the measured errors approach machine precision.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -305,14 +317,16 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     for N in N_values:
         if N % k != 0:
             raise ValueError(f"grid resolution N={N} is not a multiple of the rule order k={k}")
-    if not any(m <= N for N in N_values for m in m_values):
-        raise ValueError("every requested interpolation order exceeds every grid resolution")
+    idle = [f"m={m} exceeds every grid resolution" for m in m_values if m > N_values[-1]]
+    idle += [f"N={N} is below every interpolation order" for N in N_values if N < m_values[0]]
+    if idle:
+        raise ValueError("unused by any solve: " + "; ".join(idle))
 
     errors: dict[tuple[int, int], float] = {}
-    configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=eps_inner)
+    configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=_SPACE_EPS_INNER)
                for N in N_values for m in m_values if m <= N]
     for cfg in configs:
         res = solve(problem, cfg)
         errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
     return SpaceStudy(problem_name=problem.name, norm=norm, N_values=N_values,
-                      m_values=m_values, k=k, h_t=h_t, T=T, errors=errors, configs=configs)
+                      m_values=m_values, errors=errors, configs=configs)

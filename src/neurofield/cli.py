@@ -6,8 +6,9 @@ Four subcommands: ``run`` solves one problem and writes field snapshots,
 transmission speed, and reports both fields.  Every command writes its
 outputs into an existing directory given by --out: CSV files with a fixed
 17-significant-digit format (so runs are bit-reproducible) plus a JSON
-manifest recording the problem's own parameters, the solver configuration
-that ran, the per-step diagnostics and the wall time of the whole command.
+manifest recording the problem's own parameters, the solver settings all
+its solves shared (``analysis.solver_settings``), the per-step
+diagnostics and the wall time of the whole command.
 
 Each ``cmd_*`` function maps the parsed settings to the files it would
 write, the manifest and the message for stdout, and raises on failure;
@@ -17,7 +18,8 @@ library, ends the command with ``error: <message>`` on stderr, exit
 status 1 and no files written.
 
 Settings come from flags or from a plain key=value config file
-(--config) whose keys are the flag names; flags override the file.  Both
+(--config) whose keys are the flag names; flags override the file.  An
+on/off setting is one key and two flags, --key and --no-key.  Both
 are defined once, in ``_SETTINGS``, so a file value passes the same type
 and choice checks as its flag.  A subcommand takes only the settings it
 reads (``_COMMANDS``); another one is an error, as a flag or a key.
@@ -41,7 +43,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from .analysis import field_norm, time_convergence_study, space_convergence_study
+from .analysis import (NORMS, field_norm, solver_settings, space_convergence_study,
+                       time_convergence_study)
 from .problems import ProblemSpec, example1, example2, example3, example4, example5
 from .solver import SolveResult, SolverConfig, solve
 
@@ -68,10 +71,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# Every setting, keyed by its config-file key, with its add_argument
-# keywords.  The flag is --key unless "flag" names another one; a file value
-# is converted by "file_type" (else "type") and checked against the same
-# choices as the flag.
+# Every setting, keyed by its config-file key, with the add_argument
+# keywords of its flag --key (an on/off setting also has --no-key).  A file
+# value is converted by "file_type" (else "type") and checked against the
+# same choices as the flag.
 _SETTINGS: dict[str, dict] = {
     "example": {"type": int, "choices": [1, 2, 3, 4, 5], "help": "paper example"},
     "lambda": {"dest": "lam", "type": float, "help": "kernel decay rate"},
@@ -84,11 +87,10 @@ _SETTINGS: dict[str, dict] = {
     "n": {"type": int, "help": "subintervals per axis"},
     "k": {"type": int, "help": "Gauss points per subinterval"},
     "m": {"help": "interpolation order"},
-    "norm": {"choices": ["max", "l2"]},
+    "norm": {"choices": NORMS},
     "out": {"help": "existing output directory"},
-    "rank-reduction": {"flag": "--no-rank-reduction", "dest": "rank_reduction",
-                       "action": "store_const", "const": False, "file_type": _parse_bool,
-                       "help": "evaluate the integral directly at every grid point"},
+    "rank-reduction": {"dest": "rank_reduction", "action": argparse.BooleanOptionalAction,
+                       "file_type": _parse_bool, "help": "apply the operator in reduced rank"},
     "snapshots": {"help": "comma-separated output times"},
     "steps": {"help": "comma-separated step sizes"},
     "N": {"help": "comma-separated points-per-axis values"},
@@ -145,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command, help=help_text)
         for key in _command_keys(command):
             keywords = {name: value for name, value in _SETTINGS[key].items()
-                        if name not in ("flag", "file_type")}
-            sub.add_argument(_SETTINGS[key].get("flag", "--" + key), default=None, **keywords)
+                        if name != "file_type"}
+            sub.add_argument("--" + key, default=None, **keywords)
         sub.add_argument("--config", default=None, help="key=value settings file")
     return parser
 
@@ -210,19 +212,6 @@ def _diag_dicts(result: SolveResult) -> list[dict]:
     return [dataclasses.asdict(d) for d in result.diagnostics]
 
 
-def _solver_params(cfg: SolverConfig) -> dict:
-    return {"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
-            "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
-            "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
-
-
-def _shared_solver_params(configs: list[SolverConfig]) -> dict:
-    """The solver settings that every config a study ran agrees on."""
-    params = [_solver_params(cfg) for cfg in configs]
-    return {key: value for key, value in params[0].items()
-            if all(p[key] == value for p in params)}
-
-
 def _run_stability(result: SolveResult) -> dict:
     return {"step_bounds": dataclasses.asdict(result.bounds),
             "stability_margin": result.stability_margin}
@@ -249,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
         "command": "run", "problem": problem.name,
-        "parameters": {**params, **_solver_params(cfg)},
+        "parameters": {**params, **solver_settings([cfg])},
         "snapshots": snapshots,
         "warnings": result.warnings,
         **_run_stability(result),
@@ -287,7 +276,7 @@ def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
              "report.txt": study.to_text() + "\n"}
     manifest = {
         "command": "converge-time", "problem": problem.name,
-        "parameters": {**params, **_shared_solver_params(study.configs),
+        "parameters": {**params, **solver_settings(study.configs),
                        "steps": study.steps, "norm": study.norm},
         "rows": [dataclasses.asdict(r) for r in report.rows],
     }
@@ -307,7 +296,7 @@ def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
         rows[str(m)] = [dataclasses.asdict(r) for r in report.rows]
     manifest = {
         "command": "converge-space", "problem": problem.name,
-        "parameters": {**params, **_shared_solver_params(study.configs),
+        "parameters": {**params, **solver_settings(study.configs),
                        "N": study.N_values, "m": study.m_values, "norm": study.norm},
         "rows": rows,
     }
@@ -332,7 +321,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
     res_d = solve(delayed, cfg)
     res_u = solve(undelayed, cfg)
-    norm = _resolve(args, "norm", "max")
+    norm = _resolve(args, "norm", NORMS[0])
     files: dict[str, str] = {}
     summary = ["t,delayed,undelayed"]
     lines = []
@@ -346,7 +335,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     files["summary.csv"] = "\n".join(summary) + "\n"
     manifest = {
         "command": "compare-delay", "problem": problem.name,
-        "parameters": {**params, "v": v, **_solver_params(cfg), "norm": norm},
+        "parameters": {**params, "v": v, **solver_settings([cfg]), "norm": norm},
         "snapshots": snapshots,
         "warnings": res_d.warnings + res_u.warnings,
         **_run_stability(res_d),

@@ -174,13 +174,9 @@ class _Table:
     """What the forms of the operator table share.  Each has its own arrays,
     ``shape`` (P, N^2: evaluation points by grid nodes) and ``live_sum``,
     the sum over the pairs that read the current iterate in history row 0;
-    ``frozen_sum`` sums the others, if there are any."""
+    a table with history_rows > 1 also has ``frozen_sum``, over the others."""
 
     history_rows = 1
-
-    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> Optional[np.ndarray]:
-        """None: every pair of an undelayed table reads row 0, so none is frozen."""
-        return None
 
     @property
     def pair_count(self) -> int:
@@ -361,7 +357,7 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
     iterate; it needs ``table.history_rows`` rows.  The sum is the table's
-    live sum plus, for a table with frozen pairs, its frozen sum.
+    live sum plus, for a table that reads rows beyond row 0, its frozen sum.
     ``frozen``, when given, is taken as the frozen sum over this history
     instead of being summed again; the stepper passes the one it keeps for
     the current level.  Returns a vector with one entry per evaluation point.
@@ -370,7 +366,7 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
-    if frozen is None:
+    if table.history_rows > 1 and frozen is None:
         frozen = table.frozen_sum(problem, history)
     live = table.live_sum(problem, history)
     return live if frozen is None else frozen + live
@@ -454,7 +450,7 @@ class _Stepper:
 
     def _kappa(self) -> np.ndarray:
         history = self.levels[self.row:self.row + self.table.history_rows]
-        if self.frozen is None:
+        if self.table.history_rows > 1 and self.frozen is None:
             self.frozen = self.table.frozen_sum(self.problem, history)
         return apply_integral_operator(self.problem, self.table, history, self.frozen)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,11 @@ def test_space_study_error_lookup(ex2_space_study):
     assert ex2_space_study.error(48, 12) is None
 
 
+def test_space_study_report_needs_a_studied_order(ex2_space_study):
+    with pytest.raises(ValueError, match="no interpolation order m=16"):
+        ex2_space_study.report(16)
+
+
 def test_space_study_skips_m_above_N():
     study = space_convergence_study(example2(), [12, 24], [12, 16])
     assert study.error(12, 16) is None
@@ -222,6 +228,19 @@ def test_space_study_rejects_bad_resolutions():
         space_convergence_study(example2(), [12], [12], k=0)
 
 
+@pytest.mark.parametrize("N_values,m_values,unused", [
+    ([12, 24], [12, 30], ["m=30"]),
+    ([8, 12, 24], [12], ["N=8"]),
+    ([8, 12, 24], [12, 30], ["m=30", "N=8"]),
+], ids=["m-above-every-N", "N-below-every-m", "both"])
+def test_space_study_rejects_what_no_solve_would_use(N_values, m_values, unused):
+    """An m above every N or an N below every m pairs with nothing, so the
+    study would drop it; it is an error instead."""
+    with pytest.raises(ValueError) as exc:
+        space_convergence_study(example2(), N_values, m_values)
+    assert re.findall(r"[mN]=\d+", str(exc.value)) == unused
+
+
 def test_space_study_requires_exact_solution():
     with pytest.raises(ValueError, match="exact"):
         space_convergence_study(example4(v=1.0), [12], [12])
@@ -229,8 +248,9 @@ def test_space_study_requires_exact_solution():
 
 def test_roundoff_floor_flag():
     study = SpaceStudy(problem_name="demo", norm="max", N_values=[24, 48],
-                       m_values=[12], k=4, h_t=0.01, T=0.1,
-                       errors={(24, 12): 2e-10, (48, 12): 5e-14})
+                       m_values=[12], errors={(24, 12): 2e-10, (48, 12): 5e-14},
+                       configs=[SolverConfig(h_t=0.01, T=0.1, n=N // 4, k=4, m=12)
+                                for N in (24, 48)])
     rows = study.report(12).rows
     assert rows[0].flags == ()
     assert "roundoff-dominated" in rows[1].flags
@@ -256,12 +276,12 @@ def test_study_l2_norm_option():
 
 
 @pytest.mark.parametrize("study,differs", [(time_convergence_study, {"rank_reduction"}),
-                                           (space_convergence_study, {"eps_inner"})],
+                                           (space_convergence_study, set())],
                          ids=["time", "space"])
 def test_study_defaults_are_the_solver_defaults(study, differs):
     """A study's default for a SolverConfig field is that field's default,
     except the ones its docstring gives a reason to differ: the time study
-    runs without rank reduction, the space study with a tighter tolerance."""
+    runs without rank reduction."""
     config = {f.name: f.default for f in dataclasses.fields(SolverConfig)
               if f.default is not dataclasses.MISSING}
     shared = {name: param.default for name, param in inspect.signature(study).parameters.items()

@@ -279,6 +279,49 @@ def test_converge_space_manifest_copies_the_solved_configs(tmp_path, solved_conf
         assert {key: params[key] for key in shared} == shared
 
 
+def header_settings(report_txt):
+    """The key=value settings in the parentheses of a report's first line."""
+    inside = report_txt.split("\n", 1)[0].split("  (", 1)[1].rstrip(")")
+    return dict(item.split("=", 1) for item in inside.split(", ") if "=" in item)
+
+
+@pytest.mark.parametrize("argv,listed", [
+    (["converge-time", "--steps", "0.02,0.01", "--T", "0.04", "--n", "2"], ()),
+    (["converge-space", "--N", "8,12", "--m", "8", "--T", "0.02"], ("m",)),
+], ids=["time", "space"])
+def test_report_header_shows_the_manifest_settings(tmp_path, solved_configs, argv, listed):
+    """The settings in a study's report.txt header are the ones every
+    solve shared, rank_reduction included, with the manifest's values; the
+    manifest lists the studied values of the keys in ``listed``."""
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header = header_settings((tmp_path / "report.txt").read_text())
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    shared = {key: value for key, value in settings(solved_configs[0]).items()
+              if all(settings(cfg)[key] == value for cfg in solved_configs)}
+    assert "rank_reduction" in shared
+    assert header == {key: str(value) for key, value in shared.items()}
+    assert {key: params[key] for key in shared if key not in listed} == \
+        {key: value for key, value in shared.items() if key not in listed}
+    assert all(params[key] == [shared[key]] for key in listed)
+
+
+def test_converge_time_can_turn_rank_reduction_on(tmp_path, solved_configs):
+    assert main(["converge-time", "--steps", "0.02,0.01", "--T", "0.04",
+                 "--rank-reduction", "--m", "6", "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    assert params["rank_reduction"] is True and params["m"] == 6
+    assert [(cfg.rank_reduction, cfg.m) for cfg in solved_configs] == [(True, 6)] * 2
+
+
+def test_converge_space_rejects_an_unused_resolution_or_order(tmp_path, capsys):
+    assert main(["converge-space", "--N", "8,12,24", "--m", "12,30", "--T", "0.02",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "m=30 exceeds every grid resolution" in err
+    assert "N=8 is below every interpolation order" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_converge_space_needs_rank_reduction(tmp_path, capsys):
     # the study always runs the rank-reduced operator, so the flag is unknown
     with pytest.raises(SystemExit) as exc:

@@ -597,6 +597,17 @@ def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
     assert applies > 2 * (cfg.num_steps + 1)
 
 
+def test_undelayed_solve_asks_for_no_frozen_sum(monkeypatch):
+    """An undelayed table reads history row 0 only, so no operator
+    application asks any table form for a frozen sum."""
+    calls = []
+    monkeypatch.setattr(solver_module._Table, "frozen_sum",
+                        lambda *args: calls.append(args), raising=False)
+    res = solve(example1(), SolverConfig(h_t=0.01, T=0.1))
+    assert sum(d.kappa_applies for d in res.diagnostics) > 0
+    assert calls == []
+
+
 def test_delayed_solve_peak_memory_is_the_table_history_and_states():
     """A delayed solve allocates little beyond its table, its history and
     the states it keeps: no whole-table temporary in the frozen sum and no
