@@ -157,8 +157,12 @@ class TimeStudy:
     def error_at(self, step: float, t: float) -> Optional[float]:
         """The error of ``step`` at time t, None where that step has no level.
 
-        Raises ValueError when t is not a level of the finest step.
+        Raises ValueError when the study did not run ``step`` or when t is
+        not a level of the finest step.
         """
+        if step not in self.errors:
+            raise ValueError(f"step {step!r} is not one of the steps the study ran: "
+                             f"{', '.join(map(repr, self.steps))}")
         finest = self.configs[-1].h_t
         key = time_level(t, finest)
         if key is None:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import erf
 
-from .quadrature import Rectangle, SpatialGrid
+from .quadrature import Rectangle, SpatialGrid, _row_blocks
 
 __all__ = [
     "ProblemSpec",
@@ -260,7 +260,8 @@ class KernelNorms:
     ``k_max`` is the largest |K| over all ordered grid-point pairs
     (self-pairs included, so for a kernel peaked at zero distance this is
     K(0)).  ``l2_estimate`` approximates the L2 norm of K(|x - y|) over
-    domain x domain by the tensor quadrature on the same grid.
+    domain x domain by the tensor quadrature on the same grid; it is summed
+    in row blocks, so its last digits depend on the block size.
     ``separable``: K(0) > 0 and K(hypot(d1, d2)) K(0) == K(d1) K(d2) to
     1e-13 k_max^2 on every pair of the grid's axis distances, as for any
     Gaussian a exp(-lam r^2) and not for exp(-r).
@@ -286,23 +287,36 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     hypot(|x1_a - x1_c|, |x2_b - x2_d|) and carries the weight
     w1_a w1_c w2_b w2_d.  So each axis's node pairs are grouped by the exact
     float value of their distance, with the group weights W1 and W2 summed,
-    and the kernel is evaluated once per pair of distinct axis distances:
-    k_max = max |K| and l2_estimate = sqrt(W1 @ K^2 @ W2).  The kernel sees
-    exactly the distances of the full pair scan, so k_max is the scan's bit
-    for bit and the L2 sum differs from it only in summation order.  The
-    smallest distance on each axis is 0, so K(0) and K on each axis alone
-    sit in row 0 and column 0, and separability costs no more kernel values.
+    and the kernel is evaluated once per pair of distinct axis distances,
+    K[i, j] = K(hypot(d1_i, d2_j)): k_max = max |K| and
+    l2_estimate = sqrt(W1 @ K^2 @ W2).  The kernel sees exactly the
+    distances of the full pair scan, so k_max is the scan's bit for bit.
+    The smallest distance on each axis is 0, so K(0) and K on each axis
+    alone sit in row 0 and column 0, and separability costs no more kernel
+    values.
+
+    K is never held whole: it is evaluated in row blocks (quadrature's
+    _row_blocks), and the pass carries the running max |K|, the largest
+    separability gap and the W1-weighted column sums of K^2.  Max is
+    order-free, so k_max and separable are those of one whole-matrix pass;
+    l2_estimate, summed block by block and then against W2, differs from
+    it and from the full pair scan only in summation order.
     """
     d1, W1 = _axis_distance_groups(grid.x1, grid.w1)
     d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
-    kv = np.asarray(problem.kernel(np.hypot(d1[:, None], d2[None, :])), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced a non-finite value on a grid-pair distance")
-    k_max, k0 = float(np.max(np.abs(kv))), kv[0, 0]
-    separable = bool(k0 > 0)
-    if separable:  # |K(d1) K(d2) / K(0) - K(hypot(d1, d2))| in place, one temporary
-        gap = np.multiply.outer(kv[:, 0] / k0, kv[0])
-        gap -= kv
-        separable = bool(np.max(np.abs(gap, out=gap)) <= 1e-13 * k_max * k_max / k0)
-    return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(W1 @ (kv * kv) @ W2)),
+    k_max, gap_max, col = 0.0, 0.0, np.zeros(d2.size)
+    for rows in _row_blocks(d1.size, d2.nbytes):
+        kv = np.asarray(problem.kernel(np.hypot(d1[rows, None], d2[None, :])), dtype=float)
+        if not np.all(np.isfinite(kv)):
+            raise ValueError("kernel produced a non-finite value on a grid-pair distance")
+        if rows.start == 0:  # d1 = 0: K(0) and K on the second axis alone
+            k0, row0 = kv[0, 0], kv[0].copy()
+        k_max = max(k_max, float(np.max(np.abs(kv))))
+        if k0 > 0:  # |K(d1) K(d2) / K(0) - K(hypot(d1, d2))| in place, one temporary
+            gap = np.multiply.outer(kv[:, 0] / k0, row0)
+            gap -= kv
+            gap_max = max(gap_max, float(np.max(np.abs(gap, out=gap))))
+        col += W1[rows] @ np.square(kv, out=kv)
+    separable = bool(k0 > 0 and gap_max <= 1e-13 * k_max * k_max / k0)
+    return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(col @ W2)),
                        separable=separable)

@@ -7,12 +7,15 @@ rectangular domain is split into ``n`` equal subintervals carrying a
 Two-dimensional quantities are stored as flat vectors in row-major order,
 i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``;
 ``tensor_values`` evaluates a function of ``(x1, x2, t)`` into that layout.
+Passes over arrays with one entry per pair of points (the kernel norms and
+the delayed operator's frozen sum) run over the row blocks of
+``_row_blocks``, so that no temporary is pair-sized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -27,6 +30,9 @@ __all__ = [
 ]
 
 _MAX_RULE_ORDER = 32
+# Bytes of one temporary of a row block: a block's few temporaries then fit
+# in a 2 MB L2 cache (7 rows of 2304 nodes at N = 48).
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -196,3 +202,16 @@ def tensor_values(f: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     """
     values = np.asarray(f(x1[:, None], x2[None, :], t), dtype=float)
     return np.broadcast_to(values, (len(x1), len(x2))).flatten()
+
+
+def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(rows), each of about _BLOCK_BYTES of
+    rows of row_bytes bytes and of at least 2 rows; a 1-row remainder joins
+    the block before it.  The frozen sum needs the 2 rows: np.einsum sums a
+    single row in another order (DelayedPairs.frozen_sum)."""
+    size = max(2, _BLOCK_BYTES // row_bytes)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo <= size + 1 else lo + size
+        yield slice(lo, hi)
+        lo = hi

@@ -26,13 +26,15 @@ quadrature.  The lift is two precomputed matrix products.
 
 build_delay_table picks the operator table's form, which sums its own pairs:
 PairTable, the P x N^2 kernel weights of an undelayed kernel; AxisFactors,
-two per-axis factors for one that separates; DelayedPairs, for delays.
+two per-axis factors for one that separates; DelayedPairs, for delays, and
+LivePairs for a delay under one step on every pair.
 
 An undelayed problem whose kernel separates by axes needs no pair table.
-KernelNorms.separable reads off the norms' kernel values that
-K(hypot(d1, d2)) K(0) == K(d1) K(d2) on the grid's axis distances; then,
-with k = K / sqrt(K(0)), the quadrature sum over the nodes (x1_a, x2_b) of
-k(|e1_p - x1_a|) k(|e2_q - x2_b|) w1_a w2_b S_ab is A1 @ S @ A2.T, with
+KernelNorms.separable checks, on the kernel values that the norms stream
+through block by block, that K(hypot(d1, d2)) K(0) == K(d1) K(d2) on the
+grid's axis distances; then, with k = K / sqrt(K(0)), the quadrature sum
+over the nodes (x1_a, x2_b) of k(|e1_p - x1_a|) k(|e2_q - x2_b|) w1_a w2_b
+S_ab is A1 @ S @ A2.T, with
 
     A1[p, a] = k(|e1_p - x1_a|) w1_a,     A2[q, b] = k(|e2_q - x2_b|) w2_b,
 
@@ -60,6 +62,8 @@ temporary is as large as the table.  The live part sums
 the pairs with j = 0, which read the current iterate in row 0; they are a
 short list (the self pairs and the few whose travel time is under one
 step), so each inner iteration costs one small gather and a bincount.
+When v h_t exceeds the domain's diameter (k_max = 0) every pair is live:
+the table is the live list alone, LivePairs, with no frozen part.
 """
 
 from __future__ import annotations
@@ -75,13 +79,14 @@ import numpy as np
 
 from .chebyshev import ChebOperator, build_cheb_operator
 from .problems import KernelNorms, ProblemSpec, compute_kernel_norms
-from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
+from .quadrature import SpatialGrid, _row_blocks, build_gauss_rule, build_grid, tensor_values
 
 __all__ = [
     "SolverConfig",
     "FieldState",
     "PairTable",
     "AxisFactors",
+    "LivePairs",
     "DelayedPairs",
     "StepBounds",
     "StepDiagnostics",
@@ -97,9 +102,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TIME_ALIGN_RTOL = 1e-9
-# Bytes of one temporary of a frozen-sum block: the block's few temporaries
-# then fit in a 2 MB L2 cache (7 rows of 2304 nodes at N = 48).
-_BLOCK_BYTES = 128 * 1024
 
 
 def _physical_memory() -> int:
@@ -174,9 +176,11 @@ class _Table:
     """What the forms of the operator table share.  Each has its own arrays,
     ``shape`` (P, N^2: evaluation points by grid nodes) and ``live_sum``,
     the sum over the pairs that read the current iterate in history row 0;
-    a table with history_rows > 1 also has ``frozen_sum``, over the others."""
+    a table with ``has_frozen_sum`` also has ``frozen_sum``, over the others,
+    which read history rows 1 and deeper only."""
 
     history_rows = 1
+    has_frozen_sum = False
 
     @property
     def pair_count(self) -> int:
@@ -238,27 +242,44 @@ class AxisFactors(_Table):
 
 
 @dataclass
-class DelayedPairs(_Table):
-    """The pairs of a delayed kernel.  index[p, q] = j * N^2 + q is the
-    pair's entry in the flattened history (row j, node q), for its level
-    offset j <= k_max, and fractions[p, q] its interpolation weight delta.
-    weights is the pair table with the live pairs, those with j = 0, set to
-    0: they sit in the live list instead, whose pair i adds live_weights[i]
-    times the rate of the field at live_index[i], interpolated with
-    live_fractions[i], to evaluation point live_rows[i]."""
+class LivePairs(_Table):
+    """The pairs of a delayed kernel that read the current iterate: those of
+    level offset j = 0, whose lag is under one step.  Pair i adds
+    live_weights[i] times the rate of the field at flat history index
+    live_index[i] (row 0, node live_index[i]), interpolated with
+    live_fractions[i], to evaluation point live_rows[i].  On its own it is
+    the table of a delay under one step for every pair (k_max = 0): no pair
+    is frozen, so there is no frozen sum."""
 
-    weights: np.ndarray
-    index: np.ndarray
-    fractions: np.ndarray
-    k_max: int
+    shape: tuple[int, int]
     live_rows: np.ndarray
     live_index: np.ndarray
     live_weights: np.ndarray
     live_fractions: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.weights.shape
+    history_rows = 2
+
+    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
+        s = _lagged_rates(problem, history, self.live_index, self.live_fractions)
+        return np.bincount(self.live_rows, weights=self.live_weights * s,
+                           minlength=self.shape[0])
+
+
+@dataclass
+class DelayedPairs(LivePairs):
+    """The pairs of a delayed kernel whose lags reach one step or more
+    (k_max >= 1): the live pairs, plus the pair table for the frozen sum.
+    index[p, q] = j * N^2 + q is the pair's entry in the flattened history
+    (row j, node q), for its level offset j <= k_max, and fractions[p, q]
+    its interpolation weight delta.  weights is the pair table with the
+    live pairs set to 0."""
+
+    weights: np.ndarray
+    index: np.ndarray
+    fractions: np.ndarray
+    k_max: int
+
+    has_frozen_sum = True
 
     @property
     def history_rows(self) -> int:
@@ -269,27 +290,16 @@ class DelayedPairs(_Table):
         of row 0 it depends on rows 1 and deeper only: the live pairs, the
         only ones that read row 0, carry weight 0 here.
 
-        Summed in blocks of rows whose temporaries take about _BLOCK_BYTES
-        each, so that they stay in cache instead of streaming whole-table
-        arrays through memory.  A block has at least 2 rows (a 1-row
-        remainder joins the block before it): np.einsum sums a single row
-        in another order, while blocks of 2 or more rows give every row
-        the same bits as one whole-table sum."""
-        P, Q = self.shape
-        rows = max(2, _BLOCK_BYTES // (Q * self.weights.itemsize))
+        Summed in the row blocks of _row_blocks, whose temporaries take
+        about _BLOCK_BYTES each, so that they stay in cache instead of
+        streaming whole-table arrays through memory.  Blocks of 2 or more
+        rows give every row the same bits as one whole-table np.einsum."""
+        P = self.shape[0]
         out = np.empty(P)
-        lo = 0
-        while lo < P:
-            hi = P if P - lo <= rows + 1 else lo + rows
-            s = _lagged_rates(problem, history, self.index[lo:hi], self.fractions[lo:hi])
-            out[lo:hi] = np.einsum("pq,pq->p", self.weights[lo:hi], s)
-            lo = hi
+        for rows in _row_blocks(P, self.weights[0].nbytes):
+            s = _lagged_rates(problem, history, self.index[rows], self.fractions[rows])
+            out[rows] = np.einsum("pq,pq->p", self.weights[rows], s)
         return out
-
-    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        s = _lagged_rates(problem, history, self.live_index, self.live_fractions)
-        return np.bincount(self.live_rows, weights=self.live_weights * s,
-                           minlength=self.weights.shape[0])
 
 
 def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
@@ -307,7 +317,8 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     tensor product of ``axes``, from the per-axis coordinate differences.
 
     The one place that picks the table's form: a delayed problem gets
-    DelayedPairs; an undelayed one AxisFactors with ``separable``
+    DelayedPairs, or LivePairs when the whole domain is crossed in under
+    one step (k_max = 0); an undelayed one AxisFactors with ``separable``
     (KernelNorms.separable of this problem and grid), else a PairTable.
     The check saw exactly the distances of a direct run, not the
     Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
@@ -337,6 +348,11 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         return PairTable(kw)
     k_max = math.floor(depth)
     steps = np.divide(d, problem.v * h_t, out=d)
+    if k_max == 0:  # every lag is under one step: delta = 1 - lag / h_t
+        P, Q = kw.shape
+        return LivePairs(shape=kw.shape, live_rows=np.repeat(np.arange(P), Q),
+                         live_index=np.tile(np.arange(Q), P), live_weights=kw.ravel(),
+                         live_fractions=np.subtract(1.0, steps, out=steps).ravel())
     j = steps.astype(np.int64)  # the floor, as steps >= 0
     np.minimum(j, k_max, out=j)
     steps -= j
@@ -346,7 +362,7 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     kw[live_rows, live_index] = 0.0
     j *= kw.shape[1]
     j += np.arange(kw.shape[1])
-    return DelayedPairs(weights=kw, index=j, fractions=delta, k_max=k_max,
+    return DelayedPairs(shape=kw.shape, weights=kw, index=j, fractions=delta, k_max=k_max,
                         live_rows=live_rows, live_index=live_index, live_weights=live_weights,
                         live_fractions=delta[live_rows, live_index])
 
@@ -357,7 +373,7 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
     iterate; it needs ``table.history_rows`` rows.  The sum is the table's
-    live sum plus, for a table that reads rows beyond row 0, its frozen sum.
+    live sum plus, for a table with has_frozen_sum, its frozen sum.
     ``frozen``, when given, is taken as the frozen sum over this history
     instead of being summed again; the stepper passes the one it keeps for
     the current level.  Returns a vector with one entry per evaluation point.
@@ -366,7 +382,7 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.nda
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
-    if table.history_rows > 1 and frozen is None:
+    if table.has_frozen_sum and frozen is None:
         frozen = table.frozen_sum(problem, history)
     live = table.live_sum(problem, history)
     return live if frozen is None else frozen + live
@@ -450,7 +466,7 @@ class _Stepper:
 
     def _kappa(self) -> np.ndarray:
         history = self.levels[self.row:self.row + self.table.history_rows]
-        if self.table.history_rows > 1 and self.frozen is None:
+        if self.table.has_frozen_sum and self.frozen is None:
             self.frozen = self.table.frozen_sum(self.problem, history)
         return apply_integral_operator(self.problem, self.table, history, self.frozen)
 

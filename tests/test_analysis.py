@@ -115,6 +115,18 @@ def test_time_study_shared_levels_only(ex1_study):
     assert ex1_study.ratio(0.02, 0.01, 0.06) is not None
 
 
+def test_time_study_rejects_a_step_it_did_not_run(ex1_study):
+    """A step the study did not run is named in a ValueError, with the steps
+    it did run, from error_at and from ratio on either side."""
+    message = r"step 0\.03 is not one of the steps the study ran: 0\.02, 0\.01"
+    with pytest.raises(ValueError, match=message):
+        ex1_study.error_at(0.03, 0.04)
+    with pytest.raises(ValueError, match=message):
+        ex1_study.ratio(0.03, 0.01, 0.04)
+    with pytest.raises(ValueError, match=r"step 0\.005 is not one of the steps"):
+        ex1_study.ratio(0.02, 0.005, 0.04)
+
+
 def test_time_study_rejects_times_off_the_step_grid(ex1_study):
     # 0.0349 is no level of any step: it must not snap to t = 0.03 or 0.04
     with pytest.raises(ValueError, match="not a level"):

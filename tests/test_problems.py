@@ -4,6 +4,7 @@ kernel norms, and the field equation residual of every exact solution."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,3 +451,55 @@ def test_kernel_norms_evaluate_far_fewer_than_all_pairs():
     grid = build_grid(UNIT_BOX, 24, build_gauss_rule(4))
     compute_kernel_norms(dataclasses.replace(example1(), kernel=counting_kernel), grid)
     assert 0 < sum(seen) < grid.points_per_axis ** 4 / 100
+
+
+def one_shot_kernel_norms(kernel, grid):
+    """Reference: the norms from the whole matrix of kernel values on the
+    distinct axis distances at once, K[i, j] = K(hypot(d1_i, d2_j))."""
+    def groups(x, w):
+        d, g = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
+        return d, np.bincount(g, weights=np.outer(w, w).ravel())
+
+    (d1, W1), (d2, W2) = groups(grid.x1, grid.w1), groups(grid.x2, grid.w2)
+    kv = np.asarray(kernel(np.hypot(d1[:, None], d2[None, :])), dtype=float)
+    k_max, k0 = float(np.max(np.abs(kv))), kv[0, 0]
+    gap = np.multiply.outer(kv[:, 0] / k0, kv[0]) - kv if k0 > 0 else None
+    separable = bool(k0 > 0 and np.max(np.abs(gap)) <= 1e-13 * k_max * k_max / k0)
+    return k_max, math.sqrt(float(W1 @ (kv * kv) @ W2)), separable
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "offset"])
+@pytest.mark.parametrize("kernel", [
+    lambda r: np.exp(-r * r),
+    lambda r: np.exp(-300.0 * r * r),
+    lambda r: r * r * np.exp(-r * r),
+    lambda r: (1.0 - r * r) * np.exp(-r * r),
+    lambda r: np.exp(-r),
+    lambda r: np.zeros_like(r),
+], ids=["gauss", "sharp", "ring", "signed", "exp", "zero"])
+def test_streamed_kernel_norms_match_one_whole_matrix(domain, kernel):
+    """At N = 96 the norms run over many row blocks; k_max and separable are
+    those of the whole matrix bit for bit, l2_estimate to 1e-13 relative."""
+    grid = build_grid(domain, 24, build_gauss_rule(4))
+    norms = compute_kernel_norms(dataclasses.replace(example1(domain=domain), kernel=kernel), grid)
+    k_max, l2, separable = one_shot_kernel_norms(kernel, grid)
+    assert norms.k_max == k_max
+    assert norms.separable is separable
+    assert norms.l2_estimate == pytest.approx(l2, rel=1e-13, abs=0.0)
+
+
+def test_kernel_norms_hold_no_matrix_of_kernel_values():
+    """The N = 96 norms hold one row block of kernel values at a time: their
+    peak stays near 1.5 MB, where the whole 670 x 670 matrix and its
+    temporaries took 10.8 MB."""
+    grid = build_grid(UNIT_BOX, 24, build_gauss_rule(4))
+    problem = example2(lam=5.0)
+    tracemalloc.start()
+    try:
+        compute_kernel_norms(problem, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+

@@ -28,6 +28,7 @@ from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 from neurofield.solver import (
     AxisFactors,
     DelayedPairs,
+    LivePairs,
     PairTable,
     SolverConfig,
     apply_integral_operator,
@@ -518,14 +519,16 @@ def split_case(case, grid):
 def test_split_operator_matches_full_gather(case):
     """Frozen plus live sums agree with one gather over all pairs to 1e-13
     relative on random history with a tanh rate, and the frozen sum does
-    not depend on the finite values of row 0."""
+    not depend on the finite values of row 0.  With every pair live the
+    table is the live list alone, with no frozen sum."""
     grid = make_grid(N=8)
     v, axes, h = split_case(case, grid)
     p = dataclasses.replace(example4(v=v), firing_rate=np.tanh)
     table = build_delay_table(p, grid, axes, h)
-    live, pairs = table.live_rows.size, table.weights.size
+    live, pairs = table.live_rows.size, table.pair_count
     if case == "all-live":
-        assert table.k_max == 0 and live == pairs
+        assert type(table) is LivePairs and live == pairs and not table.has_frozen_sum
+        assert table.history_rows == 2
     elif case == "none-live":
         assert live == 0
     else:
@@ -535,6 +538,8 @@ def test_split_operator_matches_full_gather(case):
     reference = full_gather(p, grid, axes, h, history)
     out = apply_integral_operator(p, table, history)
     assert np.max(np.abs(out - reference)) <= 1e-13 * np.max(np.abs(reference))
+    if not table.has_frozen_sum:
+        return
     frozen = table.frozen_sum(p, history)
     assert np.array_equal(apply_integral_operator(p, table, history, frozen), out)
     history[0] = rng.standard_normal(grid.total_points)
@@ -577,6 +582,64 @@ def test_live_list_holds_the_pairs_of_lag_under_one_step():
     assert np.array_equal(table.live_fractions, table.fractions[live])
     assert np.all(table.weights[live] == 0.0)
     assert np.array_equal(table.weights[j > 0], full[j > 0])
+
+
+def one_shot_table(problem, grid, axes, h):
+    """Reference: the arrays of a delayed table, (weights, index, fractions,
+    live), live being the rows, flat indices, weights and fractions of the
+    pairs with j = 0, which weigh 0 in weights."""
+    e1, e2 = axes
+    D1 = e1[:, None] - grid.x1[None, :]
+    D2 = e2[:, None] - grid.x2[None, :]
+    d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
+    kw = problem.kernel(d) * grid.flat_weights()[None, :]
+    steps = d / (problem.v * h)
+    j = np.minimum(steps.astype(np.int64), math.floor(problem.tau_max / h))
+    delta = 1.0 - (steps - j)
+    live = np.nonzero(j == 0)
+    live_arrays = (live[0], live[1], kw[live], delta[live])
+    kw[live] = 0.0
+    return kw, j * kw.shape[1] + np.arange(kw.shape[1]), delta, live_arrays
+
+
+def test_all_live_table_is_the_live_list_alone(monkeypatch):
+    """Example 4 at v = 1e9, direct at N = 24: every lag is under one step.
+    The table is the live list alone, the reference's live arrays bit for
+    bit at 32 B per pair, with no frozen sum.  The run gives the states of
+    a run on the live list plus an all-zero pair table, and its peak is the
+    table and the live sum's few pair-sized temporaries, near the 18.7 MB
+    of the table before the split (the table with both forms peaked at
+    26.6 MB)."""
+    p = example4(v=1e9)
+    cfg = SolverConfig(h_t=0.01, T=0.1, n=6, k=4, rank_reduction=False)
+    grid = make_grid(N=24)
+    table = build_delay_table(p, grid, (grid.x1, grid.x2), cfg.h_t)
+    live = one_shot_table(p, grid, (grid.x1, grid.x2), cfg.h_t)[3]
+    assert type(table) is LivePairs and not table.has_frozen_sum
+    for got, want in zip((table.live_rows, table.live_index, table.live_weights,
+                          table.live_fractions), live):
+        assert np.array_equal(got, want)
+    tracemalloc.start()
+    try:
+        res = solve(p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = res.grid.total_points ** 2
+    assert res.table_bytes == 32 * pairs
+    assert peak < 20e6
+
+    def both_forms(problem, grid, axes, h_t, separable):
+        weights, index, fractions, live = one_shot_table(problem, grid, axes, h_t)
+        return DelayedPairs(shape=weights.shape, weights=weights, index=index,
+                            fractions=fractions, k_max=0, live_rows=live[0], live_index=live[1],
+                            live_weights=live[2], live_fractions=live[3])
+
+    monkeypatch.setattr(solver_module, "build_delay_table", both_forms)
+    ref = solve(p, cfg)
+    assert ref.table_bytes == 56 * pairs
+    for a, b in zip(res.states, ref.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-15
 
 
 def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
