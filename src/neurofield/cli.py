@@ -245,6 +245,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
         "diagnostics": _diag_dicts(result),
         "total_integrand_evals": result.total_integrand_evals,
         "table_bytes": result.table_bytes,
+        "table_form": result.table_form,
     }
     return files, manifest, f"wrote {len(files)} snapshot(s) and manifest.json to {Path(args.out)}"
 

@@ -7,9 +7,9 @@ rectangular domain is split into ``n`` equal subintervals carrying a
 Two-dimensional quantities are stored as flat vectors in row-major order,
 i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``;
 ``tensor_values`` evaluates a function of ``(x1, x2, t)`` into that layout.
-Passes over arrays with one entry per pair of points (the kernel norms and
-the delayed operator's frozen sum) run over the row blocks of
-``_row_blocks``, so that no temporary is pair-sized.
+The kernel norms pass over their kernel values, one per pair of distinct
+axis distances, in the row blocks of ``_row_blocks``, so that no temporary
+is that large.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ __all__ = [
 
 _MAX_RULE_ORDER = 32
 # Bytes of one temporary of a row block: a block's few temporaries then fit
-# in a 2 MB L2 cache (7 rows of 2304 nodes at N = 48).
+# in a 2 MB L2 cache.
 _BLOCK_BYTES = 128 * 1024
 
 
@@ -206,12 +206,7 @@ def tensor_values(f: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
 
 def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
     """Consecutive slices covering range(rows), each of about _BLOCK_BYTES of
-    rows of row_bytes bytes and of at least 2 rows; a 1-row remainder joins
-    the block before it.  The frozen sum needs the 2 rows: np.einsum sums a
-    single row in another order (DelayedPairs.frozen_sum)."""
-    size = max(2, _BLOCK_BYTES // row_bytes)
-    lo = 0
-    while lo < rows:
-        hi = rows if rows - lo <= size + 1 else lo + size
-        yield slice(lo, hi)
-        lo = hi
+    rows of row_bytes bytes and of at least one row."""
+    size = max(1, _BLOCK_BYTES // row_bytes)
+    for lo in range(0, rows, size):
+        yield slice(lo, min(lo + size, rows))

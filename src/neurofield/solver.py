@@ -26,8 +26,7 @@ quadrature.  The lift is two precomputed matrix products.
 
 build_delay_table picks the operator table's form, which sums its own pairs:
 PairTable, the P x N^2 kernel weights of an undelayed kernel; AxisFactors,
-two per-axis factors for one that separates; DelayedPairs, for delays, and
-LivePairs for a delay under one step on every pair.
+two per-axis factors for one that separates; DelayedPairs for delays.
 
 An undelayed problem whose kernel separates by axes needs no pair table.
 KernelNorms.separable checks, on the kernel values that the norms stream
@@ -44,26 +43,32 @@ Every Gaussian takes this path with nothing declared; exp(-r) does not.
 
 With a finite transmission speed the integrand reads the field at
 t_i - |y - x| / v.  Writing that lag as (j + 1 - delta) * h_t with integer
-j and delta in (0, 1], the value is linearly interpolated as
-delta * U_{i-j} + (1 - delta) * U_{i-j-1}; pairs with j = 0 reference the
-current iterate, which keeps the scheme implicit.  One array holds every
-grid level of the run, newest first, down to level -(k_max + 1).  The grid
-history is a window onto it whose row l holds the field l levels back, with
-row 0 the current iterate: k_max + 2 rows for delayed problems and a single
-row otherwise.  Each level moves the window one row up and copies nothing.
+j and delta in (0, 1], the firing rate there is linearly interpolated as
+delta * S(U_{i-j}) + (1 - delta) * S(U_{i-j-1}); pairs with j = 0 reference
+the current iterate, which keeps the scheme implicit.  Interpolating the
+rate rather than the field is second order too, and the two agree for a
+linear S; for example 4 with S = tanh(3u) the states move by 4.7e-6 at
+h_t = 0.04, about 300 times below that run's own time error.  One array
+holds every grid level of the run, newest first, down to level
+-(k_max + 1).  The grid history is a window onto it whose row l holds the
+field l levels back, with row 0 the current iterate: k_max + 2 rows for
+delayed problems and a single row otherwise.  Each level moves the window
+one row up and copies nothing.
 
-The delayed operator is a frozen part plus a live part.  The frozen part
-sums the pairs with j >= 1: they read history rows 1 and deeper only,
-which stay put for a whole level, so it is summed once per history
-alignment, computed when first needed and reused by every inner iteration
-of the level and by the next level's Euler predictor.  It is summed in
-cache-sized blocks of at least 2 table rows, each one flat gather, so no
-temporary is as large as the table.  The live part sums
-the pairs with j = 0, which read the current iterate in row 0; they are a
-short list (the self pairs and the few whose travel time is under one
-step), so each inner iteration costs one small gather and a bincount.
-When v h_t exceeds the domain's diameter (k_max = 0) every pair is live:
-the table is the live list alone, LivePairs, with no frozen part.
+The delayed operator is then linear in the rates s = S(history), flattened
+row by row: three sparse matrices (DelayedPairs).  ``now`` holds w delta
+and ``then`` w (1 - delta) at column j N^2 + q, read on s[:-N^2] and on
+s[N^2:], so at rows j and j + 1; they share one index array and one
+indptr, 20 B per pair with int32 indices.  The frozen part
+now @ s[:-N^2] + then @ s[N^2:], with the live pairs (j = 0) at 0 in
+``now``, reads rows 1 and deeper only, which stay put for a whole level:
+it is summed once per history alignment, when first needed, and reused by
+every inner iteration of the level and by the next level's Euler
+predictor.  S is evaluated over the window once for it, a view with no
+copy for a linear S.  The live part, ``live`` @ S(row 0), holds w delta at
+column q for the pairs with j = 0: the self pairs and the few whose travel
+time is under one step, or every pair, on ``then``'s index array, when no
+lag reaches one step.
 """
 
 from __future__ import annotations
@@ -76,17 +81,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .chebyshev import ChebOperator, build_cheb_operator
 from .problems import KernelNorms, ProblemSpec, compute_kernel_norms
-from .quadrature import SpatialGrid, _row_blocks, build_gauss_rule, build_grid, tensor_values
+from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
 
 __all__ = [
     "SolverConfig",
     "FieldState",
     "PairTable",
     "AxisFactors",
-    "LivePairs",
     "DelayedPairs",
     "StepBounds",
     "StepDiagnostics",
@@ -193,19 +198,6 @@ class _Table:
         return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
 
-def _lagged_rates(problem: ProblemSpec, history: np.ndarray, index: np.ndarray,
-                  fractions: np.ndarray) -> np.ndarray:
-    """S(delta * U_j + (1 - delta) * U_{j+1}) per pair, from the pairs' flat
-    history indices: row j + 1 is the same index N^2 entries further on."""
-    flat = history.ravel()
-    lagged = flat.take(index)
-    lagged *= fractions
-    later = flat[history.shape[1]:].take(index)
-    later *= 1.0 - fractions
-    lagged += later
-    return np.asarray(problem.firing_rate(lagged), dtype=float)
-
-
 @dataclass
 class PairTable(_Table):
     """The pair table of an undelayed kernel: weights[p, q] holds
@@ -242,64 +234,49 @@ class AxisFactors(_Table):
 
 
 @dataclass
-class LivePairs(_Table):
-    """The pairs of a delayed kernel that read the current iterate: those of
-    level offset j = 0, whose lag is under one step.  Pair i adds
-    live_weights[i] times the rate of the field at flat history index
-    live_index[i] (row 0, node live_index[i]), interpolated with
-    live_fractions[i], to evaluation point live_rows[i].  On its own it is
-    the table of a delay under one step for every pair (k_max = 0): no pair
-    is frozen, so there is no frozen sum."""
+class DelayedPairs(_Table):
+    """The pairs of a delayed kernel as three sparse matrices on the firing
+    rates of the history's rows, flattened (module docstring).  For the pair
+    of evaluation point p and node q at level offset j <= k_max, ``now``
+    holds w delta and ``then`` w (1 - delta), both in row p at column
+    j N^2 + q, on the rates of rows 0 .. k_max and of rows 1 .. k_max + 1;
+    ``live`` holds w delta in row p at column q, on the rates of row 0, for
+    the pairs with j = 0, which weigh 0 in ``now``."""
 
-    shape: tuple[int, int]
-    live_rows: np.ndarray
-    live_index: np.ndarray
-    live_weights: np.ndarray
-    live_fractions: np.ndarray
-
-    history_rows = 2
-
-    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        s = _lagged_rates(problem, history, self.live_index, self.live_fractions)
-        return np.bincount(self.live_rows, weights=self.live_weights * s,
-                           minlength=self.shape[0])
-
-
-@dataclass
-class DelayedPairs(LivePairs):
-    """The pairs of a delayed kernel whose lags reach one step or more
-    (k_max >= 1): the live pairs, plus the pair table for the frozen sum.
-    index[p, q] = j * N^2 + q is the pair's entry in the flattened history
-    (row j, node q), for its level offset j <= k_max, and fractions[p, q]
-    its interpolation weight delta.  weights is the pair table with the
-    live pairs set to 0."""
-
-    weights: np.ndarray
-    index: np.ndarray
-    fractions: np.ndarray
+    now: sparse.csr_array
+    then: sparse.csr_array
+    live: sparse.csr_array
     k_max: int
 
     has_frozen_sum = True
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.live.shape
+
+    @property
     def history_rows(self) -> int:
         return self.k_max + 2
 
-    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        """The quadrature sum over the pairs with j >= 1.  For finite values
-        of row 0 it depends on rows 1 and deeper only: the live pairs, the
-        only ones that read row 0, carry weight 0 here.
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the matrices' data, indices and indptr, counting an
+        array that two of them share once."""
+        arrays = {a.__array_interface__["data"][0]: a.nbytes
+                  for m in (self.now, self.then, self.live)
+                  for a in (m.data, m.indices, m.indptr)}
+        return sum(arrays.values())
 
-        Summed in the row blocks of _row_blocks, whose temporaries take
-        about _BLOCK_BYTES each, so that they stay in cache instead of
-        streaming whole-table arrays through memory.  Blocks of 2 or more
-        rows give every row the same bits as one whole-table np.einsum."""
-        P = self.shape[0]
-        out = np.empty(P)
-        for rows in _row_blocks(P, self.weights[0].nbytes):
-            s = _lagged_rates(problem, history, self.index[rows], self.fractions[rows])
-            out[rows] = np.einsum("pq,pq->p", self.weights[rows], s)
-        return out
+    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
+        """The quadrature sum over every pair but the live pairs' reads of
+        row 0.  For finite values of row 0 it depends on rows 1 and deeper
+        only: the entries of ``now`` that read row 0 are 0."""
+        s = np.asarray(problem.firing_rate(history[:self.history_rows]), dtype=float).ravel()
+        nodes = self.shape[1]
+        return self.now @ s[:-nodes] + self.then @ s[nodes:]
+
+    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
+        return self.live @ np.asarray(problem.firing_rate(history[0]), dtype=float)
 
 
 def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
@@ -317,15 +294,16 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     tensor product of ``axes``, from the per-axis coordinate differences.
 
     The one place that picks the table's form: a delayed problem gets
-    DelayedPairs, or LivePairs when the whole domain is crossed in under
-    one step (k_max = 0); an undelayed one AxisFactors with ``separable``
+    DelayedPairs; an undelayed one AxisFactors with ``separable``
     (KernelNorms.separable of this problem and grid), else a PairTable.
     The check saw exactly the distances of a direct run, not the
     Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
     tau_max / h_t levels of history are too many to index in int64.
 
     The delay arithmetic runs in place: the distances become the lag in
-    steps and then delta, and the level offsets become flat indices.
+    steps, then 1 - delta and then w (1 - delta), the kernel weights become
+    w delta, and the level offsets become flat indices, int32 wherever the
+    columns and the pair count fit in it.
     """
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
@@ -340,31 +318,39 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
                          f"h_t={h_t:g} is too deep to index the history")
     d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
-    kv = np.asarray(problem.kernel(d), dtype=float)
-    if not np.all(np.isfinite(kv)):
+    kw = np.asarray(problem.kernel(d), dtype=float)
+    if not np.all(np.isfinite(kw)):
         raise ValueError("kernel produced a non-finite value while building the pair table")
-    kw = kv * grid.flat_weights()[None, :]
+    kw = kw * grid.flat_weights()[None, :]
     if not problem.has_delay:
         return PairTable(kw)
     k_max = math.floor(depth)
+    P, Q = kw.shape
+    itype = np.int32 if max((k_max + 1) * Q, P * Q) <= np.iinfo(np.int32).max else np.int64
     steps = np.divide(d, problem.v * h_t, out=d)
-    if k_max == 0:  # every lag is under one step: delta = 1 - lag / h_t
-        P, Q = kw.shape
-        return LivePairs(shape=kw.shape, live_rows=np.repeat(np.arange(P), Q),
-                         live_index=np.tile(np.arange(Q), P), live_weights=kw.ravel(),
-                         live_fractions=np.subtract(1.0, steps, out=steps).ravel())
-    j = steps.astype(np.int64)  # the floor, as steps >= 0
+    j = steps.astype(itype)  # the floor, as steps >= 0
     np.minimum(j, k_max, out=j)
-    steps -= j
-    delta = np.subtract(1.0, steps, out=steps)
-    live_rows, live_index = np.nonzero(j == 0)
-    live_weights = kw[live_rows, live_index]
-    kw[live_rows, live_index] = 0.0
-    j *= kw.shape[1]
-    j += np.arange(kw.shape[1])
-    return DelayedPairs(shape=kw.shape, weights=kw, index=j, fractions=delta, k_max=k_max,
-                        live_rows=live_rows, live_index=live_index, live_weights=live_weights,
-                        live_fractions=delta[live_rows, live_index])
+    is_live = j == 0
+    steps -= j  # 1 - delta
+    then = np.multiply(steps, kw, out=steps)
+    near = np.subtract(kw, then, out=kw)  # w delta
+    j *= Q
+    j += np.arange(Q, dtype=itype)
+    indptr = np.arange(0, P * Q + 1, Q, dtype=itype)
+    near, index, then = near.ravel(), j.ravel(), then.ravel()
+    shape = (P, (k_max + 1) * Q)
+    if is_live.all():  # no lag reaches one step: ``now`` is empty, ``live`` every pair
+        now = sparse.csr_array(shape)
+        live = sparse.csr_array((near, index, indptr), shape=(P, Q))
+    else:
+        pairs = np.flatnonzero(is_live)
+        live_indptr = np.zeros(P + 1, dtype=itype)
+        np.cumsum(np.bincount(pairs // Q, minlength=P), out=live_indptr[1:])
+        live = sparse.csr_array((near[pairs], index[pairs], live_indptr), shape=(P, Q))
+        near[pairs] = 0.0
+        now = sparse.csr_array((near, index, indptr), shape=shape)
+    return DelayedPairs(now=now, then=sparse.csr_array((then, index, indptr), shape=shape),
+                        live=live, k_max=k_max)
 
 
 def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.ndarray,
@@ -542,7 +528,8 @@ class SolveResult:
     """States at every time level plus the run's diagnostics.
 
     ``total_integrand_evals`` counts every operator application of the run
-    as StepDiagnostics does, and ``table_bytes`` sizes the table's arrays.
+    as StepDiagnostics does, ``table_bytes`` sizes the table's arrays and
+    ``table_form`` names its form (build_delay_table).
     The states are rows of one array, so holding any one keeps every level
     alive, with a delayed run's history_rows - 1 rows of initial data.
     """
@@ -558,6 +545,7 @@ class SolveResult:
     warnings: list[str] = field(default_factory=list)
     total_integrand_evals: int = 0
     table_bytes: int = 0
+    table_form: str = ""
 
     @property
     def times(self) -> np.ndarray:
@@ -611,19 +599,21 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         logger.warning(msg)
 
     table = build_delay_table(problem, grid, axes, h, norms.separable)
-    rows = config.num_steps + table.history_rows
+    num_steps = config.num_steps
+    rows = num_steps + table.history_rows
     needed, available = table.nbytes + rows * grid.total_points * 8, _physical_memory()
     if needed > available:
         raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
                          f"levels, above the {available} B of physical memory")
     levels = np.empty((rows, grid.total_points))
+    seed = levels[num_steps:].reshape(table.history_rows, grid.x1.size, grid.x2.size)
     for l in range(table.history_rows):
-        levels[config.num_steps + l] = tensor_values(problem.initial, grid.x1, grid.x2, -l * h)
+        seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
     u0 = tensor_values(problem.initial, *axes, 0.0)
-    stepper = _Stepper(problem, config, table, axes, lift, levels, config.num_steps, u0)
+    stepper = _Stepper(problem, config, table, axes, lift, levels, num_steps, u0)
 
     def record(level: int) -> FieldState:
-        values = levels[config.num_steps - level]
+        values = levels[num_steps - level]
         if not np.all(np.isfinite(values)):
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
         return FieldState(values=values, time=level * h)
@@ -632,15 +622,16 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     diagnostics: list[StepDiagnostics] = []
     # overflow ends in a non-finite increment or state, on which the march raises
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, config.num_steps + 1):
+        for i in range(1, num_steps + 1):
             if i == 1:
                 stepper.euler_step()
             else:
                 diagnostics.append(stepper.bdf2_step(i))
             states.append(record(i))
 
-    applies = min(config.num_steps, 1) + sum(d.kappa_applies for d in diagnostics)
+    applies = min(num_steps, 1) + sum(d.kappa_applies for d in diagnostics)
     return SolveResult(
         problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics, warnings=warnings,
-        total_integrand_evals=applies * table.pair_count, table_bytes=table.nbytes)
+        total_integrand_evals=applies * table.pair_count, table_bytes=table.nbytes,
+        table_form=type(table).__name__)

@@ -58,6 +58,7 @@ def test_run_writes_snapshot_and_manifest(tmp_path):
     assert manifest["total_integrand_evals"] > 0
     # example 1's two axis factors, m x N = 12 x 24 each, not a pair table
     assert manifest["table_bytes"] == 2 * 12 * 24 * 8
+    assert manifest["table_form"] == "AxisFactors"
     assert manifest["wall_time"] > 0
 
 

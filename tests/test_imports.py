@@ -133,7 +133,7 @@ def test_only_build_delay_table_names_the_table_forms():
     operator-table forms appear in solver.py only in build_delay_table, the
     one place that picks a form; every other caller goes through the
     methods the forms share."""
-    forms = {"PairTable", "AxisFactors", "LivePairs", "DelayedPairs"}
+    forms = {"PairTable", "AxisFactors", "DelayedPairs"}
     tree = ast.parse((PACKAGE / "solver.py").read_text())
     allowed = forms | {"build_delay_table"}  # ``__all__`` holds strings, not names
     named = [(getattr(node, "name", "module level"), name.id) for node in tree.body
