@@ -214,7 +214,15 @@ def _diag_dicts(result: SolveResult) -> list[dict]:
 
 def _run_stability(result: SolveResult) -> dict:
     return {"step_bounds": dataclasses.asdict(result.bounds),
-            "stability_margin": result.stability_margin}
+            "stability_margin": result.stability_margin,
+            "contraction_bound": result.contraction_bound}
+
+
+def _check_snapshots(cfg: SolverConfig, snapshots: list[float]) -> None:
+    """Raise before any solve if a snapshot time is not one of the run's levels."""
+    cfg.validate()
+    for t in snapshots:
+        cfg.stored_level(t)
 
 
 def _write_all(out: Path, files: dict[str, str], manifest: dict) -> None:
@@ -234,6 +242,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
                        **_solver_flags(args))
     snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
+    _check_snapshots(cfg, snapshots)
     result = solve(problem, cfg)
     files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
@@ -320,6 +329,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
                        **_solver_flags(args))
     snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
+    _check_snapshots(cfg, snapshots)
     res_d = solve(delayed, cfg)
     res_u = solve(undelayed, cfg)
     norm = _resolve(args, "norm", NORMS[0])

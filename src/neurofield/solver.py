@@ -62,13 +62,13 @@ s[N^2:], so at rows j and j + 1; they share one index array and one
 indptr, 20 B per pair with int32 indices.  The frozen part
 now @ s[:-N^2] + then @ s[N^2:], with the live pairs (j = 0) at 0 in
 ``now``, reads rows 1 and deeper only, which stay put for a whole level:
-it is summed once per history alignment, when first needed, and reused by
-every inner iteration of the level and by the next level's Euler
-predictor.  S is evaluated over the window once for it, a view with no
-copy for a linear S.  The live part, ``live`` @ S(row 0), holds w delta at
-column q for the pairs with j = 0: the self pairs and the few whose travel
-time is under one step, or every pair, on ``then``'s index array, when no
-lag reaches one step.
+it is summed where the window moves, once per level, into the level's
+f_i, and reused by the next level's Euler predictor; S is evaluated over
+the window once for it, a view with no copy for a linear S.  The live
+part, ``live`` @ S(row 0), is all that an inner iteration applies.  It
+holds w delta at column q for the pairs with j = 0: the self pairs and the
+few whose travel time is under one step, or every pair, on ``then``'s
+index array, when no lag reaches one step.
 """
 
 from __future__ import annotations
@@ -160,13 +160,20 @@ class SolverConfig:
             raise ValueError(f"final time T={self.T} is not an integer multiple of h_t={self.h_t}")
         if not self.eps_inner > 0:
             raise ValueError("eps_inner must be positive")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
+        if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
+            raise ValueError(f"max_inner must be an integer of at least 1, got {self.max_inner!r}")
 
     @property
     def num_steps(self) -> Optional[int]:
         """T / h_t rounded, or None when T is not a multiple of h_t."""
         return time_level(self.T, self.h_t)
+
+    def stored_level(self, t: float) -> int:
+        """The level of time t among 0 .. num_steps; ValueError if it is none."""
+        idx = time_level(t, self.h_t)
+        if idx is None or self.num_steps is None or not 0 <= idx <= self.num_steps:
+            raise ValueError(f"time {t!r} is not a stored level (h_t={self.h_t}, T={self.T})")
+        return idx
 
 
 @dataclass
@@ -179,13 +186,12 @@ class FieldState:
 
 class _Table:
     """What the forms of the operator table share.  Each has its own arrays,
-    ``shape`` (P, N^2: evaluation points by grid nodes) and ``live_sum``,
-    the sum over the pairs that read the current iterate in history row 0;
-    a table with ``has_frozen_sum`` also has ``frozen_sum``, over the others,
-    which read history rows 1 and deeper only."""
+    ``shape`` (P, N^2: evaluation points by grid nodes), ``live_sum``, the
+    sum over the pairs that read the current grid iterate, and
+    ``frozen_sum``, the sum over the others, which read history rows 1 and
+    deeper only: 0.0 for an undelayed table, whose pairs are all live."""
 
     history_rows = 1
-    has_frozen_sum = False
 
     @property
     def pair_count(self) -> int:
@@ -196,6 +202,9 @@ class _Table:
     def nbytes(self) -> int:
         """Bytes held by the table's arrays."""
         return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+
+    def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> float | np.ndarray:
+        return 0.0
 
 
 @dataclass
@@ -211,8 +220,8 @@ class PairTable(_Table):
     def shape(self) -> tuple[int, int]:
         return self.weights.shape
 
-    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        return self.weights @ np.asarray(problem.firing_rate(history[0]), dtype=float)
+    def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
+        return self.weights @ np.asarray(problem.firing_rate(field), dtype=float)
 
 
 @dataclass
@@ -227,8 +236,8 @@ class AxisFactors(_Table):
     def shape(self) -> tuple[int, int]:
         return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
 
-    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        s = np.asarray(problem.firing_rate(history[0]), dtype=float)
+    def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
+        s = np.asarray(problem.firing_rate(field), dtype=float)
         s = s.reshape(self.A1.shape[1], -1)
         return (self.A1 @ s @ self.A2.T).ravel()
 
@@ -247,8 +256,6 @@ class DelayedPairs(_Table):
     then: sparse.csr_array
     live: sparse.csr_array
     k_max: int
-
-    has_frozen_sum = True
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -275,8 +282,8 @@ class DelayedPairs(_Table):
         nodes = self.shape[1]
         return self.now @ s[:-nodes] + self.then @ s[nodes:]
 
-    def live_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
-        return self.live @ np.asarray(problem.firing_rate(history[0]), dtype=float)
+    def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
+        return self.live @ np.asarray(problem.firing_rate(field), dtype=float)
 
 
 def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
@@ -353,25 +360,21 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                         live=live, k_max=k_max)
 
 
-def apply_integral_operator(problem: ProblemSpec, table: _Table, history: np.ndarray,
-                            frozen: Optional[np.ndarray] = None) -> np.ndarray:
-    """Quadrature sum of K * S(field) at every evaluation point of the table.
+def apply_integral_operator(problem: ProblemSpec, table: _Table,
+                            history: np.ndarray) -> np.ndarray:
+    """Quadrature sum of K * S(field) at every evaluation point of the table:
+    its frozen sum plus its live sum on row 0, the whole operator that the
+    stepper applies in these two parts (_Stepper).
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
-    iterate; it needs ``table.history_rows`` rows.  The sum is the table's
-    live sum plus, for a table with has_frozen_sum, its frozen sum.
-    ``frozen``, when given, is taken as the frozen sum over this history
-    instead of being summed again; the stepper passes the one it keeps for
-    the current level.  Returns a vector with one entry per evaluation point.
+    iterate; it needs ``table.history_rows`` rows.  Returns a vector with one
+    entry per evaluation point.
     """
     nodes = table.shape[1]
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
         raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
                          f"of {nodes} nodes, got shape {history.shape}")
-    if table.has_frozen_sum and frozen is None:
-        frozen = table.frozen_sum(problem, history)
-    live = table.live_sum(problem, history)
-    return live if frozen is None else frozen + live
+    return table.frozen_sum(problem, history) + table.live_sum(problem, history[0])
 
 
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
@@ -429,11 +432,10 @@ class _Stepper:
 
     ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
     ``axes``; ``lift`` maps values there to the grid.  ``levels`` holds every
-    grid level, newest first; the history (see apply_integral_operator) is
-    its window of history_rows rows from the current level's ``row`` on,
-    whose row 0 takes every iterate.  ``frozen`` is the table's frozen sum
-    for the current window, None until an application needs it or when the
-    table has none; only _begin_level moves the window, so only it clears it.
+    grid level, newest first; from the current level's ``row`` on, they are
+    the history (see apply_integral_operator), whose row 0 takes every
+    iterate.  ``frozen`` is the table's frozen sum over it, summed by
+    euler_step on the first level and by _begin_level on each after.
     """
 
     problem: ProblemSpec
@@ -445,35 +447,37 @@ class _Stepper:
     row: int
     u_prev: np.ndarray
     u_prev2: Optional[np.ndarray] = None
-    frozen: Optional[np.ndarray] = None
+    frozen: float | np.ndarray = field(init=False)
 
     def _input(self, t: float) -> np.ndarray:
         return tensor_values(self.problem.input_current, *self.axes, t)
 
-    def _kappa(self) -> np.ndarray:
-        history = self.levels[self.row:self.row + self.table.history_rows]
-        if self.table.has_frozen_sum and self.frozen is None:
-            self.frozen = self.table.frozen_sum(self.problem, history)
-        return apply_integral_operator(self.problem, self.table, history, self.frozen)
-
     def _begin_level(self, u: np.ndarray) -> np.ndarray:
-        """Move the history window up onto the next level's row; put u's lift there."""
+        """Move the history window up onto the next level's row, put u's lift
+        there and sum the new window's frozen part."""
         self.row -= 1
-        self.frozen = None
         self.levels[self.row] = self.lift(u)
+        self.frozen = self.table.frozen_sum(self.problem, self.levels[self.row:])
         return self.levels[self.row]
+
+    def _euler(self, I: np.ndarray) -> np.ndarray:
+        """u_prev + (h_t / c) (I - u_prev + kappa(U_prev)) on the current window."""
+        u = self.u_prev
+        live = self.table.live_sum(self.problem, self.levels[self.row])
+        return u + (self.config.h_t / self.problem.c) * (I - u + self.frozen + live)
 
     def euler_step(self) -> None:
         """U_1 = U_0 + (h_t / c) (I_0 - U_0 + kappa(U_0)), starting the two-step scheme."""
-        u0 = self.u_prev
-        kap = self._kappa()
-        u1 = u0 + (self.config.h_t / self.problem.c) * (self._input(0.0) - u0 + kap)
+        self.frozen = self.table.frozen_sum(self.problem, self.levels[self.row:])
+        u1 = self._euler(self._input(0.0))
         self._begin_level(u1)
-        self.u_prev, self.u_prev2 = u1, u0
+        self.u_prev, self.u_prev2 = u1, self.u_prev
 
     def bdf2_step(self, level: int) -> StepDiagnostics:
         """Advance one implicit two-step level by fixed-point iteration.
 
+        f_i holds every constant of the level, the frozen sum of its window
+        among them, so an iteration is lam times the live sum plus f_i.
         Raises RuntimeError if the inner loop does not reach eps_inner within
         max_inner iterations, which is the symptom of a time step above the
         admissible bounds; its message lists the increment of every iteration.
@@ -484,15 +488,14 @@ class _Stepper:
         t_i = level * h
         u_prev, u_prev2 = self.u_prev, self.u_prev2
         I_i = self._input(t_i)
-        lam = 2.0 * h / (2.0 * h + 3.0 * c)
-        f_i = lam * (I_i + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
-
         # Euler predictor from the previous level as the initial iterate
-        u = u_prev + (h / c) * (I_i - u_prev + self._kappa())
-        U = self._begin_level(u)
+        U = self._begin_level(self._euler(I_i))
+        lam = 2.0 * h / (2.0 * h + 3.0 * c)
+        f_i = lam * (I_i + self.frozen + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
+
         increments: list[float] = []
         for _ in range(cfg.max_inner):
-            u = lam * self._kappa() + f_i
+            u = lam * self.table.live_sum(self.problem, U) + f_i
             U_next = self.lift(u)
             inc = float(np.max(np.abs(U_next - U)))
             if not math.isfinite(inc):
@@ -552,12 +555,8 @@ class SolveResult:
         return np.array([s.time for s in self.states])
 
     def state_at(self, t: float) -> FieldState:
-        """The stored state at time t, which must lie on the step grid."""
-        idx = time_level(t, self.config.h_t)
-        if idx is None or not 0 <= idx < len(self.states):
-            raise ValueError(f"time {t!r} is not a stored level "
-                             f"(h_t={self.config.h_t}, T={self.config.T})")
-        return self.states[idx]
+        """The stored state at time t (SolverConfig.stored_level)."""
+        return self.states[self.config.stored_level(t)]
 
 
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:

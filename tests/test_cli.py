@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import neurofield.analysis
+import neurofield.cli
 from neurofield.cli import _COMMANDS, _SETTINGS, _command_keys, build_parser, main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 
@@ -59,6 +60,10 @@ def test_run_writes_snapshot_and_manifest(tmp_path):
     # example 1's two axis factors, m x N = 12 x 24 each, not a pair table
     assert manifest["table_bytes"] == 2 * 12 * 24 * 8
     assert manifest["table_form"] == "AxisFactors"
+    # the fixed-point loop's bound, next to the stability margin it sets
+    assert manifest["stability_margin"] == pytest.approx(
+        (0.04 / 3.0) * (1.0 + manifest["contraction_bound"]), rel=1e-12)
+    assert 0 < manifest["contraction_bound"] < 1
     assert manifest["wall_time"] > 0
 
 
@@ -93,7 +98,7 @@ def test_run_requires_out_dir(tmp_path, capsys):
 
 
 def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
-    # a snapshot time off the step grid fails after solving, before writing
+    # a snapshot time off the step grid fails before solving and writing
     rc = main(["run", "--ht", "0.02", "--T", "0.1", "--snapshots", "0.015",
                "--out", str(tmp_path)])
     assert rc == 1
@@ -143,6 +148,24 @@ def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--example", "4", "--ht", "0.01", "--T", "0.5", "--snapshots", "0.035"],
+    ["run", "--ht", "0.01", "--T", "0.5", "--snapshots", "0.1,0.6"],
+    ["compare-delay", "--ht", "0.1", "--T", "0.4", "--snapshots", "0.2,0.45"],
+], ids=["run-off-grid", "run-after-T", "compare-delay-off-grid"])
+def test_bad_snapshot_fails_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    """Every snapshot time is checked against the run's levels, by the rule
+    of SolveResult.state_at and with its message, before anything is solved."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(neurofield.cli, "solve", no_solve)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: time ") and "is not a stored level (h_t=" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -391,6 +414,7 @@ def test_compare_delay_quick(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["parameters"]["v"] == 1.0
     assert manifest["diagnostics"]["delayed"]
+    assert 0 < manifest["contraction_bound"] < 1
 
 
 def test_compare_delay_near_infinite_speed_matches(tmp_path):

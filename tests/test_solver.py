@@ -107,6 +107,20 @@ def test_config_validation():
         SolverConfig(h_t=0.01, T=0.1, max_inner=0).validate()
 
 
+def test_config_rejects_a_non_integer_max_inner(monkeypatch):
+    """A fractional or float max_inner fails validation, so solve raises
+    ValueError before it builds the grid."""
+    def no_grid(*args):
+        raise AssertionError("build_grid called")
+
+    monkeypatch.setattr(solver_module, "build_grid", no_grid)
+    for bad in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"max_inner must be an integer of at least 1, "
+                                             f"got {re.escape(repr(bad))}"):
+            solve(example1(), SolverConfig(h_t=0.01, T=0.1, max_inner=bad))
+    SolverConfig(h_t=0.01, T=0.1, max_inner=np.int64(3)).validate()
+
+
 def test_config_num_steps():
     assert SolverConfig(h_t=0.01, T=0.1).num_steps == 10
     assert SolverConfig(h_t=0.1, T=0.0).num_steps == 0
@@ -137,27 +151,33 @@ def test_time_level_rule():
 
 def _reference_march(problem, config):
     """The delayed direct-path scheme with the levels kept in a dict keyed
-    by level index, every level older than the delay reach dropped."""
+    by level index, every level older than the delay reach dropped.  Each
+    level's frozen sum goes into its own f_i and the next level's predictor."""
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
     table = grid_table(problem, grid, config.h_t)
     h, c, depth = config.h_t, problem.c, table.k_max + 2
     p1, p2 = grid.flat_points()
     levels = {l: problem.initial(p1, p2, l * h) for l in range(1 - depth, 1)}
 
-    def kappa(U, level):
+    def frozen(U, level):
         rows = np.array([U] + [levels[level - l] for l in range(1, depth)])
-        return apply_integral_operator(problem, table, rows)
+        return table.frozen_sum(problem, rows)
 
-    U0 = levels[0]
-    levels[1] = U0 + (h / c) * (problem.input_current(p1, p2, 0.0) - U0 + kappa(U0, 0))
+    def euler(I, level, F):
+        U = levels[level]
+        return U + (h / c) * (I - U + F + table.live_sum(problem, U))
+
+    F = frozen(levels[0], 0)
+    levels[1] = euler(problem.input_current(p1, p2, 0.0), 0, F)
     del levels[1 - depth]
     lam = 2.0 * h / (2.0 * h + 3.0 * c)
     for i in range(2, config.num_steps + 1):
         I_i = problem.input_current(p1, p2, i * h)
-        f_i = lam * (I_i + (2.0 * c / h) * levels[i - 1] - (0.5 * c / h) * levels[i - 2])
-        U = levels[i - 1] + (h / c) * (I_i - levels[i - 1] + kappa(levels[i - 1], i - 1))
+        U = euler(I_i, i - 1, F)
+        F = frozen(U, i)
+        f_i = lam * (I_i + F + (2.0 * c / h) * levels[i - 1] - (0.5 * c / h) * levels[i - 2])
         for _ in range(config.max_inner):
-            U_next = lam * kappa(U, i) + f_i
+            U_next = lam * table.live_sum(problem, U) + f_i
             converged = np.max(np.abs(U_next - U)) < config.eps_inner
             U = U_next
             if converged:
@@ -532,10 +552,8 @@ def test_split_operator_matches_full_gather(case):
             frozen_ref, live_ref = per_pair_sums(p, grid, axes, h, history)
             frozen = table.frozen_sum(p, history)
             assert_close(frozen, frozen_ref)
-            assert_close(table.live_sum(p, history), live_ref)
-            out = apply_integral_operator(p, table, history)
-            assert_close(out, frozen_ref + live_ref)
-            assert np.array_equal(apply_integral_operator(p, table, history, frozen), out)
+            assert_close(table.live_sum(p, history[0]), live_ref)
+            assert_close(apply_integral_operator(p, table, history), frozen_ref + live_ref)
             history[0] = rng.standard_normal(grid.total_points)
             assert np.array_equal(table.frozen_sum(p, history), frozen)
 
@@ -693,33 +711,31 @@ def test_index_width_follows_the_history_columns():
     assert table.then.shape[1] > np.iinfo(np.int32).max
 
 
-def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch):
-    """A delayed run forms the frozen part at most once per history
-    alignment, num_steps + 1 times, however many inner iterations run."""
+@pytest.mark.parametrize("form,problem", [
+    (AxisFactors, example1()),
+    (PairTable, dataclasses.replace(example3(), kernel=lambda r: np.exp(-r))),
+    (DelayedPairs, example4(v=1.0)),
+], ids=["AxisFactors", "PairTable", "DelayedPairs"])
+def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch, form, problem):
+    """Every table form is asked for its frozen part at most once per
+    history window, num_steps + 1 times, however many inner iterations
+    run, and never in a run of no steps."""
     calls = []
-    frozen_sum = DelayedPairs.frozen_sum
+    frozen_sum = form.frozen_sum
 
     def counted(*args):
         calls.append(args)
         return frozen_sum(*args)
 
-    monkeypatch.setattr(DelayedPairs, "frozen_sum", counted)
+    monkeypatch.setattr(form, "frozen_sum", counted)
+    assert solve(problem, SolverConfig(h_t=0.1, T=0.0, n=2, k=4, m=4)).table_form == \
+        form.__name__
+    assert calls == []
     cfg = SolverConfig(h_t=0.1, T=0.5, n=2, k=4, m=4)
-    res = solve(example4(v=1.0), cfg)
+    res = solve(problem, cfg)
     assert 0 < len(calls) <= cfg.num_steps + 1
     applies = 1 + sum(d.kappa_applies for d in res.diagnostics)
     assert applies > 2 * (cfg.num_steps + 1)
-
-
-def test_undelayed_solve_asks_for_no_frozen_sum(monkeypatch):
-    """An undelayed table reads history row 0 only, so no operator
-    application asks any table form for a frozen sum."""
-    calls = []
-    monkeypatch.setattr(solver_module._Table, "frozen_sum",
-                        lambda *args: calls.append(args), raising=False)
-    res = solve(example1(), SolverConfig(h_t=0.01, T=0.1))
-    assert sum(d.kappa_applies for d in res.diagnostics) > 0
-    assert calls == []
 
 
 def test_delayed_solve_peak_memory_is_the_table_history_and_states():
@@ -955,9 +971,9 @@ def test_non_finite_increment_stops_the_loop_at_once(monkeypatch):
     naming t and the non-finite increment, instead of running max_inner NaN
     iterations and blaming the step bounds."""
     applies = []
-    apply = solver_module.apply_integral_operator
-    monkeypatch.setattr(solver_module, "apply_integral_operator",
-                        lambda *args: applies.append(1) or apply(*args))
+    live_sum = AxisFactors.live_sum
+    monkeypatch.setattr(AxisFactors, "live_sum",
+                        lambda *args: applies.append(1) or live_sum(*args))
     with np.errstate(all="ignore"):
         with pytest.raises(RuntimeError, match=r"t=0\.02 reached a non-finite increment "
                                                r"in iteration 1$"):
