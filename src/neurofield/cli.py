@@ -7,8 +7,10 @@ transmission speed, and reports both fields.  Every command writes its
 outputs into an existing directory given by --out: CSV files with a fixed
 17-significant-digit format (so runs are bit-reproducible) plus a JSON
 manifest recording the problem's own parameters, the solver settings all
-its solves shared (``analysis.solver_settings``), the per-step
-diagnostics and the wall time of the whole command.
+its solves shared (``analysis.solver_settings``) and the wall time of the
+whole command.  ``run`` and ``compare-delay`` also record each solve the
+same way (``_solve_record``): every field of its ``SolveResult`` but the
+inputs and the states, so a field added there reaches both manifests.
 
 Each ``cmd_*`` function maps the parsed settings to the files it would
 write, the manifest and the message for stdout, and raises on failure;
@@ -208,14 +210,14 @@ def _snapshot_csv(result: SolveResult, t: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _diag_dicts(result: SolveResult) -> list[dict]:
-    return [dataclasses.asdict(d) for d in result.diagnostics]
+# SolveResult's inputs and states; a manifest records its every other field.
+_SOLVE_INPUTS = ("problem", "config", "grid", "states")
 
 
-def _run_stability(result: SolveResult) -> dict:
-    return {"step_bounds": dataclasses.asdict(result.bounds),
-            "stability_margin": result.stability_margin,
-            "contraction_bound": result.contraction_bound}
+def _solve_record(result: SolveResult) -> dict:
+    """The run-level fields of one solve, keyed by their field names."""
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(SolveResult)
+            if f.name not in _SOLVE_INPUTS}
 
 
 def _check_snapshots(cfg: SolverConfig, snapshots: list[float]) -> None:
@@ -229,7 +231,8 @@ def _write_all(out: Path, files: dict[str, str], manifest: dict) -> None:
     """Write every output at once, after all computation has succeeded."""
     for name, content in files.items():
         (out / name).write_text(content)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2, default=dataclasses.asdict)
+    (out / "manifest.json").write_text(text + "\n")
 
 
 # A command's outcome: the files to write besides manifest.json, the
@@ -249,12 +252,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
         "command": "run", "problem": problem.name,
         "parameters": {**params, **solver_settings([cfg])},
         "snapshots": snapshots,
-        "warnings": result.warnings,
-        **_run_stability(result),
-        "diagnostics": _diag_dicts(result),
-        "total_integrand_evals": result.total_integrand_evals,
-        "table_bytes": result.table_bytes,
-        "table_form": result.table_form,
+        **_solve_record(result),
     }
     return files, manifest, f"wrote {len(files)} snapshot(s) and manifest.json to {Path(args.out)}"
 
@@ -288,7 +286,7 @@ def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
         "command": "converge-time", "problem": problem.name,
         "parameters": {**params, **solver_settings(study.configs),
                        "steps": study.steps, "norm": study.norm},
-        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "rows": report.rows,
     }
     return files, manifest, study.to_text()
 
@@ -303,7 +301,7 @@ def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
     rows = {}
     for m, report in study.reports().items():
         files[f"report_m{m}.csv"] = report.to_csv()
-        rows[str(m)] = [dataclasses.asdict(r) for r in report.rows]
+        rows[str(m)] = report.rows
     manifest = {
         "command": "converge-space", "problem": problem.name,
         "parameters": {**params, **solver_settings(study.configs),
@@ -348,9 +346,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
         "command": "compare-delay", "problem": problem.name,
         "parameters": {**params, "v": v, **solver_settings([cfg]), "norm": norm},
         "snapshots": snapshots,
-        "warnings": res_d.warnings + res_u.warnings,
-        **_run_stability(res_d),
-        "diagnostics": {"delayed": _diag_dicts(res_d), "undelayed": _diag_dicts(res_u)},
+        "solves": {"delayed": _solve_record(res_d), "undelayed": _solve_record(res_u)},
     }
     return files, manifest, "\n".join(lines)
 

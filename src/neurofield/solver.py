@@ -162,6 +162,8 @@ class SolverConfig:
             raise ValueError("eps_inner must be positive")
         if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
             raise ValueError(f"max_inner must be an integer of at least 1, got {self.max_inner!r}")
+        if not isinstance(self.rank_reduction, (bool, np.bool_)):
+            raise ValueError(f"rank_reduction must be a bool, got {self.rank_reduction!r}")
 
     @property
     def num_steps(self) -> Optional[int]:
@@ -416,12 +418,13 @@ class StepDiagnostics:
     ``integrand_evals`` is ``kappa_applies`` times the table's pair_count:
     P N^2 terms per operator application for P evaluation points, the
     paper's cost model, however the table's form computes the sum.
+    ``contraction_estimate`` is None when the loop gave no increment ratio.
     """
 
     level: int
     time: float
     inner_iterations: int
-    contraction_estimate: float
+    contraction_estimate: Optional[float]
     kappa_applies: int
     integrand_evals: int
 
@@ -516,12 +519,12 @@ class _Stepper:
         self.u_prev, self.u_prev2 = u, u_prev
 
         # observed contraction: worst consecutive-increment ratio above the
-        # roundoff floor, nan when the loop finished in a single iteration
+        # roundoff floor, None when the loop finished in a single iteration
         floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
         ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
         return StepDiagnostics(
             level=level, time=t_i, inner_iterations=len(increments),
-            contraction_estimate=max(ratios) if ratios else math.nan,
+            contraction_estimate=max(ratios) if ratios else None,
             kappa_applies=len(increments) + 1,
             integrand_evals=(len(increments) + 1) * self.table.pair_count)
 

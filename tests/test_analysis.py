@@ -14,6 +14,7 @@ from neurofield.analysis import (
     SpaceStudy,
     error_norm,
     field_norm,
+    solver_settings,
     space_convergence_study,
     time_convergence_study,
 )
@@ -191,9 +192,8 @@ def test_time_study_rejects_empty_steps():
 
 def test_time_study_linear_solution_has_flat_errors():
     """For V = t the error is purely spatial, so refining the time step
-    must not move it (inner tolerance tightened below the floor)."""
-    study = time_convergence_study(example2(), [0.02, 0.01], T=0.1,
-                                   eps_inner=1e-14)
+    must not move it (the studies' inner tolerance is below the floor)."""
+    study = time_convergence_study(example2(), [0.02, 0.01], T=0.1)
     e_coarse = study.error_at(0.02, 0.1)
     e_fine = study.error_at(0.01, 0.1)
     assert abs(e_coarse - e_fine) < 1e-13
@@ -285,6 +285,17 @@ def test_study_l2_norm_option():
     study_max = time_convergence_study(p, [0.02], T=0.04, norm="max")
     assert study.error_at(0.02, 0.04) == pytest.approx(
         2.0 * study_max.error_at(0.02, 0.04), rel=0.05)
+
+
+def test_solver_settings_share_m_only_among_rank_reduced_configs():
+    direct = SolverConfig(h_t=0.01, T=0.02, m=8, rank_reduction=False)
+    reduced = SolverConfig(h_t=0.01, T=0.02, m=8)
+    assert "m" not in solver_settings([direct])
+    assert solver_settings([reduced])["m"] == 8
+    # a key one config lacks is not shared, nor is a value they differ in
+    mixed = solver_settings([reduced, direct])
+    assert "m" not in mixed and "rank_reduction" not in mixed
+    assert mixed["ht"] == 0.01 and mixed["N"] == 24
 
 
 @pytest.mark.parametrize("study,differs", [(time_convergence_study, {"rank_reduction"}),

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, driving main() in
 process and checking files, manifests and exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -17,6 +18,7 @@ import neurofield.analysis
 import neurofield.cli
 from neurofield.cli import _COMMANDS, _SETTINGS, _command_keys, build_parser, main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
+from neurofield.solver import SolveResult
 
 
 def read_field_csv(path):
@@ -228,6 +230,33 @@ def test_converge_time_defaults(tmp_path):
     assert manifest["rows"][1]["ratio"] == pytest.approx(ratio)
 
 
+def test_converge_time_on_a_solution_exact_in_time_reports_flat_errors(tmp_path):
+    """Example 2 (V = t) has no time error: the bare command's errors are the
+    spatial floor, unchanged by halving the step, not the inner tolerance."""
+    assert main(["converge-time", "--example", "2", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "manifest.json").read_text())["rows"]
+    assert 0.5 <= rows[1]["ratio"] <= 2.0
+    assert all(row["error"] < 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("argv,reduced", [
+    (["converge-time", "--example", "1", "--steps", "0.02,0.01", "--T", "0.04",
+      "--m", "7"], False),
+    (["converge-time", "--example", "1", "--steps", "0.02,0.01", "--T", "0.04",
+      "--m", "7", "--rank-reduction"], True),
+    (["run", "--no-rank-reduction", "--m", "7", "--ht", "0.02", "--T", "0.04"], False),
+    (["run", "--m", "7", "--ht", "0.02", "--T", "0.04"], True),
+], ids=["time-direct", "time-reduced", "run-direct", "run-reduced"])
+def test_interpolation_order_is_recorded_only_where_it_is_read(tmp_path, argv, reduced):
+    """The direct operator reads no m, so its header and manifest hold none."""
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+    assert params.get("m") == (7 if reduced else None)
+    if argv[0] == "converge-time":
+        header = header_settings((tmp_path / "report.txt").read_text())
+        assert header.get("m") == ("7" if reduced else None)
+
+
 def test_converge_time_on_the_delayed_example(tmp_path):
     """converge-time --example 5 measures the delayed scheme's order 2."""
     rc = main(["converge-time", "--example", "5", "--v", "0.5", "--steps", "0.1,0.05,0.025",
@@ -276,9 +305,12 @@ def solved_configs(monkeypatch):
 
 
 def settings(cfg, *varying):
+    """A config's recorded settings; a direct config reads no m."""
     out = {"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
            "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
            "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
+    if not cfg.rank_reduction:
+        del out["m"]
     return {key: value for key, value in out.items() if key not in varying}
 
 
@@ -321,7 +353,7 @@ def test_report_header_shows_the_manifest_settings(tmp_path, solved_configs, arg
     header = header_settings((tmp_path / "report.txt").read_text())
     params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
     shared = {key: value for key, value in settings(solved_configs[0]).items()
-              if all(settings(cfg)[key] == value for cfg in solved_configs)}
+              if all(settings(cfg).get(key) == value for cfg in solved_configs)}
     assert "rank_reduction" in shared
     assert header == {key: str(value) for key, value in shared.items()}
     assert {key: params[key] for key in shared if key not in listed} == \
@@ -411,10 +443,64 @@ def test_compare_delay_quick(tmp_path):
     t, delayed, undelayed = (float(tok) for tok in lines[-1].split(","))
     assert t == pytest.approx(0.4)
     assert delayed > undelayed
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=reject_constant)
     assert manifest["parameters"]["v"] == 1.0
-    assert manifest["diagnostics"]["delayed"]
-    assert 0 < manifest["contraction_bound"] < 1
+    solves = manifest["solves"]
+    for which, form in (("delayed", "DelayedPairs"), ("undelayed", "AxisFactors")):
+        record = solves[which]
+        assert record["diagnostics"], which
+        assert 0 < record["contraction_bound"] < 1
+        assert record["total_integrand_evals"] > 0 and record["table_bytes"] > 0
+        assert record["table_form"] == form
+
+
+# what a manifest records of one solve: SolveResult's fields but its inputs
+# and states
+SOLVE_RECORD = {f.name for f in dataclasses.fields(SolveResult)} - {
+    "problem", "config", "grid", "states"}
+
+
+def test_manifests_record_every_run_level_field_of_each_solve(tmp_path):
+    run_out, delay_out = tmp_path / "run", tmp_path / "delay"
+    run_out.mkdir()
+    delay_out.mkdir()
+    assert main(["run", "--example", "4", "--ht", "0.1", "--T", "0.2",
+                 "--out", str(run_out)]) == 0
+    assert main(["compare-delay", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2",
+                 "--out", str(delay_out)]) == 0
+    run = json.loads((run_out / "manifest.json").read_text())
+    assert run.keys() - {"command", "problem", "parameters", "snapshots",
+                         "wall_time"} == SOLVE_RECORD
+    delay = json.loads((delay_out / "manifest.json").read_text())
+    assert delay.keys() == {"command", "problem", "parameters", "snapshots", "solves",
+                            "wall_time"}
+    assert delay["solves"].keys() == {"delayed", "undelayed"}
+    for record in delay["solves"].values():
+        assert record.keys() == SOLVE_RECORD
+        assert record["bounds"].keys() == {"bound_l2", "bound_max"}
+
+
+def test_compare_delay_names_the_solve_of_each_warning(tmp_path):
+    """h_t = 0.4 at c = 0.5 breaks both step bounds and the stability
+    margin in each solve: three warnings per solve, each listed once."""
+    assert main(["compare-delay", "--ht", "0.4", "--T", "2", "--c", "0.5",
+                 "--snapshots", "2", "--out", str(tmp_path)]) == 0
+    solves = json.loads((tmp_path / "manifest.json").read_text())["solves"]
+    for record in solves.values():
+        assert len(record["warnings"]) == len(set(record["warnings"])) == 3
+        assert record["stability_margin"] > 1
+
+
+def test_single_iteration_levels_keep_the_manifest_valid_json(tmp_path):
+    """At h_t = 1e-6 every level converges in one inner iteration, so no
+    increment ratio exists: the estimate is written as null, not NaN."""
+    assert main(["run", "--example", "3", "--ht", "1e-6", "--T", "3e-6",
+                 "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=reject_constant)
+    assert [d["inner_iterations"] for d in manifest["diagnostics"]] == [1, 1]
+    assert [d["contraction_estimate"] for d in manifest["diagnostics"]] == [None, None]
 
 
 def test_compare_delay_near_infinite_speed_matches(tmp_path):

@@ -121,6 +121,21 @@ def test_config_rejects_a_non_integer_max_inner(monkeypatch):
     SolverConfig(h_t=0.01, T=0.1, max_inner=np.int64(3)).validate()
 
 
+def test_config_rejects_a_non_bool_rank_reduction(monkeypatch):
+    """A truthy or falsy non-bool such as "no" once ran rank-reduced and was
+    recorded as given; validation now rejects it before the grid is built."""
+    def no_grid(*args):
+        raise AssertionError("build_grid called")
+
+    monkeypatch.setattr(solver_module, "build_grid", no_grid)
+    for bad in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match=f"rank_reduction must be a bool, "
+                                             f"got {re.escape(repr(bad))}"):
+            solve(example1(), SolverConfig(h_t=0.01, T=0.02, rank_reduction=bad))
+    for good in (True, False, np.bool_(True)):
+        SolverConfig(h_t=0.01, T=0.02, rank_reduction=good).validate()
+
+
 def test_config_num_steps():
     assert SolverConfig(h_t=0.01, T=0.1).num_steps == 10
     assert SolverConfig(h_t=0.1, T=0.0).num_steps == 0
@@ -1115,7 +1130,7 @@ def test_diagnostics_fields():
     assert [d.level for d in res.diagnostics] == [2, 3, 4, 5]
     for diag in res.diagnostics:
         assert diag.time == pytest.approx(diag.level * 0.01)
-        if not math.isnan(diag.contraction_estimate):
+        if diag.contraction_estimate is not None:
             # observed contraction stays at or below the a priori constant
             assert diag.contraction_estimate < res.contraction_bound + 0.05
     assert res.contraction_bound == pytest.approx(
