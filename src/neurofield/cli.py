@@ -24,7 +24,8 @@ Settings come from flags or from a plain key=value config file
 on/off setting is one key and two flags, --key and --no-key.  Both
 are defined once, in ``_SETTINGS``, so a file value passes the same type
 and choice checks as its flag.  A subcommand takes only the settings it
-reads (``_COMMANDS``); another one is an error, as a flag or a key.
+reads (``_COMMANDS``); another one is an error, as a flag or a key, and
+so is an m for solves without rank reduction, which read none.
 Problem parameters have no defaults here: the example's constructor
 supplies those not given, and one the example does not take is an error.
 The other defaults are chosen per subcommand so that the bare commands
@@ -243,7 +244,7 @@ _Outcome = tuple[dict[str, str], dict, str]
 def cmd_run(args: argparse.Namespace) -> _Outcome:
     problem, params = _resolve_problem(args, default_example=1)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.01), T=_resolve(args, "T", 0.1),
-                       **_solver_flags(args))
+                       **_solver_flags(args, SolverConfig))
     snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
     _check_snapshots(cfg, snapshots)
     result = solve(problem, cfg)
@@ -266,9 +267,17 @@ def _parse_single_m(args: argparse.Namespace) -> Optional[int]:
         raise CliError(f"expected a single interpolation order, got {args.m!r}") from None
 
 
-def _solver_flags(args: argparse.Namespace) -> dict:
-    return _given(n=args.n, k=args.k, m=_parse_single_m(args),
-                  rank_reduction=args.rank_reduction)
+def _solver_flags(args: argparse.Namespace, target: Callable) -> dict:
+    """The solver settings given, as keywords for ``target`` (SolverConfig
+    or a study), whose own rank_reduction default stands where none is
+    given.  Solves without rank reduction read no interpolation order, so
+    --m given to them is an error."""
+    flags = _given(n=args.n, k=args.k, m=_parse_single_m(args),
+                   rank_reduction=args.rank_reduction)
+    default = inspect.signature(target).parameters["rank_reduction"].default
+    if "m" in flags and not flags.get("rank_reduction", default):
+        raise CliError("--m does not apply without rank reduction")
+    return flags
 
 
 def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
@@ -278,7 +287,8 @@ def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
     default_T = 0.05 if example == 3 else 0.1
     steps = _parse_list(_resolve(args, "steps", default_steps), "step", float)
     study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
-                                   **_solver_flags(args), **_given(norm=args.norm))
+                                   **_solver_flags(args, time_convergence_study),
+                                   **_given(norm=args.norm))
     report = study.report()
     files = {"report.csv": report.to_csv(),
              "report.txt": study.to_text() + "\n"}
@@ -325,7 +335,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     delayed = dataclasses.replace(problem, v=v, exact=None)
     undelayed = dataclasses.replace(problem, v=math.inf, exact=None)
     cfg = SolverConfig(h_t=_resolve(args, "ht", 0.1), T=_resolve(args, "T", 2.0),
-                       **_solver_flags(args))
+                       **_solver_flags(args, SolverConfig))
     snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
     _check_snapshots(cfg, snapshots)
     res_d = solve(delayed, cfg)

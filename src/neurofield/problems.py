@@ -259,12 +259,15 @@ class KernelNorms:
 
     ``k_max`` is the largest |K| over all ordered grid-point pairs
     (self-pairs included, so for a kernel peaked at zero distance this is
-    K(0)).  ``l2_estimate`` approximates the L2 norm of K(|x - y|) over
+    K(0)), bit for bit that of a full pair scan for any kernel that moves
+    by less than 1e-12 k_max over a few ulps of distance.
+    ``l2_estimate`` approximates the L2 norm of K(|x - y|) over
     domain x domain by the tensor quadrature on the same grid; it is summed
-    in row blocks, so its last digits depend on the block size.
+    in row blocks over merged axis distances, so its last digits depend on
+    the block size and the merge.
     ``separable``: K(0) > 0 and K(hypot(d1, d2)) K(0) == K(d1) K(d2) to
-    1e-13 k_max^2 on every pair of the grid's axis distances, as for any
-    Gaussian a exp(-lam r^2) and not for exp(-r).
+    1e-13 k_max^2 on every pair of the grid's merged axis distances, as for
+    any Gaussian a exp(-lam r^2) and not for exp(-r).
     """
 
     k_max: float
@@ -272,11 +275,48 @@ class KernelNorms:
     separable: bool
 
 
-def _axis_distance_groups(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of |x_a - x_c| over all node pairs of one axis,
-    with the summed w_a * w_c of the pairs at each distance."""
-    d, group = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
-    return d, np.bincount(group, weights=np.outer(w, w).ravel())
+# Sorted node-pair distances of one axis that lie closer than this fraction
+# of its largest distance are one true distance split by rounding.  Within
+# one true distance the floats spread by at most 4.4e-16 of the axis
+# length; distinct true distances on the composite grids sit at least
+# 2.5e-3 of it apart at N = 96 and 1.2e-3 at N = 192.
+_MERGE_TOL = 1e-13
+# Kernel values within this fraction of the max may hide the scan's max at
+# another float of their merged distances (compute_kernel_norms).
+_PEAK_TOL = 1e-12
+
+
+def _axis_distance_groups(x: np.ndarray,
+                          w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node-pair distances |x_a - x_c| of one axis merged into true
+    distances, with the summed w_a * w_c of the pairs at each.
+
+    Returns the sorted floats of all N^2 pairs, the index at which each
+    merged distance starts among them and the merged weights.  A merged
+    distance starts wherever the sorted floats step by more than _MERGE_TOL
+    times the largest one; its smallest float, floats[starts], stands for
+    it and is a distance of the full pair scan.
+    """
+    d = np.abs(x[:, None] - x[None, :]).ravel()
+    order = np.argsort(d)
+    floats = d[order]
+    starts = np.flatnonzero(np.diff(floats) > _MERGE_TOL * floats[-1]) + 1
+    starts = np.concatenate(([0], starts))
+    return floats, starts, np.add.reduceat(np.outer(w, w).ravel()[order], starts)
+
+
+def _kernel_on(problem: ProblemSpec, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """K(hypot(r1_i, r2_j)) as a float matrix; ValueError on a non-finite value."""
+    kv = np.asarray(problem.kernel(np.hypot(r1[:, None], r2[None, :])), dtype=float)
+    if not np.all(np.isfinite(kv)):
+        raise ValueError("kernel produced a non-finite value on a grid-pair distance")
+    return kv
+
+
+def _split_floats(floats: np.ndarray, starts: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The distinct floats of the given merged distances."""
+    ends = np.append(starts[1:], floats.size)
+    return np.unique(np.concatenate([floats[starts[g]:ends[g]] for g in groups]))
 
 
 def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms:
@@ -285,38 +325,62 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
 
     The pair (x1_a, x2_b), (x1_c, x2_d) sits at distance
     hypot(|x1_a - x1_c|, |x2_b - x2_d|) and carries the weight
-    w1_a w1_c w2_b w2_d.  So each axis's node pairs are grouped by the exact
-    float value of their distance, with the group weights W1 and W2 summed,
-    and the kernel is evaluated once per pair of distinct axis distances,
+    w1_a w1_c w2_b w2_d.  So each axis's node pairs are grouped by distance
+    (_axis_distance_groups), with the group weights W1 and W2 summed, and
+    the kernel is evaluated once per pair of merged axis distances,
     K[i, j] = K(hypot(d1_i, d2_j)): k_max = max |K| and
-    l2_estimate = sqrt(W1 @ K^2 @ W2).  The kernel sees exactly the
-    distances of the full pair scan, so k_max is the scan's bit for bit.
-    The smallest distance on each axis is 0, so K(0) and K on each axis
-    alone sit in row 0 and column 0, and separability costs no more kernel
+    l2_estimate = sqrt(W1 @ K^2 @ W2).  Rounding splits one true distance
+    into a few floats some ulps apart (670 floats for 212 distances per
+    axis at N = 96), and the merge evaluates K once for all of them.  The
+    smallest distance on each axis is 0, so K(0) and K on each axis alone
+    sit in row 0 and column 0, and separability costs no more kernel
     values.
+
+    Each merged distance is represented by its smallest float, itself a
+    distance of the full pair scan, so every K[i, j] is a value of the
+    scan.  The scan's max may sit at another float of a merged distance.
+    As long as K moves by less than _PEAK_TOL k_max over a few ulps of
+    distance, that max lies at a pair of merged distances whose |K| is
+    within _PEAK_TOL of the max; the pass records those pairs, and after
+    it K is evaluated on the hypot grid of their floats, where a merged
+    distance holds more than one.  So k_max is the scan's bit for bit.  A
+    kernel that peaks at r = 0 evaluates nothing more: distance 0 is a
+    single float.
 
     K is never held whole: it is evaluated in row blocks (quadrature's
     _row_blocks), and the pass carries the running max |K|, the largest
     separability gap and the W1-weighted column sums of K^2.  Max is
-    order-free, so k_max and separable are those of one whole-matrix pass;
-    l2_estimate, summed block by block and then against W2, differs from
-    it and from the full pair scan only in summation order.
+    order-free, so k_max and separable are those of one whole-matrix pass
+    over the merged distances.  l2_estimate, summed block by block and then
+    against W2, differs from that pass only in summation order, and from
+    the full pair scan also by K's change over a few ulps of distance
+    (6.5e-16 relative on the shipped kernels).
     """
-    d1, W1 = _axis_distance_groups(grid.x1, grid.w1)
-    d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
-    k_max, gap_max, col = 0.0, 0.0, np.zeros(d2.size)
+    f1, s1, W1 = _axis_distance_groups(grid.x1, grid.w1)
+    f2, s2, W2 = _axis_distance_groups(grid.x2, grid.w2)
+    d1, d2 = f1[s1], f2[s2]
+    k_max, gap_max, col, peaks = 0.0, 0.0, np.zeros(d2.size), []
     for rows in _row_blocks(d1.size, d2.nbytes):
-        kv = np.asarray(problem.kernel(np.hypot(d1[rows, None], d2[None, :])), dtype=float)
-        if not np.all(np.isfinite(kv)):
-            raise ValueError("kernel produced a non-finite value on a grid-pair distance")
+        kv = _kernel_on(problem, d1[rows], d2)
         if rows.start == 0:  # d1 = 0: K(0) and K on the second axis alone
             k0, row0 = kv[0, 0], kv[0].copy()
-        k_max = max(k_max, float(np.max(np.abs(kv))))
+        mag = np.abs(kv)
+        top = float(np.max(mag))
+        i, j = np.nonzero(mag >= (1.0 - _PEAK_TOL) * top)
+        peaks.append((i + rows.start, j, mag[i, j]))
+        k_max = max(k_max, top)
         if k0 > 0:  # |K(d1) K(d2) / K(0) - K(hypot(d1, d2))| in place, one temporary
             gap = np.multiply.outer(kv[:, 0] / k0, row0)
             gap -= kv
             gap_max = max(gap_max, float(np.max(np.abs(gap, out=gap))))
         col += W1[rows] @ np.square(kv, out=kv)
+    i, j, mag = (np.concatenate(part) for part in zip(*peaks))
+    near = mag >= (1.0 - _PEAK_TOL) * k_max
+    g1, g2 = np.unique(i[near]), np.unique(j[near])
+    r1, r2 = _split_floats(f1, s1, g1), _split_floats(f2, s2, g2)
+    if k_max > 0 and (r1.size > g1.size or r2.size > g2.size):  # a peak pair holds more floats
+        for rows in _row_blocks(r1.size, r2.nbytes):
+            k_max = max(k_max, float(np.max(np.abs(_kernel_on(problem, r1[rows], r2)))))
     separable = bool(k0 > 0 and gap_max <= 1e-13 * k_max * k_max / k0)
     return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(col @ W2)),
                        separable=separable)

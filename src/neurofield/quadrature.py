@@ -7,9 +7,10 @@ rectangular domain is split into ``n`` equal subintervals carrying a
 Two-dimensional quantities are stored as flat vectors in row-major order,
 i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``;
 ``tensor_values`` evaluates a function of ``(x1, x2, t)`` into that layout.
-The kernel norms pass over their kernel values, one per pair of distinct
-axis distances, in the row blocks of ``_row_blocks``, so that no temporary
-is that large.
+The kernel norms pass over their kernel values, one per pair of merged
+axis distances (the node-pair distances of one axis, with the floats that
+rounding splits one true distance into taken as one), in the row blocks
+of ``_row_blocks``, so that no temporary is that large.
 """
 
 from __future__ import annotations

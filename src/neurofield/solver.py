@@ -158,8 +158,8 @@ class SolverConfig:
             raise ValueError(f"final time T must be nonnegative, got {self.T}")
         if self.num_steps is None:
             raise ValueError(f"final time T={self.T} is not an integer multiple of h_t={self.h_t}")
-        if not self.eps_inner > 0:
-            raise ValueError("eps_inner must be positive")
+        if not (math.isfinite(self.eps_inner) and self.eps_inner > 0):
+            raise ValueError(f"eps_inner must be positive and finite, got {self.eps_inner}")
         if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
             raise ValueError(f"max_inner must be an integer of at least 1, got {self.max_inner!r}")
         if not isinstance(self.rank_reduction, (bool, np.bool_)):

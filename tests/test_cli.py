@@ -186,6 +186,39 @@ def test_run_rejects_m_above_resolution(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--no-rank-reduction", "--m", "30", "--ht", "0.05", "--T", "0.05"],
+    ["compare-delay", "--no-rank-reduction", "--m", "30", "--ht", "0.05", "--T", "0.1",
+     "--snapshots", "0.1"],
+    # the time study runs direct unless told otherwise
+    ["converge-time", "--m", "0", "--steps", "0.02", "--T", "0.02"],
+], ids=["run", "compare-delay", "converge-time"])
+def test_m_on_a_direct_run_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch, argv):
+    """A direct run reads no interpolation order, so an --m given to it is
+    an error, not a setting silently dropped."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(neurofield.cli, "solve", no_solve)
+    monkeypatch.setattr(neurofield.analysis, "solve", no_solve)
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--m" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_m_on_a_direct_run_is_rejected_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 30\nrank-reduction = no\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--ht", "0.05", "--T", "0.05",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--m" in err
+    assert list(out.iterdir()) == []
+
+
 def test_example2_time_constant_is_pinned(tmp_path, capsys):
     # example 2 takes no c, so --c is rejected whatever its value
     for c in ("2.0", "1.0"):
@@ -240,15 +273,15 @@ def test_converge_time_on_a_solution_exact_in_time_reports_flat_errors(tmp_path)
 
 
 @pytest.mark.parametrize("argv,reduced", [
-    (["converge-time", "--example", "1", "--steps", "0.02,0.01", "--T", "0.04",
-      "--m", "7"], False),
+    (["converge-time", "--example", "1", "--steps", "0.02,0.01", "--T", "0.04"], False),
     (["converge-time", "--example", "1", "--steps", "0.02,0.01", "--T", "0.04",
       "--m", "7", "--rank-reduction"], True),
-    (["run", "--no-rank-reduction", "--m", "7", "--ht", "0.02", "--T", "0.04"], False),
+    (["run", "--no-rank-reduction", "--ht", "0.02", "--T", "0.04"], False),
     (["run", "--m", "7", "--ht", "0.02", "--T", "0.04"], True),
 ], ids=["time-direct", "time-reduced", "run-direct", "run-reduced"])
 def test_interpolation_order_is_recorded_only_where_it_is_read(tmp_path, argv, reduced):
-    """The direct operator reads no m, so its header and manifest hold none."""
+    """The direct operator reads no m, so its header and manifest hold none
+    (not even the default); an m given to it is an error (below)."""
     assert main([*argv, "--out", str(tmp_path)]) == 0
     params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
     assert params.get("m") == (7 if reduced else None)

@@ -107,6 +107,17 @@ def test_config_validation():
         SolverConfig(h_t=0.01, T=0.1, max_inner=0).validate()
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_config_rejects_a_non_finite_eps_inner(eps):
+    """An infinite tolerance stops every level after one inner iteration:
+    example 1 at h_t = 0.04 ended 9.6e-5 away from its converged state,
+    with no warning."""
+    with pytest.raises(ValueError, match="eps_inner must be positive and finite"):
+        SolverConfig(h_t=0.04, T=0.2, eps_inner=eps).validate()
+    with pytest.raises(ValueError, match="eps_inner"):
+        solve(example1(), SolverConfig(h_t=0.04, T=0.2, eps_inner=eps))
+
+
 def test_config_rejects_a_non_integer_max_inner(monkeypatch):
     """A fractional or float max_inner fails validation, so solve raises
     ValueError before it builds the grid."""
