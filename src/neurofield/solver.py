@@ -49,10 +49,12 @@ the current iterate, which keeps the scheme implicit.  Interpolating the
 rate rather than the field is second order too, and the two agree for a
 linear S; for example 4 with S = tanh(3u) the states move by 4.7e-6 at
 h_t = 0.04, about 300 times below that run's own time error.  One array
-holds every grid level of the run, newest first, down to level
--(k_max + 1).  The grid history is a window onto it whose row l holds the
-field l levels back, with row 0 the current iterate: k_max + 2 rows for
-delayed problems and a single row otherwise.  Each level moves the window
+holds every grid level of the run, newest first, down to the deepest
+level the table reads: -(k_max + 1) unless a constant history is folded
+(below).  The grid history is a window onto it whose row l holds the
+field l levels back, with row 0 the current iterate: the table's
+history_rows, k_max + 2 for an unfolded delayed table and a single row
+without delay.  Each level moves the window
 one row up and copies nothing.
 
 The delayed operator is then linear in the rates s = S(history), flattened
@@ -69,6 +71,22 @@ part, ``live`` @ S(row 0), is all that an inner iteration applies.  It
 holds w delta at column q for the pairs with j = 0: the self pairs and the
 few whose travel time is under one step, or every pair, on ``then``'s
 index array, when no lag reaches one step.
+
+A run of n steps sums the frozen part on the windows of levels 0 .. n,
+so a pair at level offset j >= max(n, 1) only ever reads levels <= 0,
+the initial history.  solve scans that history before the table is
+built: if the initial data give the same grid field h0, value for value,
+at t = 0, -h_t, ..., -(k_max + 1) h_t (example 4, whose history is
+constant in time), those pairs are folded into one vector, ``fixed`` =
+sum of w S(h0) over them, and the matrices keep only the pairs with
+j < max(n, 1), on the max(n, 1) + 1 rows they reach, which are all the
+history rows the run then holds.  The frozen part is
+now @ s[:-N^2] + then @ s[N^2:] + fixed, with S evaluated on those rows
+alone; example 4 at N = 48, h_t = 0.02 and T = 0.5 keeps 12.6% of its
+pairs.  Such a folded table is exact only on windows whose rows max(n, 1)
+and deeper hold h0, as every window of its run does; the same holds for
+apply_integral_operator on it.  Nothing is folded when the history varies
+(example 5) or n > k_max.
 """
 
 from __future__ import annotations
@@ -205,6 +223,11 @@ class _Table:
         """Bytes held by the table's arrays."""
         return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
+    @property
+    def frozen_pairs(self) -> int:
+        """The pairs one frozen sum reads."""
+        return 0
+
     def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> float | np.ndarray:
         return 0.0
 
@@ -248,16 +271,23 @@ class AxisFactors(_Table):
 class DelayedPairs(_Table):
     """The pairs of a delayed kernel as three sparse matrices on the firing
     rates of the history's rows, flattened (module docstring).  For the pair
-    of evaluation point p and node q at level offset j <= k_max, ``now``
-    holds w delta and ``then`` w (1 - delta), both in row p at column
-    j N^2 + q, on the rates of rows 0 .. k_max and of rows 1 .. k_max + 1;
-    ``live`` holds w delta in row p at column q, on the rates of row 0, for
-    the pairs with j = 0, which weigh 0 in ``now``."""
+    of evaluation point p and node q at level offset j < r, ``now`` holds
+    w delta and ``then`` w (1 - delta), both in row p at column j N^2 + q,
+    on the rates of rows 0 .. r - 1 and of rows 1 .. r; ``live`` holds
+    w delta in row p at column q, on the rates of row 0, for the pairs with
+    j = 0, which weigh 0 in ``now``.
+
+    Without ``fixed``, r = k_max + 1 and the matrices hold every pair.  A
+    table folded for a run of n steps on a constant history h0 has
+    r = max(n, 1), and ``fixed`` holds, per evaluation point, the sum of
+    w S(h0) over its pairs with j >= r.  It is exact only on windows whose
+    rows r and deeper hold h0 (module docstring)."""
 
     now: sparse.csr_array
     then: sparse.csr_array
     live: sparse.csr_array
     k_max: int
+    fixed: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -265,16 +295,21 @@ class DelayedPairs(_Table):
 
     @property
     def history_rows(self) -> int:
-        return self.k_max + 2
+        return self.now.shape[1] // self.shape[1] + 1
 
     @property
     def nbytes(self) -> int:
         """Bytes of the matrices' data, indices and indptr, counting an
-        array that two of them share once."""
+        array that two of them share once, and of ``fixed``."""
         arrays = {a.__array_interface__["data"][0]: a.nbytes
                   for m in (self.now, self.then, self.live)
                   for a in (m.data, m.indices, m.indptr)}
-        return sum(arrays.values())
+        return sum(arrays.values()) + (0 if self.fixed is None else self.fixed.nbytes)
+
+    @property
+    def frozen_pairs(self) -> int:
+        """The pairs left in the matrices: every pair of an unfolded table."""
+        return self.then.nnz
 
     def frozen_sum(self, problem: ProblemSpec, history: np.ndarray) -> np.ndarray:
         """The quadrature sum over every pair but the live pairs' reads of
@@ -282,7 +317,10 @@ class DelayedPairs(_Table):
         only: the entries of ``now`` that read row 0 are 0."""
         s = np.asarray(problem.firing_rate(history[:self.history_rows]), dtype=float).ravel()
         nodes = self.shape[1]
-        return self.now @ s[:-nodes] + self.then @ s[nodes:]
+        out = self.now @ s[:-nodes] + self.then @ s[nodes:]
+        if self.fixed is not None:
+            out += self.fixed
+        return out
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
         return self.live @ np.asarray(problem.firing_rate(field), dtype=float)
@@ -296,9 +334,39 @@ def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) 
     return kv / math.sqrt(k0) * w[None, :]
 
 
+def _history_depth(problem: ProblemSpec, h_t: float, nodes: int) -> int:
+    """k_max = floor(tau_max / h_t), 0 without delay; ValueError if k_max + 2
+    history rows of ``nodes`` values are too many to index in int64."""
+    depth = problem.tau_max / h_t
+    if not (math.isfinite(depth)
+            and (math.floor(depth) + 2) * nodes <= np.iinfo(np.int64).max):
+        raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
+                         f"h_t={h_t:g} is too deep to index the history")
+    return math.floor(depth)
+
+
+def _index_type(columns: int, pairs: int) -> type:
+    """int32 where a table's columns and pair count fit in it, else int64."""
+    return np.int32 if max(columns, pairs) <= np.iinfo(np.int32).max else np.int64
+
+
+def _table_bound(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray, np.ndarray],
+                 k_max: int, separable: bool) -> int:
+    """Bytes of the table build_delay_table makes without a history: exact
+    for an undelayed kernel, with or without ``separable``; for a delayed
+    one 20 B per pair (24 with int64 indices), ``now`` and ``then`` on one
+    index array, leaving out the few live pairs and the indptrs."""
+    P, Q = axes[0].size * axes[1].size, grid.total_points
+    if not problem.has_delay:
+        return 8 * ((axes[0].size * grid.x1.size + axes[1].size * grid.x2.size)
+                    if separable else P * Q)
+    return (16 + np.dtype(_index_type((k_max + 1) * Q, P * Q)).itemsize) * P * Q
+
+
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                       axes: tuple[np.ndarray, np.ndarray], h_t: float,
-                      separable: bool = False) -> _Table:
+                      separable: bool = False, history: Optional[np.ndarray] = None,
+                      num_steps: int = 0) -> _Table:
     """The operator table of every pair of a grid node and a point of the
     tensor product of ``axes``, from the per-axis coordinate differences.
 
@@ -309,10 +377,18 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
     tau_max / h_t levels of history are too many to index in int64.
 
-    The delay arithmetic runs in place: the distances become the lag in
-    steps, then 1 - delta and then w (1 - delta), the kernel weights become
-    w delta, and the level offsets become flat indices, int32 wherever the
-    columns and the pair count fit in it.
+    ``history``, for a delayed problem, is the grid field that every level
+    <= 0 holds in a run of ``num_steps`` steps.  Given it, and if
+    r = max(num_steps, 1) <= k_max, the pairs at level offsets j >= r are
+    folded into DelayedPairs.fixed and the matrices keep the others, on
+    r N^2 columns (module docstring).  Without it the table is the same,
+    bit for bit, whatever ``num_steps``.
+
+    The kernel is evaluated on every pair in one call.  The delay
+    arithmetic runs in place on the pairs kept: the distances become the
+    lag in steps, then 1 - delta and then w (1 - delta), the kernel weights
+    become w delta, and the level offsets become flat indices, int32
+    wherever the columns and the pair count fit in it.
     """
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
@@ -321,11 +397,7 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         k0 = float(np.asarray(problem.kernel(np.zeros(1)), dtype=float)[0])
         return AxisFactors(A1=_axis_factor(problem, D1, grid.w1, k0),
                            A2=_axis_factor(problem, D2, grid.w2, k0))
-    depth = problem.tau_max / h_t  # 0 without delay
-    if not (math.isfinite(depth)
-            and (math.floor(depth) + 2) * grid.total_points <= np.iinfo(np.int64).max):
-        raise ValueError(f"delay depth tau_max / h_t = {depth:g} steps at v={problem.v:g}, "
-                         f"h_t={h_t:g} is too deep to index the history")
+    k_max = _history_depth(problem, h_t, grid.total_points)
     d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
     kw = np.asarray(problem.kernel(d), dtype=float)
     if not np.all(np.isfinite(kw)):
@@ -333,33 +405,54 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     kw = kw * grid.flat_weights()[None, :]
     if not problem.has_delay:
         return PairTable(kw)
-    k_max = math.floor(depth)
     P, Q = kw.shape
-    itype = np.int32 if max((k_max + 1) * Q, P * Q) <= np.iinfo(np.int32).max else np.int64
-    steps = np.divide(d, problem.v * h_t, out=d)
-    j = steps.astype(itype)  # the floor, as steps >= 0
+    reach = max(num_steps, 1)
+    if history is None or reach > k_max:
+        reach = k_max + 1
+    itype = _index_type(reach * Q, P * Q)
+    lag = np.divide(d, problem.v * h_t, out=d)
+    del d  # the lag holds its storage, which a fold frees early
+    fixed = None
+    if reach <= k_max:
+        # by a mask, not flat indices, with each whole array let go once its
+        # kept part is copied: the build peaks at most 1 B per pair above
+        # an unfolded one, when nearly every pair is kept
+        kept = lag < reach  # j < reach, j being the floor of lag
+        lag = lag[kept]
+        kept_kw = kw[kept]
+        kw[kept] = 0.0
+        fixed = kw @ np.asarray(problem.firing_rate(history), dtype=float).ravel()
+        kw = kept_kw
+        node = np.broadcast_to(np.arange(Q, dtype=itype), (P, Q))[kept]
+        indptr = np.zeros(P + 1, dtype=itype)
+        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
+        del kept
+    else:
+        node = np.arange(Q, dtype=itype)
+        indptr = np.arange(0, P * Q + 1, Q, dtype=itype)
+    j = lag.astype(itype)  # the floor, as lag >= 0
     np.minimum(j, k_max, out=j)
     is_live = j == 0
-    steps -= j  # 1 - delta
-    then = np.multiply(steps, kw, out=steps)
+    lag -= j  # 1 - delta
+    then = np.multiply(lag, kw, out=lag)
     near = np.subtract(kw, then, out=kw)  # w delta
     j *= Q
-    j += np.arange(Q, dtype=itype)
-    indptr = np.arange(0, P * Q + 1, Q, dtype=itype)
+    j += node
     near, index, then = near.ravel(), j.ravel(), then.ravel()
-    shape = (P, (k_max + 1) * Q)
-    if is_live.all():  # no lag reaches one step: ``now`` is empty, ``live`` every pair
+    shape = (P, reach * Q)
+    if is_live.all():  # no pair kept lags one step: ``now`` is empty, ``live`` every pair
         now = sparse.csr_array(shape)
         live = sparse.csr_array((near, index, indptr), shape=(P, Q))
     else:
         pairs = np.flatnonzero(is_live)
         live_indptr = np.zeros(P + 1, dtype=itype)
-        np.cumsum(np.bincount(pairs // Q, minlength=P), out=live_indptr[1:])
+        rows = np.searchsorted(indptr, pairs, side="right") - 1
+        np.cumsum(np.bincount(rows, minlength=P), out=live_indptr[1:])
         live = sparse.csr_array((near[pairs], index[pairs], live_indptr), shape=(P, Q))
         near[pairs] = 0.0
         now = sparse.csr_array((near, index, indptr), shape=shape)
     return DelayedPairs(now=now, then=sparse.csr_array((then, index, indptr), shape=shape),
-                        live=live, k_max=k_max)
+                        live=live, k_max=k_max, fixed=fixed)
 
 
 def apply_integral_operator(problem: ProblemSpec, table: _Table,
@@ -369,8 +462,10 @@ def apply_integral_operator(problem: ProblemSpec, table: _Table,
     stepper applies in these two parts (_Stepper).
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
-    iterate; it needs ``table.history_rows`` rows.  Returns a vector with one
-    entry per evaluation point.
+    iterate; it needs ``table.history_rows`` rows.  On a table folded for a
+    constant history (DelayedPairs.fixed) the sum is exact only where the
+    history holds that field from row max(n, 1) on.  Returns a vector with
+    one entry per evaluation point.
     """
     nodes = table.shape[1]
     if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
@@ -535,7 +630,10 @@ class SolveResult:
 
     ``total_integrand_evals`` counts every operator application of the run
     as StepDiagnostics does, ``table_bytes`` sizes the table's arrays and
-    ``table_form`` names its form (build_delay_table).
+    ``table_form`` names its form (build_delay_table).  ``separable`` is
+    the kernel norms' verdict, which picks AxisFactors for an undelayed
+    kernel, and ``frozen_pairs`` the pairs one frozen sum reads: 0 without
+    delay, fewer than the pair count where a constant history was folded.
     The states are rows of one array, so holding any one keeps every level
     alive, with a delayed run's history_rows - 1 rows of initial data.
     """
@@ -552,6 +650,8 @@ class SolveResult:
     total_integrand_evals: int = 0
     table_bytes: int = 0
     table_form: str = ""
+    separable: bool = False
+    frozen_pairs: int = 0
 
     @property
     def times(self) -> np.ndarray:
@@ -562,16 +662,36 @@ class SolveResult:
         return self.states[self.config.stored_level(t)]
 
 
+def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
+                      rows: int) -> Optional[np.ndarray]:
+    """The initial data's grid field if it is the same, value for value, at
+    t = 0, -h, ..., -(rows - 1) h, else None.  The times are evaluated one
+    at a time, up to the first that differs from t = 0; each is compared
+    as it broadcasts to the grid, and NaN equals nothing."""
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    h0 = np.empty((grid.x1.size, grid.x2.size))
+    h0[...] = problem.initial(x1, x2, 0.0)
+    for l in range(1, rows):
+        if not np.all(problem.initial(x1, x2, -l * h) == h0):
+            return None
+    return h0
+
+
 def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
     Builds the grid, the evaluation axes, the operator table and one array
-    of every level, seeded from the initial data down to level -(k_max + 1)
-    for delayed problems, then takes one Euler step and two-step levels.
+    of every level, seeded from the initial data down to the deepest row
+    the table reads for delayed problems, then takes one Euler step and
+    two-step levels.  A delayed problem's history is scanned before the
+    table is built: if it is constant over the k_max + 2 levels the delay
+    reaches, the table folds the pairs that read it alone
+    (build_delay_table) and the levels are seeded from that one field.
     Step-size bounds are checked up front; a step above a bound only logs a
-    warning.  The run raises ValueError before allocating the levels if they
-    and the table exceed the machine's physical memory, and fails hard if
-    the inner iteration stops converging or a state goes non-finite.
+    warning.  The run raises ValueError before the scan if the levels and a
+    bound of the table (_table_bound) exceed the machine's physical memory,
+    and fails hard if the inner iteration stops converging or a state goes
+    non-finite.
     """
     config.validate()
     h, c = config.h_t, problem.c
@@ -600,17 +720,25 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     for msg in warnings:
         logger.warning(msg)
 
-    table = build_delay_table(problem, grid, axes, h, norms.separable)
     num_steps = config.num_steps
-    rows = num_steps + table.history_rows
-    needed, available = table.nbytes + rows * grid.total_points * 8, _physical_memory()
+    k_max = _history_depth(problem, h, grid.total_points)
+    rows = num_steps + (k_max + 2 if problem.has_delay else 1)
+    needed = (_table_bound(problem, grid, axes, k_max, norms.separable)
+              + rows * grid.total_points * 8)
+    available = _physical_memory()
     if needed > available:
         raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
                          f"levels, above the {available} B of physical memory")
-    levels = np.empty((rows, grid.total_points))
+    history = _constant_history(problem, grid, h, k_max + 2) if problem.has_delay else None
+    table = build_delay_table(problem, grid, axes, h, norms.separable,
+                              history=history, num_steps=num_steps)
+    levels = np.empty((num_steps + table.history_rows, grid.total_points))
     seed = levels[num_steps:].reshape(table.history_rows, grid.x1.size, grid.x2.size)
-    for l in range(table.history_rows):
-        seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
+    if history is None:
+        for l in range(table.history_rows):
+            seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
+    else:
+        seed[:] = history
     u0 = tensor_values(problem.initial, *axes, 0.0)
     stepper = _Stepper(problem, config, table, axes, lift, levels, num_steps, u0)
 
@@ -636,4 +764,5 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics, warnings=warnings,
         total_integrand_evals=applies * table.pair_count, table_bytes=table.nbytes,
-        table_form=type(table).__name__)
+        table_form=type(table).__name__, separable=norms.separable,
+        frozen_pairs=table.frozen_pairs)

@@ -512,6 +512,14 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path):
     for record in delay["solves"].values():
         assert record.keys() == SOLVE_RECORD
         assert record["bounds"].keys() == {"bound_l2", "bound_max"}
+    # example 4's Gaussian separates, but its delay keeps the pair table, and
+    # its constant history folds all but a few of the m^2 N^2 pairs out of
+    # the frozen sum; the undelayed solve has no frozen part
+    for record in (run, delay["solves"]["delayed"]):
+        assert record["separable"] is True and record["table_form"] == "DelayedPairs"
+        assert 0 < record["frozen_pairs"] < 144 * 576
+    assert delay["solves"]["undelayed"]["separable"] is True
+    assert delay["solves"]["undelayed"]["frozen_pairs"] == 0
 
 
 def test_compare_delay_names_the_solve_of_each_warning(tmp_path):

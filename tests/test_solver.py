@@ -412,8 +412,8 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
     assert res.table_bytes == fast.nbytes == 8 * (axes[0].size + axes[1].size) * 12
     # the same run with the verdict withheld, so on the pair table
     monkeypatch.setattr(solver_module, "build_delay_table",
-                        lambda problem, grid, axes, h_t, separable:
-                        build_delay_table(problem, grid, axes, h_t))
+                        lambda problem, grid, axes, h_t, separable, **history:
+                        build_delay_table(problem, grid, axes, h_t, **history))
     ref_res = solve(p, cfg)
     assert ref_res.table_bytes == ref.nbytes
     for a, b in zip(res.states, ref_res.states):
@@ -668,10 +668,11 @@ def test_live_list_holds_the_pairs_of_lag_under_one_step():
     assert np.array_equal(table.now.data.reshape(64, 64)[~live], near[~live])
 
 
-def general_form(problem, grid, axes, h_t, separable=False):
+def general_form(problem, grid, axes, h_t, separable=False, history=None, num_steps=0):
     """Reference: the delayed table in its general form from one_shot_table's
     arrays, with ``now`` all 0 where a pair is live and a live matrix of
-    its own arrays, even when every pair is live."""
+    its own arrays, even when every pair is live, and no pair folded into
+    a constant history."""
     near, far, j = one_shot_table(problem, grid, axes, h_t)
     P, Q = near.shape
     live = j == 0
@@ -765,9 +766,11 @@ def test_delayed_solve_computes_the_frozen_sum_once_per_level(monkeypatch, form,
 
 
 def test_delayed_solve_peak_memory_is_the_table_history_and_states():
-    """A delayed solve allocates little beyond its table, its history and
-    the states it keeps: no whole-table temporary in the frozen sum and no
-    copy of the history in the level shift."""
+    """A delayed solve allocates little beyond an unfolded table (20 B per
+    pair), its whole history and the states it keeps: no whole-table
+    temporary in the frozen sum and no copy of the history in the level
+    shift.  Folding the constant history makes the table itself smaller
+    than the build's transient, so the bound is the unfolded table's."""
     p = example4(v=1.0)
     cfg = SolverConfig(h_t=0.02, T=0.1, n=12, k=4, m=12)
     tracemalloc.start()
@@ -777,9 +780,11 @@ def test_delayed_solve_peak_memory_is_the_table_history_and_states():
     finally:
         tracemalloc.stop()
     row_bytes = res.grid.total_points * 8
+    table_bytes = 20 * cfg.m ** 2 * res.grid.total_points
     history_bytes = (math.floor(p.tau_max / cfg.h_t) + 2) * row_bytes
     states_bytes = len(res.states) * row_bytes
-    assert peak < res.table_bytes + history_bytes + states_bytes + 2**20
+    assert res.table_bytes < table_bytes
+    assert peak < table_bytes + history_bytes + states_bytes + 2**20
 
 
 @pytest.mark.parametrize("problem,config", [
@@ -788,7 +793,9 @@ def test_delayed_solve_peak_memory_is_the_table_history_and_states():
 ], ids=["1e20-levels", "2.8e10-history-rows"])
 def test_run_beyond_physical_memory_fails_before_allocating(problem, config):
     """1e20 levels of one node, or tau_max / h_t = 2.8e10 levels of history
-    at N = 24 (1.3e14 B), raise ValueError instead of allocating them."""
+    at N = 24 (1.3e14 B), raise ValueError instead of allocating them, and
+    before the initial data are read for the history scan."""
+    problem = dataclasses.replace(problem, initial=refuse("initial"))
     with pytest.raises(ValueError, match=r"the run needs \d+ B .* above the \d+ B of physical"):
         solve(problem, config)
 
@@ -804,6 +811,144 @@ def test_memory_check_compares_the_table_and_levels_with_physical_memory(monkeyp
         solve(p, cfg)
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
     assert len(solve(p, cfg).states) == 3
+
+
+def refuse(name):
+    """A callable that fails the test if anything calls it."""
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return refused
+
+
+def test_delayed_memory_check_precedes_the_history_scan_and_the_build(monkeypatch):
+    """A delayed run checks its levels, down to level -(k_max + 1), and its
+    table at 20 B per pair with int32 indices against physical memory
+    before it reads the initial history or builds the table; a run that
+    fits exactly goes on."""
+    p, cfg = example4(v=1.0), SolverConfig(h_t=0.1, T=0.2, n=2, k=4, m=4)
+    rows = 2 + 28 + 2  # num_steps + k_max + 2
+    needed = 20 * 16 * 64 + rows * 64 * 8
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
+    monkeypatch.setattr(solver_module, "build_delay_table", refuse("build_delay_table"))
+    with pytest.raises(ValueError, match=f"needs {needed} B .* {rows} grid levels, above the "
+                                         f"{needed - 1} B of physical memory"):
+        solve(dataclasses.replace(p, initial=refuse("initial")), cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
+    assert len(solve(p, cfg).states) == 3
+
+
+# --- folding a constant initial history ------------------------------------
+
+def unfolded(problem, grid, axes, h_t, separable=False, history=None, num_steps=0):
+    """build_delay_table with the history withheld, so nothing folds."""
+    return build_delay_table(problem, grid, axes, h_t, separable)
+
+
+def solve_unfolded(problem, config, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "build_delay_table", unfolded)
+        return solve(problem, config)
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "rectangle"])
+@pytest.mark.parametrize("rank_reduction,N", [(True, 24), (False, 16)],
+                         ids=["rank-reduced-24", "direct-16"])
+def test_folded_table_matches_the_unfolded_one(domain, rank_reduction, N, monkeypatch):
+    """Example 4's history is constant in time, so a run of n <= k_max steps
+    folds its pairs at level offsets j >= n into one vector.  On windows
+    whose rows n and deeper hold that history, with random rows above it,
+    the folded frozen sum and whole operator match the unfolded table's to
+    1e-13 relative, with the linear rate and tanh, and the live sums are
+    equal.  The states of the whole run match the unfolded run's to 1e-13."""
+    p = example4(v=1.0, domain=domain)
+    cfg = SolverConfig(h_t=0.02, T=0.1, n=N // 4, k=4, m=6, rank_reduction=rank_reduction)
+    assert cfg.T < p.tau_max
+    grid = build_grid(domain, cfg.n, build_gauss_rule(cfg.k))
+    axes = eval_axes(grid, rank_reduction)
+    n, Q = cfg.num_steps, grid.total_points
+    h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+    rng = np.random.default_rng(5)
+    for rate in (p.firing_rate, np.tanh):
+        q = dataclasses.replace(p, firing_rate=rate)
+        ref = build_delay_table(q, grid, axes, cfg.h_t)
+        fold = build_delay_table(q, grid, axes, cfg.h_t, history=h0, num_steps=n)
+        assert fold.k_max == ref.k_max > n
+        assert fold.history_rows == n + 1 and fold.shape == ref.shape
+        assert 0 < fold.frozen_pairs < ref.frozen_pairs == ref.pair_count
+        assert fold.nbytes < ref.nbytes
+        for _ in range(3):
+            window = np.tile(h0, (ref.history_rows, 1))
+            window[:n] = rng.standard_normal((n, Q))
+            assert_close(fold.frozen_sum(q, window), ref.frozen_sum(q, window))
+            assert np.array_equal(fold.live_sum(q, window[0]), ref.live_sum(q, window[0]))
+            assert_close(apply_integral_operator(q, fold, window),
+                         apply_integral_operator(q, ref, window))
+    res = solve(p, cfg)
+    ref_res = solve_unfolded(p, cfg, monkeypatch)
+    assert res.frozen_pairs == fold.frozen_pairs and res.table_bytes == fold.nbytes
+    assert ref_res.frozen_pairs == ref.pair_count
+    assert res.total_integrand_evals == ref_res.total_integrand_evals
+    for a, b in zip(res.states, ref_res.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
+def differs_at_the_deepest_level(problem, h, k_max):
+    """The problem's initial data, doubled at level -(k_max + 1) alone."""
+    initial = problem.initial
+
+    def deep(x1, x2, t):
+        values = initial(x1, x2, t)
+        return 2.0 * values if t < -(k_max + 0.5) * h else values
+
+    return dataclasses.replace(problem, initial=deep)
+
+
+@pytest.mark.parametrize("case", ["example5", "n-above-k_max", "deepest-level-differs"])
+def test_nothing_folds_without_a_constant_history_in_reach(case, monkeypatch):
+    """No pair folds, and the run is bit for bit the run on the unfolded
+    table, when the history varies in time (example 5), when the run takes
+    k_max + 1 steps (T = 3 h_t, the first multiple of h_t past tau_max), or
+    when the history differs from level 0 at level -(k_max + 1) alone.  The
+    unfolded table holds pairs at j = k_max, which a wrong fold would
+    move."""
+    cfg = SolverConfig(h_t=1.0, T=2.0, n=2, k=4, rank_reduction=False)
+    p = example4(v=1.0, c=10.0)
+    k_max = math.floor(p.tau_max / cfg.h_t)
+    if case == "example5":
+        p = example5(v=1.0, c=10.0)
+    elif case == "n-above-k_max":
+        cfg = dataclasses.replace(cfg, T=(k_max + 1) * cfg.h_t)
+    else:
+        p = differs_at_the_deepest_level(p, cfg.h_t, k_max)
+    res = solve(p, cfg)
+    ref = solve_unfolded(p, cfg, monkeypatch)
+    pairs = res.grid.total_points ** 2
+    assert np.max(grid_table(p, res.grid, cfg.h_t).then.indices) // res.grid.total_points == k_max
+    assert res.frozen_pairs == ref.frozen_pairs == pairs
+    assert res.table_bytes == ref.table_bytes
+    for a, b in zip(res.states, ref.states):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("case", ["n-equals-k_max", "scalar-initial"])
+def test_a_constant_history_folds_at_its_edges(case, monkeypatch):
+    """At n = k_max the pairs at j = k_max read levels 0 and -1 at most, and
+    fold.  An initial state given as a scalar is broadcast to the grid
+    before it is compared, and folds too.  Both runs seed the same level 0
+    as the unfolded runs and match their states to 1e-13."""
+    cfg = SolverConfig(h_t=1.0, T=2.0, n=2, k=4, rank_reduction=False)
+    p = example4(v=1.0, c=10.0)
+    assert math.floor(p.tau_max / cfg.h_t) == cfg.num_steps
+    if case == "scalar-initial":
+        p = dataclasses.replace(p, initial=lambda x1, x2, t: 0.3)
+    res = solve(p, cfg)
+    ref = solve_unfolded(p, cfg, monkeypatch)
+    assert 0 < res.frozen_pairs < ref.frozen_pairs
+    assert np.array_equal(res.states[0].values, ref.states[0].values)
+    for a, b in zip(res.states, ref.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
 def test_lift_identity_without_operator():
