@@ -223,7 +223,6 @@ def _solve_record(result: SolveResult) -> dict:
 
 def _check_snapshots(cfg: SolverConfig, snapshots: list[float]) -> None:
     """Raise before any solve if a snapshot time is not one of the run's levels."""
-    cfg.validate()
     for t in snapshots:
         cfg.stored_level(t)
 

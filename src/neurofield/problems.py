@@ -45,8 +45,11 @@ DEFAULT_DOMAIN = Rectangle(-1.0, 1.0, -1.0, 1.0)
 class ProblemSpec:
     """Complete description of one neural field problem.
 
-    ``kernel`` maps distance arrays to connectivity values, ``firing_rate``
-    field values to rates.  ``input_current``, ``initial`` and the optional
+    ``kernel`` maps distance arrays to connectivity values: it may return
+    anything that broadcasts to its argument (a scalar, say), and every
+    value must be finite; the solver reads it only through kernel_values.
+    ``firing_rate`` maps field values to rates and must return an array of
+    its argument's shape.  ``input_current``, ``initial`` and the optional
     known solution ``exact`` map ``(x1, x2, t)`` to field values: they get
     two axes, a column ``x1[:, None]`` and a row ``x2[None, :]``, and may
     return anything that broadcasts to the full tensor (a scalar, say).
@@ -79,6 +82,17 @@ class ProblemSpec:
         if not 0 < self.firing_rate_slope_max < math.inf:
             raise ValueError(f"firing_rate_slope_max must be positive and finite, "
                              f"got {self.firing_rate_slope_max}")
+
+    def kernel_values(self, r: np.ndarray) -> np.ndarray:
+        """K at the distances r, as a writable float array of r's shape: the
+        kernel's own array when it is one, else a broadcast copy.
+        ValueError if a value is not finite."""
+        kv = np.asarray(self.kernel(r), dtype=float)
+        if kv.shape != r.shape or not kv.flags.writeable:
+            kv = np.broadcast_to(kv, r.shape).copy()
+        if not np.all(np.isfinite(kv)):
+            raise ValueError(f"kernel {self.name!r} produced a non-finite value")
+        return kv
 
     @property
     def has_delay(self) -> bool:
@@ -305,14 +319,6 @@ def _axis_distance_groups(x: np.ndarray,
     return floats, starts, np.add.reduceat(np.outer(w, w).ravel()[order], starts)
 
 
-def _kernel_on(problem: ProblemSpec, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """K(hypot(r1_i, r2_j)) as a float matrix; ValueError on a non-finite value."""
-    kv = np.asarray(problem.kernel(np.hypot(r1[:, None], r2[None, :])), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced a non-finite value on a grid-pair distance")
-    return kv
-
-
 def _split_floats(floats: np.ndarray, starts: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """The distinct floats of the given merged distances."""
     ends = np.append(starts[1:], floats.size)
@@ -361,7 +367,7 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     d1, d2 = f1[s1], f2[s2]
     k_max, gap_max, col, peaks = 0.0, 0.0, np.zeros(d2.size), []
     for rows in _row_blocks(d1.size, d2.nbytes):
-        kv = _kernel_on(problem, d1[rows], d2)
+        kv = problem.kernel_values(np.hypot(d1[rows, None], d2[None, :]))
         if rows.start == 0:  # d1 = 0: K(0) and K on the second axis alone
             k0, row0 = kv[0, 0], kv[0].copy()
         mag = np.abs(kv)
@@ -380,7 +386,8 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     r1, r2 = _split_floats(f1, s1, g1), _split_floats(f2, s2, g2)
     if k_max > 0 and (r1.size > g1.size or r2.size > g2.size):  # a peak pair holds more floats
         for rows in _row_blocks(r1.size, r2.nbytes):
-            k_max = max(k_max, float(np.max(np.abs(_kernel_on(problem, r1[rows], r2)))))
+            kv = problem.kernel_values(np.hypot(r1[rows, None], r2[None, :]))
+            k_max = max(k_max, float(np.max(np.abs(kv))))
     separable = bool(k0 > 0 and gap_max <= 1e-13 * k_max * k_max / k0)
     return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(col @ W2)),
                        separable=separable)

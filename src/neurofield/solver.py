@@ -147,7 +147,7 @@ def time_level(t: float, h: float) -> Optional[int]:
     return idx
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Numerical parameters of one run.
 
@@ -157,7 +157,8 @@ class SolverConfig:
     eps_inner and max_inner control the fixed-point loop.  rank_reduction
     True applies the operator at the m x m Chebyshev points and lifts the
     result to the grid; False evaluates the integral directly at every grid
-    point.
+    point.  A config is checked when it is made: ValueError for a setting
+    out of range or a T that is not a multiple of h_t.
     """
 
     h_t: float
@@ -169,12 +170,15 @@ class SolverConfig:
     max_inner: int = 50
     rank_reduction: bool = True
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not (math.isfinite(self.h_t) and self.h_t > 0):
             raise ValueError(f"time step h_t must be positive and finite, got {self.h_t}")
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError(f"final time T must be nonnegative, got {self.T}")
-        if self.num_steps is None:
+        if time_level(self.T, self.h_t) is None:
             raise ValueError(f"final time T={self.T} is not an integer multiple of h_t={self.h_t}")
         if not (math.isfinite(self.eps_inner) and self.eps_inner > 0):
             raise ValueError(f"eps_inner must be positive and finite, got {self.eps_inner}")
@@ -184,14 +188,14 @@ class SolverConfig:
             raise ValueError(f"rank_reduction must be a bool, got {self.rank_reduction!r}")
 
     @property
-    def num_steps(self) -> Optional[int]:
-        """T / h_t rounded, or None when T is not a multiple of h_t."""
+    def num_steps(self) -> int:
+        """T / h_t, the number of steps of the run."""
         return time_level(self.T, self.h_t)
 
     def stored_level(self, t: float) -> int:
         """The level of time t among 0 .. num_steps; ValueError if it is none."""
         idx = time_level(t, self.h_t)
-        if idx is None or self.num_steps is None or not 0 <= idx <= self.num_steps:
+        if idx is None or not 0 <= idx <= self.num_steps:
             raise ValueError(f"time {t!r} is not a stored level (h_t={self.h_t}, T={self.T})")
         return idx
 
@@ -220,8 +224,12 @@ class _Table:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the table's arrays."""
-        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
+        """Bytes held by the table's arrays, dense ones and the data, indices
+        and indptr of sparse ones, counting a buffer they share once."""
+        arrays = [a for v in vars(self).values()
+                  for a in ((v,) if isinstance(v, np.ndarray) else
+                            (v.data, v.indices, v.indptr) if sparse.issparse(v) else ())]
+        return sum({a.__array_interface__["data"][0]: a.nbytes for a in arrays}.values())
 
     @property
     def frozen_pairs(self) -> int:
@@ -298,15 +306,6 @@ class DelayedPairs(_Table):
         return self.now.shape[1] // self.shape[1] + 1
 
     @property
-    def nbytes(self) -> int:
-        """Bytes of the matrices' data, indices and indptr, counting an
-        array that two of them share once, and of ``fixed``."""
-        arrays = {a.__array_interface__["data"][0]: a.nbytes
-                  for m in (self.now, self.then, self.live)
-                  for a in (m.data, m.indices, m.indptr)}
-        return sum(arrays.values()) + (0 if self.fixed is None else self.fixed.nbytes)
-
-    @property
     def frozen_pairs(self) -> int:
         """The pairs left in the matrices: every pair of an unfolded table."""
         return self.then.nnz
@@ -324,14 +323,6 @@ class DelayedPairs(_Table):
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
         return self.live @ np.asarray(problem.firing_rate(field), dtype=float)
-
-
-def _axis_factor(problem: ProblemSpec, D: np.ndarray, w: np.ndarray, k0: float) -> np.ndarray:
-    """K(|D|) / sqrt(k0) times the node weights w, once K(|D|) is finite."""
-    kv = np.asarray(problem.kernel(np.abs(D)), dtype=float)
-    if not np.all(np.isfinite(kv)):
-        raise ValueError("kernel produced a non-finite value while building the axis factors")
-    return kv / math.sqrt(k0) * w[None, :]
 
 
 def _history_depth(problem: ProblemSpec, h_t: float, nodes: int) -> int:
@@ -384,24 +375,23 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     r N^2 columns (module docstring).  Without it the table is the same,
     bit for bit, whatever ``num_steps``.
 
-    The kernel is evaluated on every pair in one call.  The delay
-    arithmetic runs in place on the pairs kept: the distances become the
-    lag in steps, then 1 - delta and then w (1 - delta), the kernel weights
-    become w delta, and the level offsets become flat indices, int32
-    wherever the columns and the pair count fit in it.
+    The kernel is evaluated on every pair in one call (ProblemSpec.
+    kernel_values).  The delay arithmetic runs in place on the pairs kept:
+    the distances become the lag in steps, then 1 - delta and then
+    w (1 - delta), the kernel weights become w delta, and the level offsets
+    become flat indices, int32 wherever the columns and the pair count fit
+    in it.  The live pairs are cut from ``now``'s first N^2 columns.
     """
     e1, e2 = axes
     D1 = e1[:, None] - grid.x1[None, :]
     D2 = e2[:, None] - grid.x2[None, :]
     if not problem.has_delay and separable:
-        k0 = float(np.asarray(problem.kernel(np.zeros(1)), dtype=float)[0])
-        return AxisFactors(A1=_axis_factor(problem, D1, grid.w1, k0),
-                           A2=_axis_factor(problem, D2, grid.w2, k0))
+        root_k0 = math.sqrt(problem.kernel_values(np.zeros(1))[0])
+        return AxisFactors(*(problem.kernel_values(np.abs(D)) / root_k0 * w[None, :]
+                             for D, w in ((D1, grid.w1), (D2, grid.w2))))
     k_max = _history_depth(problem, h_t, grid.total_points)
     d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
-    kw = np.asarray(problem.kernel(d), dtype=float)
-    if not np.all(np.isfinite(kw)):
-        raise ValueError("kernel produced a non-finite value while building the pair table")
+    kw = problem.kernel_values(d)
     kw = kw * grid.flat_weights()[None, :]
     if not problem.has_delay:
         return PairTable(kw)
@@ -443,14 +433,10 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     if is_live.all():  # no pair kept lags one step: ``now`` is empty, ``live`` every pair
         now = sparse.csr_array(shape)
         live = sparse.csr_array((near, index, indptr), shape=(P, Q))
-    else:
-        pairs = np.flatnonzero(is_live)
-        live_indptr = np.zeros(P + 1, dtype=itype)
-        rows = np.searchsorted(indptr, pairs, side="right") - 1
-        np.cumsum(np.bincount(rows, minlength=P), out=live_indptr[1:])
-        live = sparse.csr_array((near[pairs], index[pairs], live_indptr), shape=(P, Q))
-        near[pairs] = 0.0
+    else:  # cut the live pairs (j = 0) before zeroing them in ``now``
         now = sparse.csr_array((near, index, indptr), shape=shape)
+        live = now[:, :Q]
+        now.data[is_live.ravel()] = 0.0
     return DelayedPairs(now=now, then=sparse.csr_array((then, index, indptr), shape=shape),
                         live=live, k_max=k_max, fixed=fixed)
 
@@ -690,10 +676,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     Step-size bounds are checked up front; a step above a bound only logs a
     warning.  The run raises ValueError before the scan if the levels and a
     bound of the table (_table_bound) exceed the machine's physical memory,
-    and fails hard if the inner iteration stops converging or a state goes
-    non-finite.
+    or if the firing rate, tried once on the initial state, does not return
+    its argument's shape.  It fails hard if the inner iteration stops
+    converging or a state goes non-finite.
     """
-    config.validate()
     h, c = config.h_t, problem.c
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
     if config.rank_reduction:
@@ -729,6 +715,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     if needed > available:
         raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
                          f"levels, above the {available} B of physical memory")
+    u0 = tensor_values(problem.initial, *axes, 0.0)
+    rates = np.shape(problem.firing_rate(u0))
+    if rates != u0.shape:
+        raise ValueError(f"firing_rate returned shape {rates} for field values of shape "
+                         f"{u0.shape}; it must return its argument's shape")
     history = _constant_history(problem, grid, h, k_max + 2) if problem.has_delay else None
     table = build_delay_table(problem, grid, axes, h, norms.separable,
                               history=history, num_steps=num_steps)
@@ -739,7 +730,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
     else:
         seed[:] = history
-    u0 = tensor_values(problem.initial, *axes, 0.0)
     stepper = _Stepper(problem, config, table, axes, lift, levels, num_steps, u0)
 
     def record(level: int) -> FieldState:

@@ -140,3 +140,24 @@ def test_only_build_delay_table_names_the_table_forms():
              if getattr(node, "name", None) not in allowed
              for name in ast.walk(node) if isinstance(name, ast.Name) and name.id in forms]
     assert not named, f"solver.py names a table form outside build_delay_table: {named}"
+
+
+def kernel_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "kernel"]
+
+
+def test_only_kernel_values_calls_the_kernel():
+    """Package code evaluates K only through ProblemSpec.kernel_values, the
+    one place that makes its result a finite float array of the distances'
+    shape."""
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    spec = next(node for node in trees["problems.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "ProblemSpec")
+    method = next(node for node in spec.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "kernel_values")
+    allowed = kernel_calls(method)
+    assert len(allowed) == 1
+    outside = [(name, call.lineno) for name, tree in trees.items()
+               for call in kernel_calls(tree) if call not in allowed]
+    assert not outside, f"package code calls .kernel( outside kernel_values: {outside}"

@@ -129,6 +129,26 @@ def test_problem_validation():
         ProblemSpec(c=1.0, firing_rate_slope_max=0.0, **kwargs)
 
 
+def test_kernel_values_is_a_finite_float_array_of_the_distances_shape():
+    """The kernel's own array where it is a writable float array of the
+    distances' shape; a writable float copy of anything else that
+    broadcasts to them, a read-only view among them; and one ValueError for
+    any non-finite value."""
+    r = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    own = np.exp(-r)
+    assert dataclasses.replace(example1(), kernel=lambda d: own).kernel_values(r) is own
+    for value, want in ((1, np.ones((2, 3))), (0.5, np.full((2, 3), 0.5)),
+                        (np.arange(3), np.tile(np.arange(3.0), (2, 1))),
+                        (np.float32(2.0) * np.ones((2, 3), np.float32), np.full((2, 3), 2.0)),
+                        (np.broadcast_to(0.25, (2, 3)), np.full((2, 3), 0.25))):
+        kv = dataclasses.replace(example1(), kernel=lambda d: value).kernel_values(r)
+        assert kv.dtype == np.float64 and kv.flags.writeable and np.array_equal(kv, want)
+    for bad in (math.nan, math.inf, lambda d: np.where(d > 0.5, -np.inf, 1.0)):
+        kernel = bad if callable(bad) else lambda d: bad
+        with pytest.raises(ValueError, match="kernel 'example1' produced a non-finite value"):
+            dataclasses.replace(example1(), kernel=kernel).kernel_values(r)
+
+
 @pytest.mark.parametrize("field_name", ["c", "firing_rate_slope_max"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
 def test_problem_rejects_non_finite_constants(field_name, value):

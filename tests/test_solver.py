@@ -150,7 +150,8 @@ def test_config_rejects_a_non_bool_rank_reduction(monkeypatch):
 def test_config_num_steps():
     assert SolverConfig(h_t=0.01, T=0.1).num_steps == 10
     assert SolverConfig(h_t=0.1, T=0.0).num_steps == 0
-    assert SolverConfig(h_t=0.03, T=0.1).num_steps is None
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        SolverConfig(h_t=0.03, T=0.1)
 
 
 def test_time_level_rule():
@@ -418,6 +419,87 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
     assert ref_res.table_bytes == ref.nbytes
     for a, b in zip(res.states, ref_res.states):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
+# --- the callable contract ----------------------------------------------------
+
+def without_verdict(problem, grid, axes, h_t, separable, **history):
+    """build_delay_table with the separability verdict withheld, so an
+    undelayed kernel gets the pair table."""
+    return build_delay_table(problem, grid, axes, h_t, **history)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5])
+@pytest.mark.parametrize("form,problem,rank_reduction", [
+    ("AxisFactors", example3(), False),
+    ("AxisFactors", example3(), True),
+    ("PairTable", example3(), True),
+    ("DelayedPairs", example4(v=1.0), True),
+    ("DelayedPairs", example5(v=1.0), False),
+], ids=["AxisFactors-direct", "AxisFactors-rank-reduced", "PairTable", "DelayedPairs-folded",
+        "DelayedPairs-unfolded"])
+def test_a_scalar_kernel_runs_as_its_array_twin(form, problem, rank_reduction, value,
+                                                monkeypatch):
+    """A kernel may return a scalar, which stands for its value at every
+    distance, or a read-only view: the kernel norms, K(0) of the axis
+    factors and the pair and delayed tables all read it through
+    ProblemSpec.kernel_values, so a run gives bit for bit the states, table
+    size and work of the kernel that returns a new array of the value at
+    every distance.  Example 4's constant history is folded, example 5's is
+    not."""
+    cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4, rank_reduction=rank_reduction)
+    if form == "PairTable":
+        monkeypatch.setattr(solver_module, "build_delay_table", without_verdict)
+    *runs, twin = [solve(dataclasses.replace(problem, kernel=kernel), cfg)
+                   for kernel in (lambda r: value, lambda r: np.broadcast_to(value, r.shape),
+                                  lambda r: np.full_like(r, value))]
+    pairs = (16 if rank_reduction else 64) * 64
+    assert twin.table_form == form
+    if problem.name == "example4":
+        assert 0 < twin.frozen_pairs < pairs
+    elif problem.name == "example5":
+        assert twin.frozen_pairs == pairs
+    for res in runs:
+        assert res.table_form == form and res.frozen_pairs == twin.frozen_pairs
+        assert res.table_bytes == twin.table_bytes
+        assert res.total_integrand_evals == twin.total_integrand_evals
+        for a, b in zip(res.states, twin.states):
+            assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("rate,shape", [(lambda u: 0.0, ()),
+                                        (lambda u: np.tanh(u)[None], (1, 16))],
+                         ids=["scalar", "extra-axis"])
+@pytest.mark.parametrize("problem", [example1(), example4(v=1.0), example5(v=1.0)],
+                         ids=["example1", "example4", "example5"])
+def test_a_firing_rate_of_another_shape_fails_before_the_table(problem, rate, shape,
+                                                               monkeypatch):
+    """S must return its argument's shape.  One that does not is rejected
+    with both shapes named, before the history scan and the table build,
+    instead of failing in a reshape or a matrix product of the first level."""
+    monkeypatch.setattr(solver_module, "build_delay_table", refuse("build_delay_table"))
+    monkeypatch.setattr(solver_module, "_constant_history", refuse("_constant_history"))
+    cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4)
+    with pytest.raises(ValueError, match=re.escape(f"firing_rate returned shape {shape} for "
+                                                   f"field values of shape (16,)")):
+        solve(dataclasses.replace(problem, firing_rate=rate), cfg)
+
+
+def test_the_firing_rate_shape_is_checked_once_per_solve():
+    """The check tries S once per solve: beyond it, S is called once per
+    operator application of the axis factors, not once more per iteration."""
+    shapes = []
+
+    def rate(u):
+        shapes.append(np.shape(u))
+        return np.tanh(u)
+
+    res = solve(dataclasses.replace(example1(), firing_rate=rate),
+                SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4))
+    assert res.table_form == "AxisFactors"
+    applies = 1 + sum(d.kappa_applies for d in res.diagnostics)
+    assert len(shapes) == 1 + applies
+    assert shapes[0] == (16,)
 
 
 def test_lift_matches_coefficient_round_trip():
