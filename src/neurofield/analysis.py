@@ -230,10 +230,11 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
                            rank_reduction: bool = False) -> TimeStudy:
     """Solve at each step size on a fixed grid and collect errors in time.
 
-    Steps must be positive, nested (every coarser step an integer multiple
-    of every finer one) and divide T, so that errors can be compared at
-    shared levels.  A single step size is allowed and yields a ratio-free
-    table.
+    Each step must make a valid SolverConfig with T, which raises its own
+    ValueError; T must be above 0 and the steps nested (every coarser step
+    an integer multiple of every finer one), so that errors can be compared
+    at shared levels.  A single step size is allowed and yields a
+    ratio-free table.
 
     Rank reduction defaults to off here, unlike in ordinary runs: the
     study isolates the temporal error, and representing a non-polynomial
@@ -252,20 +253,16 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
     if not steps:
         raise ValueError("need at least one step size")
     steps = sorted(set(float(h) for h in steps), reverse=True)
-    for h in steps:
-        if h <= 0:
-            raise ValueError(f"time steps must be positive, got {h!r}")
+    configs = [SolverConfig(h_t=h, T=T, n=n, k=k, m=m, eps_inner=_STUDY_EPS_INNER,
+                            rank_reduction=rank_reduction) for h in steps]
+    if configs[0].num_steps < 1:
+        raise ValueError(f"the study needs at least one level after t = 0, got T={T!r}")
     finest = steps[-1]
     for h in steps:
-        levels = time_level(T, h)
-        if levels is None or levels < 1:
-            raise ValueError(f"step {h!r} does not divide the final time {T!r}")
         if time_level(h, finest) is None:
             raise ValueError(f"steps are not nested: {h!r} is not a multiple of {finest!r}")
 
     errors: dict[float, dict[int, float]] = {}
-    configs = [SolverConfig(h_t=h, T=T, n=n, k=k, m=m, eps_inner=_STUDY_EPS_INNER,
-                            rank_reduction=rank_reduction) for h in steps]
     for cfg in configs:
         res = solve(problem, cfg)
         mult = time_level(cfg.h_t, finest)
@@ -318,7 +315,8 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
                             T: float = 0.1, norm: str = NORMS[0]) -> SpaceStudy:
     """Errors at t = T while the grid is refined at fixed k and time step.
 
-    Each N must be a multiple of k (N = n * k subinterval structure).
+    Each N and m must be an integer, and each N a multiple of k (N = n * k
+    subinterval structure).
     Pairs with m > N are skipped so that a shared m list can span several
     resolutions, but every N and every m must be in some pair with m <= N.
     The inner tolerance is _STUDY_EPS_INNER (1e-14), as in the time study,
@@ -327,6 +325,10 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
+    for value in (*N_values, *m_values):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"grid resolutions and interpolation orders must be integers, "
+                             f"got {value!r}")
     N_values = sorted(set(int(N) for N in N_values))
     m_values = sorted(set(int(m) for m in m_values))
     if not N_values or not m_values:

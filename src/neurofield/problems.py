@@ -9,22 +9,25 @@ on a rectangular domain: decay time constant c, connectivity kernel K as a
 function of distance, firing-rate function S, external input I, initial
 state V0 and transmission speed v (infinite v switches the delay off).
 
-Five ready-made problems are provided.  The first three have closed-form
-solutions and are used for convergence measurements; the fourth adds a
-finite transmission speed to the third and has no closed form; the fifth
-adds one to a kernel built so that the third's closed form still holds.
+Five ready-made problems are provided.  Examples 1-3 are one family of
+manufactured solutions, used for convergence measurements: pick the exact
+solution V(x, t) = a(t) g(x), with g a Gaussian bump or 1 and the kernel a
+Gaussian, and take the input that makes it solve the equation
+(_product_solution).  Example 4 adds a finite transmission speed to
+example 3 and has no closed form.  Example 5 builds a delay-compensated
+kernel on example 3, under which example 3's solution still holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.special import erf
 
-from .quadrature import Rectangle, SpatialGrid, _row_blocks
+from .quadrature import Rectangle, SpatialGrid
 
 __all__ = [
     "ProblemSpec",
@@ -136,39 +139,61 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN,
     return (math.pi / (4.0 * s)) * f1 * f2
 
 
-def _check_rate(name: str, s: float) -> None:
-    """The closed-form inputs divide by s = lam + mu (mu = 0 in the first
-    two examples) and take sqrt(s), so s must be finite and positive."""
-    if not (math.isfinite(s) and s > 0):
-        raise ValueError(f"the closed-form input needs a finite positive {name}, got {s}")
+def _product_solution(name: str, lam: float, c: float, domain: Rectangle, *,
+                      a: Callable[[float], float],
+                      drive: Optional[Callable[[float], float]],
+                      rate: Callable[[np.ndarray], np.ndarray],
+                      scalar_rate: Callable[[float], float], slope: float,
+                      mu: Optional[float] = None, parameters: dict) -> ProblemSpec:
+    """The problem with the Gaussian kernel exp(-lam r^2) whose exact
+    solution is V(x, t) = a(t) g(x): g(x) = exp(-mu |x|^2), or g = 1 for
+    mu None.
+
+    The firing rate S must satisfy S(a g) = s(a) g, with ``scalar_rate`` s:
+    tanh with g = 1, or the linear rate.  The integral term is then
+    s(a(t)) kernel_box_integral(lam, x, mu), and the input
+
+        I(x, t) = (c a' + a)(t) g(x) - s(a(t)) kernel_box_integral(lam, x, mu)
+
+    makes V solve the equation.  ``drive`` is c a' + a, added as a scalar
+    and so only with g = 1, or None where it vanishes (a = exp(-t / c)).
+    The input divides by lam (+ mu) and takes its root, so that must be
+    finite and positive.  The history at every t <= 0 is V(x, 0).
+    """
+    rate_sum = lam if mu is None else lam + mu
+    if not (math.isfinite(rate_sum) and rate_sum > 0):
+        raise ValueError(f"the closed-form input needs a finite positive "
+                         f"{'lambda' if mu is None else 'lambda + mu'}, got {rate_sum}")
+    weight = 0.0 if mu is None else mu
+
+    def g(x1, x2, t=None):  # t unused: g is the history where a(0) = 1
+        x1 = np.asarray(x1, dtype=float)
+        if mu is None:  # ones in x1's shape, not a full grid
+            return np.ones_like(x1)
+        x2 = np.asarray(x2, dtype=float)
+        return np.exp(-mu * (x1 * x1 + x2 * x2))
+
+    def input_current(x1, x2, t):
+        s = scalar_rate(a(t))
+        mass = kernel_box_integral(lam, x1, x2, domain, mu=weight)
+        return -s * mass if drive is None else drive(t) - s * mass
+
+    a0 = a(0.0)  # no product per call where a(0) = 1: the history scan calls it often
+    initial = g if a0 == 1.0 else lambda x1, x2, t: a0 * g(x1, x2)
+    return ProblemSpec(
+        name=name, domain=domain, c=c, kernel=lambda r: np.exp(-lam * r * r),
+        firing_rate=rate, firing_rate_slope_max=slope, input_current=input_current,
+        initial=initial, exact=lambda x1, x2, t: a(t) * g(x1, x2), parameters=parameters)
 
 
 def example1(lam: float = 1.0, sigma: float = 1.0, c: float = 1.0,
              domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
-    """Gaussian kernel, tanh firing rate, spatially uniform exact solution.
-
-    The input is chosen so that V(x, t) = exp(-t / c) solves the equation:
-    the integral term equals tanh(sigma * exp(-t/c)) times the kernel mass
-    and the input cancels it exactly.
-    """
-    _check_rate("lambda", lam)
-
-    def input_current(x1, x2, t):
-        mass = kernel_box_integral(lam, x1, x2, domain)
-        return -math.tanh(sigma * math.exp(-t / c)) * mass
-
-    return ProblemSpec(
-        name="example1",
-        domain=domain,
-        c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
-        firing_rate=lambda u: np.tanh(sigma * u),
-        firing_rate_slope_max=sigma,
-        input_current=input_current,
-        initial=lambda x1, x2, t: np.ones_like(np.asarray(x1, dtype=float)),
-        exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), math.exp(-t / c)),
-        parameters={"lambda": lam, "sigma": sigma, "c": c},
-    )
+    """Gaussian kernel, tanh firing rate, spatially uniform exact solution
+    V(x, t) = exp(-t / c)."""
+    return _product_solution(
+        "example1", lam, c, domain, a=lambda t: math.exp(-t / c), drive=None,
+        rate=lambda u: np.tanh(sigma * u), scalar_rate=lambda u: math.tanh(sigma * u),
+        slope=sigma, parameters={"lambda": lam, "sigma": sigma, "c": c})
 
 
 def example2(lam: float = 1.0, sigma: float = 1.0,
@@ -177,61 +202,30 @@ def example2(lam: float = 1.0, sigma: float = 1.0,
 
     The solution is linear in time, so both the two-step scheme and its
     bootstrap step reproduce it exactly and any measured error is purely
-    spatial.  The time constant is pinned to 1 by the construction of the
-    input.
+    spatial.  The time constant is pinned to 1, so the drive c a' + a is
+    1 + t.
     """
-    _check_rate("lambda", lam)
     c = 1.0
-
-    def input_current(x1, x2, t):
-        mass = kernel_box_integral(lam, x1, x2, domain)
-        return c + t - math.tanh(sigma * t) * mass
-
-    return ProblemSpec(
-        name="example2",
-        domain=domain,
-        c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
-        firing_rate=lambda u: np.tanh(sigma * u),
-        firing_rate_slope_max=sigma,
-        input_current=input_current,
-        initial=lambda x1, x2, t: np.zeros_like(np.asarray(x1, dtype=float)),
-        exact=lambda x1, x2, t: np.full_like(np.asarray(x1, dtype=float), float(t)),
-        parameters={"lambda": lam, "sigma": sigma, "c": c},
-    )
+    return _product_solution(
+        "example2", lam, c, domain, a=lambda t: t, drive=lambda t: c + t,
+        rate=lambda u: np.tanh(sigma * u), scalar_rate=lambda u: math.tanh(sigma * u),
+        slope=sigma, parameters={"lambda": lam, "sigma": sigma, "c": c})
 
 
 def example3(lam: float = 1.0, mu: float = 1.0, c: float = 1.0,
              domain: Rectangle = DEFAULT_DOMAIN) -> ProblemSpec:
-    """Gaussian kernel, linear firing rate, Gaussian-bump exact solution.
+    """Gaussian kernel, linear firing rate, Gaussian-bump exact solution
+    V(x, t) = exp(-t / c) exp(-mu |x|^2).
 
-    V(x, t) = exp(-t / c) * exp(-mu * |x|^2) solves the equation when the
-    input cancels the integral of the kernel against the bump, taken over
-    the full domain.  That integral is the weighted kernel_box_integral,
-    in closed form; on the solver's two axes it costs one erf pair per
-    coordinate, so it is evaluated afresh at every step.  lam = 0 (a
-    constant kernel) is allowed as long as lam + mu > 0.
+    The input's integral of the kernel against the bump is the weighted
+    kernel_box_integral, one erf pair per coordinate on the solver's two
+    axes, so it is evaluated afresh at every step.  lam = 0 (a constant
+    kernel) is allowed as long as lam + mu > 0.
     """
-    _check_rate("lambda + mu", lam + mu)
-
-    def bump(x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return np.exp(-mu * (x1 * x1 + x2 * x2))
-
-    return ProblemSpec(
-        name="example3",
-        domain=domain,
-        c=c,
-        kernel=lambda r: np.exp(-lam * r * r),
-        firing_rate=lambda u: np.asarray(u, dtype=float),
-        firing_rate_slope_max=1.0,
-        input_current=lambda x1, x2, t: -math.exp(-t / c) * kernel_box_integral(
-            lam, x1, x2, domain, mu=mu),
-        initial=lambda x1, x2, t: bump(x1, x2),
-        exact=lambda x1, x2, t: math.exp(-t / c) * bump(x1, x2),
-        parameters={"lambda": lam, "mu": mu, "c": c},
-    )
+    return _product_solution(
+        "example3", lam, c, domain, a=lambda t: math.exp(-t / c), drive=None,
+        rate=lambda u: np.asarray(u, dtype=float), scalar_rate=lambda u: u,
+        slope=1.0, mu=mu, parameters={"lambda": lam, "mu": mu, "c": c})
 
 
 def example4(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
@@ -298,6 +292,17 @@ _MERGE_TOL = 1e-13
 # Kernel values within this fraction of the max may hide the scan's max at
 # another float of their merged distances (compute_kernel_norms).
 _PEAK_TOL = 1e-12
+# Bytes of one temporary of a row block: a block's few temporaries then fit
+# in a 2 MB L2 cache.
+_BLOCK_BYTES = 128 * 1024
+
+
+def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(rows), each of about _BLOCK_BYTES of
+    rows of row_bytes bytes and of at least one row."""
+    size = max(1, _BLOCK_BYTES // row_bytes)
+    for lo in range(0, rows, size):
+        yield slice(lo, min(lo + size, rows))
 
 
 def _axis_distance_groups(x: np.ndarray,
@@ -353,11 +358,11 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     kernel that peaks at r = 0 evaluates nothing more: distance 0 is a
     single float.
 
-    K is never held whole: it is evaluated in row blocks (quadrature's
-    _row_blocks), and the pass carries the running max |K|, the largest
-    separability gap and the W1-weighted column sums of K^2.  Max is
-    order-free, so k_max and separable are those of one whole-matrix pass
-    over the merged distances.  l2_estimate, summed block by block and then
+    K is never held whole: it is evaluated in row blocks (_row_blocks),
+    and the pass carries the running max |K|, the largest separability
+    gap and the W1-weighted column sums of K^2.  Max is order-free, so
+    k_max and separable are those of one whole-matrix pass over the
+    merged distances.  l2_estimate, summed block by block and then
     against W2, differs from that pass only in summation order, and from
     the full pair scan also by K's change over a few ulps of distance
     (6.5e-16 relative on the shipped kernels).

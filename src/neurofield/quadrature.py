@@ -7,16 +7,12 @@ rectangular domain is split into ``n`` equal subintervals carrying a
 Two-dimensional quantities are stored as flat vectors in row-major order,
 i.e. the value at ``(x1[a], x2[b])`` sits at flat index ``a * N + b``;
 ``tensor_values`` evaluates a function of ``(x1, x2, t)`` into that layout.
-The kernel norms pass over their kernel values, one per pair of merged
-axis distances (the node-pair distances of one axis, with the floats that
-rounding splits one true distance into taken as one), in the row blocks
-of ``_row_blocks``, so that no temporary is that large.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -31,9 +27,6 @@ __all__ = [
 ]
 
 _MAX_RULE_ORDER = 32
-# Bytes of one temporary of a row block: a block's few temporaries then fit
-# in a 2 MB L2 cache.
-_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass
@@ -203,11 +196,3 @@ def tensor_values(f: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
     """
     values = np.asarray(f(x1[:, None], x2[None, :], t), dtype=float)
     return np.broadcast_to(values, (len(x1), len(x2))).flatten()
-
-
-def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
-    """Consecutive slices covering range(rows), each of about _BLOCK_BYTES of
-    rows of row_bytes bytes and of at least one row."""
-    size = max(1, _BLOCK_BYTES // row_bytes)
-    for lo in range(0, rows, size):
-        yield slice(lo, min(lo + size, rows))

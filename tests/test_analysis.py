@@ -170,8 +170,28 @@ def test_time_study_rejects_non_nested_steps():
 
 
 def test_time_study_rejects_step_not_dividing_T():
-    with pytest.raises(ValueError, match="divide"):
+    with pytest.raises(ValueError, match="integer multiple"):
         time_convergence_study(example1(), [0.03], T=0.1)
+
+
+@pytest.mark.parametrize("steps,T,bad", [
+    ([math.nan], 0.1, math.nan), ([0.02, 0.03], 0.1, 0.03), ([0.01, -0.01], 0.1, -0.01),
+    ([1e-300], 1e300, 1e-300), ([0.02], math.inf, 0.02),
+], ids=["nan", "not-dividing", "negative", "overflow", "T-inf"])
+def test_time_study_raises_the_configs_own_message(monkeypatch, steps, T, bad):
+    """A step or T that makes no SolverConfig fails with SolverConfig's
+    message, word for word, before any solve."""
+    monkeypatch.setattr("neurofield.analysis.solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError) as expected:
+        SolverConfig(h_t=bad, T=T)
+    with pytest.raises(ValueError) as got:
+        time_convergence_study(example1(), steps, T=T)
+    assert str(got.value) == str(expected.value)
+
+
+def test_time_study_needs_a_level_after_zero():
+    with pytest.raises(ValueError, match="at least one level after t = 0, got T=0.0"):
+        time_convergence_study(example1(), [0.02], T=0.0)
 
 
 @pytest.mark.parametrize("steps", [[0.0], [0.01, 0.0], [-0.05], [0.02, -0.01]])
@@ -227,6 +247,24 @@ def test_space_study_skips_m_above_N():
     report = study.report(16)
     assert [row.param for row in report.rows] == ["24"]
     assert set(study.reports()) == {12, 16}
+
+
+@pytest.mark.parametrize("N_values,m_values,bad", [
+    ([12.7], [12], "12.7"), ([12], [12.9], "12.9"), ([12, 24.0], [12], "24.0"),
+    ([12], ["12"], "'12'"),
+], ids=["N-fraction", "m-fraction", "N-float", "m-string"])
+def test_space_study_rejects_non_integer_values(monkeypatch, N_values, m_values, bad):
+    """N and m are taken as they are, never truncated: a value that is not
+    an integer is named in the error, before any solve."""
+    monkeypatch.setattr("neurofield.analysis.solve", lambda *args: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=f"must be integers, got {re.escape(bad)}$"):
+        space_convergence_study(example2(), N_values, m_values)
+
+
+def test_space_study_takes_numpy_integers():
+    study = space_convergence_study(example2(), np.array([12]), [np.int64(12)], T=0.0)
+    assert study.N_values == [12] and study.m_values == [12]
+    assert all(type(N) is int for N in study.N_values + study.m_values)
 
 
 def test_space_study_rejects_bad_resolutions():

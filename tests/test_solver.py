@@ -177,11 +177,20 @@ def test_time_level_rule():
 # --- history ---------------------------------------------------------------
 
 def _reference_march(problem, config):
-    """The delayed direct-path scheme with the levels kept in a dict keyed
-    by level index, every level older than the delay reach dropped.  Each
-    level's frozen sum goes into its own f_i and the next level's predictor."""
+    """The delayed scheme with the grid levels kept in a dict keyed by level
+    index, every level older than the delay reach dropped.  The update is
+    formed on the run's evaluation axes, the grid's or the m x m Chebyshev
+    points, and its lift is the grid level; the last two updates are kept
+    as they are, unlifted.  Each level's frozen sum goes into its own f_i
+    and the next level's predictor."""
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
-    table = grid_table(problem, grid, config.h_t)
+    if config.rank_reduction:
+        cheb = build_cheb_operator(config.m, grid)
+        axes, points = (cheb.points1, cheb.points2), cheb.flat_sample_points()
+        lift = lambda u: lift_to_grid(cheb, u)
+    else:
+        axes, points, lift = (grid.x1, grid.x2), grid.flat_points(), lambda u: u
+    table = build_delay_table(problem, grid, axes, config.h_t)
     h, c, depth = config.h_t, problem.c, table.k_max + 2
     p1, p2 = grid.flat_points()
     levels = {l: problem.initial(p1, p2, l * h) for l in range(1 - depth, 1)}
@@ -190,26 +199,29 @@ def _reference_march(problem, config):
         rows = np.array([U] + [levels[level - l] for l in range(1, depth)])
         return table.frozen_sum(problem, rows)
 
-    def euler(I, level, F):
-        U = levels[level]
-        return U + (h / c) * (I - U + F + table.live_sum(problem, U))
+    def euler(I, u, level, F):
+        return u + (h / c) * (I - u + F + table.live_sum(problem, levels[level]))
 
+    u_prev2 = problem.initial(*points, 0.0)
     F = frozen(levels[0], 0)
-    levels[1] = euler(problem.input_current(p1, p2, 0.0), 0, F)
+    u_prev = euler(problem.input_current(*points, 0.0), u_prev2, 0, F)
+    levels[1] = lift(u_prev)
+    F = frozen(levels[1], 1)
     del levels[1 - depth]
     lam = 2.0 * h / (2.0 * h + 3.0 * c)
     for i in range(2, config.num_steps + 1):
-        I_i = problem.input_current(p1, p2, i * h)
-        U = euler(I_i, i - 1, F)
+        I_i = problem.input_current(*points, i * h)
+        U = lift(euler(I_i, u_prev, i - 1, F))
         F = frozen(U, i)
-        f_i = lam * (I_i + F + (2.0 * c / h) * levels[i - 1] - (0.5 * c / h) * levels[i - 2])
+        f_i = lam * (I_i + F + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
         for _ in range(config.max_inner):
-            U_next = lam * table.live_sum(problem, U) + f_i
+            u = lam * table.live_sum(problem, U) + f_i
+            U_next = lift(u)
             converged = np.max(np.abs(U_next - U)) < config.eps_inner
             U = U_next
             if converged:
                 break
-        levels[i] = U
+        levels[i], u_prev, u_prev2 = U, u, u_prev
         del levels[i - depth]
         assert len(levels) == depth
     return levels
@@ -218,14 +230,20 @@ def _reference_march(problem, config):
 def test_history_put_get_prune():
     """One history array shifted once per level holds the same levels, in
     the same order, as a dict of levels that drops the oldest each level:
-    the march runs 8 levels past the k_max + 2 = 4 rows the delay reaches."""
-    p = example4(v=4.0)
-    cfg = SolverConfig(h_t=0.25, T=3.0, n=1, k=4, rank_reduction=False)
-    res = solve(p, cfg)
-    levels = _reference_march(p, cfg)
-    assert sorted(levels) == [9, 10, 11, 12]
-    for i, U in levels.items():
-        assert np.array_equal(res.states[i].values, U)
+    each march runs 8 levels past the k_max + 2 = 4 rows the delay reaches,
+    with n > k_max, so that nothing folds.  Direct, and rank-reduced, where
+    the update lives on the Chebyshev points and the levels on the grid."""
+    cases = [(example4(v=4.0), SolverConfig(h_t=0.25, T=3.0, n=1, k=4, rank_reduction=False)),
+             (example4(v=4.0), SolverConfig(h_t=0.25, T=3.0, n=2, k=4, m=6)),
+             (example5(v=4.0), SolverConfig(h_t=0.25, T=3.0, n=2, k=4, m=6))]
+    for p, cfg in cases:
+        res = solve(p, cfg)
+        P = (cfg.m if cfg.rank_reduction else res.grid.points_per_axis) ** 2
+        assert res.frozen_pairs == P * res.grid.total_points  # nothing folded
+        levels = _reference_march(p, cfg)
+        assert sorted(levels) == [9, 10, 11, 12]
+        for i, U in levels.items():
+            assert np.array_equal(res.states[i].values, U)
 
 
 def test_history_negative_levels():
