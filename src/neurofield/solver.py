@@ -87,6 +87,16 @@ pairs.  Such a folded table is exact only on windows whose rows max(n, 1)
 and deeper hold h0, as every window of its run does; the same holds for
 apply_integral_operator on it.  Nothing is folded when the history varies
 (example 5) or n > k_max.
+
+A fold of a kernel that separates builds only the pairs it keeps.  The
+nodes within R = max(n, 1) v h_t of a point lie in one run of each axis,
+so hypot and the lag are evaluated on the boxes of those runs, and the
+kernel on the pairs kept: example 4 above tests 82,944 candidates and
+makes 42,969 kernel values, the factors' among them, for 331,776 pairs.
+``fixed`` is then the factor product A1 S(h0) A2^T minus the near sum,
+summed from the factors over the far pairs themselves, so without the
+cancellation of that difference.  Any other table evaluates hypot and
+the kernel on every pair.
 """
 
 from __future__ import annotations
@@ -354,6 +364,107 @@ def _table_bound(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray
     return (16 + np.dtype(_index_type((k_max + 1) * Q, P * Q)).itemsize) * P * Q
 
 
+def _axis_factors(problem: ProblemSpec, grid: SpatialGrid,
+                  axes: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A1 and A2 of a kernel that separates, on the evaluation ``axes``
+    (module docstring)."""
+    root_k0 = math.sqrt(problem.kernel_values(np.zeros(1))[0])
+    return tuple(problem.kernel_values(np.abs(e[:, None] - x[None, :])) / root_k0 * w[None, :]
+                 for e, x, w in zip(axes, (grid.x1, grid.x2), (grid.w1, grid.w2)))
+
+
+def _whole_pairs(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray, np.ndarray],
+                 step: float, reach: int, rates: Optional[np.ndarray], itype: type):
+    """Every pair's lag in steps (distance / step) and kernel weight: hypot
+    and the kernel on all P x N^2 pairs at once.
+
+    Returns (lags, weights, nodes, per-row counts, far sum).  Without
+    ``rates`` every pair is kept, as P x N^2 arrays on one row of nodes,
+    and there is no far sum.  With them (S(h0), flat) the pairs at
+    lag >= reach are summed on the rates into the far sum and dropped; the
+    kept pairs come p-major and node-ascending.
+    """
+    (e1, e2), Q = axes, grid.total_points
+    P = e1.size * e2.size
+    d = np.hypot((e1[:, None] - grid.x1)[:, None, :, None],
+                 (e2[:, None] - grid.x2)[None, :, None, :]).reshape(P, Q)
+    kw = problem.kernel_values(d)
+    kw *= grid.flat_weights()[None, :]
+    lag = np.divide(d, step, out=d)
+    del d  # the lag holds its storage, which a fold frees early
+    if rates is None:
+        return lag, kw, np.arange(Q, dtype=itype), np.full(P, Q), None
+    # by a mask, not flat indices, with each whole array let go once its
+    # kept part is copied: the build peaks at most 1 B per pair above
+    # an unfolded one, when nearly every pair is kept
+    kept = lag < reach  # j < reach, j being the floor of lag
+    lag = lag[kept]
+    kept_kw = kw[kept]
+    kw[kept] = 0.0
+    far = kw @ rates
+    kw = kept_kw
+    node = np.broadcast_to(np.arange(Q, dtype=itype), (P, Q))[kept]
+    return lag, kw, node, np.count_nonzero(kept, axis=1), far
+
+
+def _near_pairs(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray, np.ndarray],
+                step: float, reach: int, rates: np.ndarray, itype: type):
+    """What _whole_pairs returns with ``rates``, for a kernel that
+    separates: the kernel only on the pairs kept, and the far sum from the
+    axis factors.
+
+    Both grid axes ascend, so the nodes within R = reach * step of an
+    evaluation coordinate, R padded by a few ulps of the coordinates, form
+    one run of its axis, found by bisection.  Each run is widened to the
+    axis's widest, inside the axis, so the candidates make one block, held
+    as (P1, w1, P2, w2) and read as (P1, P2, w1, w2): p-major and
+    node-ascending.  hypot and the lag test run on the block, and the
+    kernel on the pairs kept, so each value kept is _whole_pairs' own.
+    Where the runs span both axes the block is every pair, which
+    _whole_pairs reads without the gathers.
+
+    The far sum is A1 S A2^T minus the near sum on S = S(h0), summed with
+    no subtraction, which near k_max would leave it to rounding: the
+    factors masked to the runs sum the pairs outside the box of a point's
+    two runs, and the factors' entries on the block its candidates beyond R.
+    """
+    radius, grid_axes = reach * step, (grid.x1, grid.x2)
+    runs = []
+    for e, x in zip(axes, grid_axes):
+        bound = radius + 8 * np.finfo(float).eps * (radius + np.max(np.abs(e)))
+        lo = np.searchsorted(x, e - bound)
+        width = int(np.max(np.searchsorted(x, e + bound, side="right") - lo))
+        runs.append(np.minimum(lo, x.size - width)[:, None] + np.arange(width))
+    if all(run.shape[1] == x.size for run, x in zip(runs, grid_axes)):
+        return _whole_pairs(problem, grid, axes, step, reach, rates, itype)
+    diffs, inside = [], []
+    for e, x, run in zip(axes, grid_axes, runs):
+        diffs.append(e[:, None] - x[run])
+        inside.append(np.zeros((e.size, x.size), dtype=bool))
+        np.put_along_axis(inside[-1], run, True, axis=1)
+    (r1, r2), (in1, in2) = runs, inside
+    A1, A2 = _axis_factors(problem, grid, axes)
+    S = rates.reshape(grid.x1.size, grid.x2.size)
+    d = np.hypot(diffs[0][:, :, None, None], diffs[1][None, None, :, :])  # (P1, w1, P2, w2)
+    box = np.divide(d, step)  # the lags, then S at the candidates
+    kept = box < reach  # _whole_pairs' test
+    np.take(S[r1], r2, axis=2, out=box, mode="clip")  # clip takes unbuffered
+    box[kept] = 0.0
+    far = (np.where(in1, 0.0, A1) @ S @ A2.T + np.where(in1, A1, 0.0) @ S @ np.where(in2, 0.0, A2).T
+           + np.einsum("pi,piqk,qk->pq", np.take_along_axis(A1, r1, axis=1), box,
+                       np.take_along_axis(A2, r2, axis=1), optimize=True))
+    del box
+    kept = kept.transpose(0, 2, 1, 3)
+    d = d.transpose(0, 2, 1, 3)[kept]
+    kw = problem.kernel_values(d)  # before the nodes: the build peaks in the kernel
+    lag = np.divide(d, step, out=d)
+    del d
+    node = ((r1 * grid.x2.size).astype(itype)[:, None, :, None]
+            + r2.astype(itype)[None, :, None, :])[kept]
+    kw *= np.take(grid.flat_weights(), node)
+    return lag, kw, node, np.count_nonzero(kept, axis=(2, 3)).ravel(), far.ravel()
+
+
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                       axes: tuple[np.ndarray, np.ndarray], h_t: float,
                       separable: bool = False, history: Optional[np.ndarray] = None,
@@ -375,51 +486,37 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     r N^2 columns (module docstring).  Without it the table is the same,
     bit for bit, whatever ``num_steps``.
 
-    The kernel is evaluated on every pair in one call (ProblemSpec.
-    kernel_values).  The delay arithmetic runs in place on the pairs kept:
-    the distances become the lag in steps, then 1 - delta and then
-    w (1 - delta), the kernel weights become w delta, and the level offsets
-    become flat indices, int32 wherever the columns and the pair count fit
-    in it.  The live pairs are cut from ``now``'s first N^2 columns.
+    A pair source gives the kept pairs' lags in steps, kernel weights,
+    nodes and per-row counts, and the far sum.  _whole_pairs evaluates
+    hypot and the kernel (ProblemSpec.kernel_values) on every pair in one
+    call: for a PairTable, an unfolded table and the fold of a kernel that
+    does not separate.  A fold with ``separable`` reads _near_pairs: hypot
+    on the pairs near each point, the kernel on the pairs kept, and
+    ``fixed`` as the factor product A1 S(h0) A2^T minus the near sum.  Both
+    keep the same pairs with the same values, and their ``fixed`` agree to
+    rounding.  The delay arithmetic runs in place on the pairs kept: the
+    lag becomes 1 - delta and then w (1 - delta), the kernel weights become
+    w delta, and the level offsets become flat indices, int32 wherever the
+    columns and the pair count fit in it.  The live pairs are cut from
+    ``now``'s first N^2 columns.
     """
-    e1, e2 = axes
-    D1 = e1[:, None] - grid.x1[None, :]
-    D2 = e2[:, None] - grid.x2[None, :]
     if not problem.has_delay and separable:
-        root_k0 = math.sqrt(problem.kernel_values(np.zeros(1))[0])
-        return AxisFactors(*(problem.kernel_values(np.abs(D)) / root_k0 * w[None, :]
-                             for D, w in ((D1, grid.w1), (D2, grid.w2))))
+        return AxisFactors(*_axis_factors(problem, grid, axes))
     k_max = _history_depth(problem, h_t, grid.total_points)
-    d = np.hypot(D1[:, None, :, None], D2[None, :, None, :]).reshape(e1.size * e2.size, -1)
-    kw = problem.kernel_values(d)
-    kw = kw * grid.flat_weights()[None, :]
-    if not problem.has_delay:
-        return PairTable(kw)
-    P, Q = kw.shape
-    reach = max(num_steps, 1)
+    P, Q = axes[0].size * axes[1].size, grid.total_points
+    reach, rates = max(num_steps, 1), None
     if history is None or reach > k_max:
         reach = k_max + 1
-    itype = _index_type(reach * Q, P * Q)
-    lag = np.divide(d, problem.v * h_t, out=d)
-    del d  # the lag holds its storage, which a fold frees early
-    fixed = None
-    if reach <= k_max:
-        # by a mask, not flat indices, with each whole array let go once its
-        # kept part is copied: the build peaks at most 1 B per pair above
-        # an unfolded one, when nearly every pair is kept
-        kept = lag < reach  # j < reach, j being the floor of lag
-        lag = lag[kept]
-        kept_kw = kw[kept]
-        kw[kept] = 0.0
-        fixed = kw @ np.asarray(problem.firing_rate(history), dtype=float).ravel()
-        kw = kept_kw
-        node = np.broadcast_to(np.arange(Q, dtype=itype), (P, Q))[kept]
-        indptr = np.zeros(P + 1, dtype=itype)
-        np.cumsum(np.count_nonzero(kept, axis=1), out=indptr[1:])
-        del kept
     else:
-        node = np.arange(Q, dtype=itype)
-        indptr = np.arange(0, P * Q + 1, Q, dtype=itype)
+        rates = np.asarray(problem.firing_rate(history), dtype=float).ravel()
+    itype = _index_type(reach * Q, P * Q)
+    source = _near_pairs if separable and rates is not None else _whole_pairs
+    lag, kw, node, counts, fixed = source(problem, grid, axes, problem.v * h_t, reach, rates,
+                                          itype)
+    if not problem.has_delay:  # the lag is 0 at v = inf
+        return PairTable(kw)
+    indptr = np.zeros(P + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
     j = lag.astype(itype)  # the floor, as lag >= 0
     np.minimum(j, k_max, out=j)
     is_live = j == 0

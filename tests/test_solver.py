@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -443,7 +444,7 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
 
 def without_verdict(problem, grid, axes, h_t, separable, **history):
     """build_delay_table with the separability verdict withheld, so an
-    undelayed kernel gets the pair table."""
+    undelayed kernel gets the pair table and a fold reads every pair."""
     return build_delay_table(problem, grid, axes, h_t, **history)
 
 
@@ -992,6 +993,206 @@ def test_folded_table_matches_the_unfolded_one(domain, rank_reduction, N, monkey
     assert res.total_integrand_evals == ref_res.total_integrand_evals
     for a, b in zip(res.states, ref_res.states):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
+def kernel_sizes(monkeypatch):
+    """The sizes of the distance arrays that ProblemSpec.kernel_values is
+    given, from now until the patch is undone."""
+    sizes = []
+    kernel_values = ProblemSpec.kernel_values
+
+    def counted(self, r):
+        sizes.append(r.size)
+        return kernel_values(self, r)
+
+    monkeypatch.setattr(ProblemSpec, "kernel_values", counted)
+    return sizes
+
+
+def assert_same_matrices(got, want):
+    assert got.shape == want.shape and got.k_max == want.k_max
+    for name in ("now", "then", "live"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+
+
+def near_and_whole(problem, grid, axes, h, n, monkeypatch):
+    """The fold of a constant history for n steps, built with the
+    separability verdict, from the near pairs, and without it, from every
+    pair, and the sizes of the kernel evaluations of the first."""
+    h0 = problem.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+    with monkeypatch.context() as patch:
+        sizes = kernel_sizes(patch)
+        near = build_delay_table(problem, grid, axes, h, True, history=h0, num_steps=n)
+    whole = build_delay_table(problem, grid, axes, h, history=h0, num_steps=n)
+    assert near.history_rows == whole.history_rows == max(n, 1) + 1
+    return near, whole, sizes
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0)],
+                         ids=["square", "rectangle"])
+@pytest.mark.parametrize("rank_reduction,N", [(True, 24), (False, 16)],
+                         ids=["rank-reduced-24", "direct-16"])
+def test_near_build_matches_the_whole_build(domain, rank_reduction, N, monkeypatch):
+    """Example 4's Gaussian separates, so its fold evaluates the kernel on
+    the pairs near each point alone and takes the far sum from the axis
+    factors.  Its three matrices are the whole build's bit for bit, with
+    the linear rate and tanh.  ``fixed``, and the frozen sum and whole
+    operator on windows whose rows n and deeper hold the history, match
+    the whole build's to 1e-13 relative; so do the states of the whole run,
+    with the same frozen pairs, table bytes and integrand count."""
+    p = example4(v=1.0, domain=domain)
+    cfg = SolverConfig(h_t=0.02, T=0.1, n=N // 4, k=4, m=6, rank_reduction=rank_reduction)
+    grid = build_grid(domain, cfg.n, build_gauss_rule(cfg.k))
+    assert compute_kernel_norms(p, grid).separable
+    axes = eval_axes(grid, rank_reduction)
+    n, Q = cfg.num_steps, grid.total_points
+    h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+    rng = np.random.default_rng(5)
+    for rate in (p.firing_rate, np.tanh):
+        q = dataclasses.replace(p, firing_rate=rate)
+        near, whole, sizes = near_and_whole(q, grid, axes, cfg.h_t, n, monkeypatch)
+        assert max(sizes) < near.pair_count // 4
+        assert_same_matrices(near, whole)
+        assert_close(near.fixed, whole.fixed)
+        for _ in range(3):
+            window = np.tile(h0, (near.history_rows, 1))
+            window[:n] = rng.standard_normal((n, Q))
+            assert_close(near.frozen_sum(q, window), whole.frozen_sum(q, window))
+            assert_close(apply_integral_operator(q, near, window),
+                         apply_integral_operator(q, whole, window))
+    res = solve(p, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "build_delay_table", without_verdict)
+        ref = solve(p, cfg)
+    assert res.frozen_pairs == ref.frozen_pairs == near.frozen_pairs
+    assert res.table_bytes == ref.table_bytes
+    assert res.total_integrand_evals == ref.total_integrand_evals
+    for a, b in zip(res.states, ref.states):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
+def speed_at_the_reach(grid, h, n):
+    """A speed v at which nodes 0 and 1 of the first axis, on one grid
+    line, lie at the float distance u = x1_1 - x1_0 == n * (v * h), with
+    the lag u / (v h) still rounding below n: a pair kept at distance R in
+    floats whose true distance exceeds R, as x1_0 - R rounds above x1_0."""
+    x = grid.x1
+    u = x[1] - x[0]
+    assert Fraction(u) < Fraction(x[1]) - Fraction(x[0])
+    v = np.nextafter(u / (n * h), -np.inf)
+    for _ in range(80):
+        v = np.nextafter(v, np.inf)
+        if n * (v * h) == u and u / (v * h) < n:
+            return float(v)
+    raise AssertionError("no speed puts the pair at the reach")
+
+
+@pytest.mark.parametrize("case", ["n-equals-k_max", "n-is-1", "sharp-kernel", "pair-at-R"])
+def test_near_build_matches_the_whole_build_at_its_edges(case, monkeypatch):
+    """The near build keeps the whole build's matrices bit for bit and its
+    ``fixed`` to 1e-13 relative:
+    - at n = k_max, where R spans both axes and every pair is near;
+    - at n = 1;
+    - for exp(-30 r^2) at R = 0.5, whose far sum is 5e-4 of the whole sum,
+      so A1 S A2^T minus the near sum would leave it 7e-13 off;
+    - for a pair kept at distance R, on a domain that starts just below 0,
+      whose near nodes a bisection for R unpadded would miss."""
+    h, n, v, lam, domain = 0.02, 25, 1.0, 1.0, UNIT_BOX
+    grid = make_grid(N=24)
+    axes = eval_axes(grid, True)
+    if case == "n-equals-k_max":
+        grid, h, n = make_grid(N=8), 1.0, 2
+        axes = (grid.x1, grid.x2)
+    elif case == "n-is-1":
+        n = 1
+    elif case == "sharp-kernel":
+        lam = 30.0
+    else:
+        domain = Rectangle(-0.05, 2.0, -1.0, 1.0)
+        grid, h, n = build_grid(domain, 2, build_gauss_rule(4)), 0.1, 3
+        axes, v = (grid.x1, grid.x2), speed_at_the_reach(grid, h, n)
+    p = example4(lam=lam, v=v, domain=domain)
+    assert compute_kernel_norms(p, grid).separable
+    near, whole, sizes = near_and_whole(p, grid, axes, h, n, monkeypatch)
+    # only where every pair is near does the kernel see them all at once
+    assert (max(sizes) == near.pair_count) == (case == "n-equals-k_max")
+    if case == "n-equals-k_max":
+        assert near.k_max == n
+    assert_same_matrices(near, whole)
+    assert_close(near.fixed, whole.fixed)
+    if case == "sharp-kernel":
+        h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+        whole_sum = apply_integral_operator(p, near, np.tile(h0, (near.history_rows, 1)))
+        assert np.max(near.fixed) < 1e-3 * np.max(whole_sum)
+
+
+def test_near_build_cuts_the_kernel_values_and_the_peak(monkeypatch):
+    """At the delay benchmark's settings (example 4 at v = 1, N = 48,
+    m = 12, h_t = 0.02 and 25 steps) the fold makes fewer than 15% of its
+    331,776 pairs' kernel values, the factors' included, and peaks below
+    2.5 MB, where hypot and the kernel on every pair peaked at 8 MB."""
+    p = example4(v=1.0)
+    grid = make_grid(N=48)
+    op = build_cheb_operator(12, grid)
+    axes = (op.points1, op.points2)
+    separable = compute_kernel_norms(p, grid).separable
+    h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+    with monkeypatch.context() as patch:
+        sizes = kernel_sizes(patch)
+        table = build_delay_table(p, grid, axes, 0.02, separable, history=h0, num_steps=25)
+    assert table.pair_count == 331776 and table.frozen_pairs == 41816
+    assert sum(sizes) < 0.15 * table.pair_count
+    tracemalloc.start()
+    try:
+        build_delay_table(p, grid, axes, 0.02, separable, history=h0, num_steps=25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+def test_a_fold_that_does_not_separate_reads_every_pair(monkeypatch):
+    """exp(-r) does not separate, so its fold evaluates the kernel on every
+    pair in one call.  Its matrices hold the reference's values of the pairs
+    at j < n, ``fixed`` is the reference's sum over the others, both bit
+    for bit, and the run's states are those of a run on that reference
+    table, bit for bit."""
+    p = dataclasses.replace(example4(v=1.0), kernel=lambda r: np.exp(-r))
+    cfg = SolverConfig(h_t=0.02, T=0.1, n=4, k=4, m=6)
+    grid = build_grid(p.domain, cfg.n, build_gauss_rule(cfg.k))
+    assert not compute_kernel_norms(p, grid).separable
+    axes = eval_axes(grid, True)
+    n, Q = cfg.num_steps, grid.total_points
+    h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
+    with monkeypatch.context() as patch:
+        sizes = kernel_sizes(patch)
+        table = build_delay_table(p, grid, axes, cfg.h_t, False, history=h0, num_steps=n)
+    assert sizes == [table.pair_count]
+    near, far, j = one_shot_table(p, grid, axes, cfg.h_t)
+    kw = pair_lags(p, grid, axes, cfg.h_t)[0]
+    kept = j < n
+    index = (j * Q + np.arange(Q))[kept]
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(kept, axis=1))])
+    shape = (kw.shape[0], n * Q)
+    live = j == 0
+    rows, cols = np.nonzero(live)
+    ref = DelayedPairs(
+        now=sparse.csr_array((np.where(live, 0.0, near)[kept], index, indptr), shape=shape),
+        then=sparse.csr_array((far[kept], index, indptr), shape=shape),
+        live=sparse.csr_array((near[rows, cols], cols, np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=kw.shape[0]))])), shape=(kw.shape[0], Q)),
+        k_max=table.k_max, fixed=np.where(kept, 0.0, kw) @ p.firing_rate(h0))
+    assert_same_matrices(table, ref)
+    assert np.array_equal(table.fixed, ref.fixed)
+    res = solve(p, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "build_delay_table", lambda *args, **kwargs: ref)
+        ref_res = solve(p, cfg)
+    for a, b in zip(res.states, ref_res.states):
+        assert np.array_equal(a.values, b.values)
 
 
 def differs_at_the_deepest_level(problem, h, k_max):
