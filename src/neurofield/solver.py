@@ -13,6 +13,14 @@ solved at each level by fixed-point iteration
 started from an Euler predictor.  kappa is the quadrature approximation of
 the connectivity integral.
 
+solve marches in one loop.  Level i takes the Euler value
+U_{i-1} + (h_t / c) (I - U_{i-1} + kappa(U_{i-1})) from the current
+history window, with I = I(0) at i = 1 and I(t_i) after that, moves the
+window up one row and writes that value's lift there.  Level 1 is that
+value; every later level builds f_i and starts bdf2_step's fixed-point
+iteration from it.  The level's input and predictor are let go before the
+iteration and f_i after it, so no temporary outlives its level.
+
 The update is carried in an evaluation space: the tensor product of two
 axes, where kappa, I and f are formed, and a lift that maps values there
 to the N^2 grid, where the quadrature reads the field.  Without rank
@@ -128,6 +136,7 @@ __all__ = [
     "build_delay_table",
     "apply_integral_operator",
     "lift_to_grid",
+    "bdf2_step",
     "step_bound",
     "solve",
 ]
@@ -541,8 +550,8 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
 def apply_integral_operator(problem: ProblemSpec, table: _Table,
                             history: np.ndarray) -> np.ndarray:
     """Quadrature sum of K * S(field) at every evaluation point of the table:
-    its frozen sum plus its live sum on row 0, the whole operator that the
-    stepper applies in these two parts (_Stepper).
+    its frozen sum plus its live sum on row 0, the whole operator that
+    solve's march applies in these two parts.
 
     ``history[l]`` is the grid field l levels back, row 0 being the current
     iterate; it needs ``table.history_rows`` rows.  On a table folded for a
@@ -607,104 +616,54 @@ class StepDiagnostics:
     integrand_evals: int
 
 
-@dataclass
-class _Stepper:
-    """The scheme's state between levels, in one evaluation space.
+def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
+              lift: Callable[[np.ndarray], np.ndarray], U: np.ndarray, f_i: np.ndarray,
+              level: int) -> tuple[np.ndarray, StepDiagnostics]:
+    """Solve one implicit two-step level by fixed-point iteration.
 
-    ``u_prev`` and ``u_prev2`` are the two newest levels on the evaluation
-    ``axes``; ``lift`` maps values there to the grid.  ``levels`` holds every
-    grid level, newest first; from the current level's ``row`` on, they are
-    the history (see apply_integral_operator), whose row 0 takes every
-    iterate.  ``frozen`` is the table's frozen sum over it, summed by
-    euler_step on the first level and by _begin_level on each after.
+    U is the level's grid row of the history window, holding the lift of
+    its Euler predictor; each iterate is written into it.  f_i holds every
+    constant of the level, the frozen sum of its window among them, so an
+    iteration is lam times the live sum plus f_i.  Returns the solution on
+    the evaluation axes and the level's diagnostics.
+    Raises RuntimeError if the inner loop does not reach eps_inner within
+    max_inner iterations, which is the symptom of a time step above the
+    admissible bounds; its message lists the increment of every iteration.
+    A non-finite increment stops the loop at once with a RuntimeError.
     """
+    h, c = config.h_t, problem.c
+    t_i = level * h
+    lam = 2.0 * h / (2.0 * h + 3.0 * c)
+    increments: list[float] = []
+    for _ in range(config.max_inner):
+        u = lam * table.live_sum(problem, U) + f_i
+        U_next = lift(u)
+        inc = float(np.max(np.abs(U_next - U)))
+        if not math.isfinite(inc):
+            raise RuntimeError(f"fixed-point iteration at t={t_i:g} reached a non-finite "
+                               f"increment in iteration {len(increments) + 1}")
+        increments.append(inc)
+        U[:] = U_next
+        if inc < config.eps_inner:
+            break
+    else:
+        raise RuntimeError(
+            f"fixed-point iteration at t={t_i:g} did not reach {config.eps_inner:g} "
+            f"within {config.max_inner} iterations; the time step likely violates "
+            f"the admissible bounds; increments: "
+            f"{', '.join(f'{d:.3e}' for d in increments)}")
+    logger.debug("level %d t=%g: %d inner iterations, last increment %.3e",
+                 level, t_i, len(increments), increments[-1])
 
-    problem: ProblemSpec
-    config: SolverConfig
-    table: _Table
-    axes: tuple[np.ndarray, np.ndarray]
-    lift: Callable[[np.ndarray], np.ndarray]
-    levels: np.ndarray
-    row: int
-    u_prev: np.ndarray
-    u_prev2: Optional[np.ndarray] = None
-    frozen: float | np.ndarray = field(init=False)
-
-    def _input(self, t: float) -> np.ndarray:
-        return tensor_values(self.problem.input_current, *self.axes, t)
-
-    def _begin_level(self, u: np.ndarray) -> np.ndarray:
-        """Move the history window up onto the next level's row, put u's lift
-        there and sum the new window's frozen part."""
-        self.row -= 1
-        self.levels[self.row] = self.lift(u)
-        self.frozen = self.table.frozen_sum(self.problem, self.levels[self.row:])
-        return self.levels[self.row]
-
-    def _euler(self, I: np.ndarray) -> np.ndarray:
-        """u_prev + (h_t / c) (I - u_prev + kappa(U_prev)) on the current window."""
-        u = self.u_prev
-        live = self.table.live_sum(self.problem, self.levels[self.row])
-        return u + (self.config.h_t / self.problem.c) * (I - u + self.frozen + live)
-
-    def euler_step(self) -> None:
-        """U_1 = U_0 + (h_t / c) (I_0 - U_0 + kappa(U_0)), starting the two-step scheme."""
-        self.frozen = self.table.frozen_sum(self.problem, self.levels[self.row:])
-        u1 = self._euler(self._input(0.0))
-        self._begin_level(u1)
-        self.u_prev, self.u_prev2 = u1, self.u_prev
-
-    def bdf2_step(self, level: int) -> StepDiagnostics:
-        """Advance one implicit two-step level by fixed-point iteration.
-
-        f_i holds every constant of the level, the frozen sum of its window
-        among them, so an iteration is lam times the live sum plus f_i.
-        Raises RuntimeError if the inner loop does not reach eps_inner within
-        max_inner iterations, which is the symptom of a time step above the
-        admissible bounds; its message lists the increment of every iteration.
-        A non-finite increment stops the loop at once with a RuntimeError.
-        """
-        cfg, c = self.config, self.problem.c
-        h = cfg.h_t
-        t_i = level * h
-        u_prev, u_prev2 = self.u_prev, self.u_prev2
-        I_i = self._input(t_i)
-        # Euler predictor from the previous level as the initial iterate
-        U = self._begin_level(self._euler(I_i))
-        lam = 2.0 * h / (2.0 * h + 3.0 * c)
-        f_i = lam * (I_i + self.frozen + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
-
-        increments: list[float] = []
-        for _ in range(cfg.max_inner):
-            u = lam * self.table.live_sum(self.problem, U) + f_i
-            U_next = self.lift(u)
-            inc = float(np.max(np.abs(U_next - U)))
-            if not math.isfinite(inc):
-                raise RuntimeError(f"fixed-point iteration at t={t_i:g} reached a non-finite "
-                                   f"increment in iteration {len(increments) + 1}")
-            increments.append(inc)
-            U[:] = U_next
-            if inc < cfg.eps_inner:
-                break
-        else:
-            raise RuntimeError(
-                f"fixed-point iteration at t={t_i:g} did not reach {cfg.eps_inner:g} "
-                f"within {cfg.max_inner} iterations; the time step likely violates "
-                f"the admissible bounds; increments: "
-                f"{', '.join(f'{d:.3e}' for d in increments)}")
-        logger.debug("level %d t=%g: %d inner iterations, last increment %.3e",
-                     level, t_i, len(increments), increments[-1])
-        self.u_prev, self.u_prev2 = u, u_prev
-
-        # observed contraction: worst consecutive-increment ratio above the
-        # roundoff floor, None when the loop finished in a single iteration
-        floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
-        ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
-        return StepDiagnostics(
-            level=level, time=t_i, inner_iterations=len(increments),
-            contraction_estimate=max(ratios) if ratios else None,
-            kappa_applies=len(increments) + 1,
-            integrand_evals=(len(increments) + 1) * self.table.pair_count)
+    # observed contraction: worst consecutive-increment ratio above the
+    # roundoff floor, None when the loop finished in a single iteration
+    floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
+    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
+    return u, StepDiagnostics(
+        level=level, time=t_i, inner_iterations=len(increments),
+        contraction_estimate=max(ratios) if ratios else None,
+        kappa_applies=len(increments) + 1,
+        integrand_evals=(len(increments) + 1) * table.pair_count)
 
 
 @dataclass
@@ -827,7 +786,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
     else:
         seed[:] = history
-    stepper = _Stepper(problem, config, table, axes, lift, levels, num_steps, u0)
 
     def record(level: int) -> FieldState:
         values = levels[num_steps - level]
@@ -837,13 +795,24 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
 
     states = [record(0)]
     diagnostics: list[StepDiagnostics] = []
+    u_prev, u_prev2 = u0, None
     # overflow ends in a non-finite increment or state, on which the march raises
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, num_steps + 1):
-            if i == 1:
-                stepper.euler_step()
-            else:
-                diagnostics.append(stepper.bdf2_step(i))
+            row = num_steps - i  # level i's row; the current window starts one below
+            if i == 1:  # each later window's frozen part is summed where it moves
+                frozen = table.frozen_sum(problem, levels[row + 1:])
+            I = tensor_values(problem.input_current, *axes, i * h if i > 1 else 0.0)
+            u = u_prev + (h / c) * (I - u_prev + frozen + table.live_sum(problem, levels[row + 1]))
+            levels[row] = lift(u)
+            frozen = table.frozen_sum(problem, levels[row:])
+            if i > 1:
+                f_i = lam * (I + frozen + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
+                del I, u  # the iteration starts from the window's row
+                u, diag = bdf2_step(problem, config, table, lift, levels[row], f_i, i)
+                del f_i
+                diagnostics.append(diag)
+            u_prev, u_prev2 = u, u_prev
             states.append(record(i))
 
     applies = min(num_steps, 1) + sum(d.kappa_applies for d in diagnostics)

@@ -888,6 +888,48 @@ def test_delayed_solve_peak_memory_is_the_table_history_and_states():
     assert peak < table_bytes + history_bytes + states_bytes + 2**20
 
 
+def test_undelayed_march_holds_few_grid_vectors_beyond_its_levels():
+    """Example 3 direct at N = 96: the run peaks at 9 grid vectors above
+    its levels and its table.  The march lets each level's input, predictor
+    and f_i go before the next begins (measured 8.2 vectors; 10.4 when the
+    predictor and f_i outlive their level)."""
+    cfg = SolverConfig(h_t=0.01, T=0.2, n=24, k=4, rank_reduction=False)
+    tracemalloc.start()
+    try:
+        res = solve(example3(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = res.grid.total_points * 8
+    levels_bytes = (cfg.num_steps + 1) * vector
+    assert (peak - levels_bytes - res.table_bytes) / vector <= 9
+
+
+@pytest.mark.parametrize("problem,rank_reduction", [
+    (example3(), False),
+    (example4(v=1.0), True),
+], ids=["direct", "delayed"])
+def test_solve_steps_each_two_step_level_through_the_module(problem, rank_reduction,
+                                                            monkeypatch):
+    """solve reaches every two-step level through the module attribute
+    bdf2_step, which a tracer may rebind: num_steps - 1 calls, in level
+    order, and none in a run of one step or of none."""
+    levels = []
+    bdf2_step = solver_module.bdf2_step
+
+    def counted(*args):
+        levels.append(args[-1])
+        return bdf2_step(*args)
+
+    monkeypatch.setattr(solver_module, "bdf2_step", counted)
+    for T in (0.0, 0.1, 0.5):
+        levels.clear()
+        cfg = SolverConfig(h_t=0.1, T=T, n=2, k=4, m=4, rank_reduction=rank_reduction)
+        res = solve(problem, cfg)
+        assert levels == list(range(2, cfg.num_steps + 1))
+        assert [d.level for d in res.diagnostics] == levels
+
+
 @pytest.mark.parametrize("problem,config", [
     (example1(), SolverConfig(h_t=1e-10, T=1e10, n=1, k=1, rank_reduction=False)),
     (example4(v=1e-9), SolverConfig(h_t=0.1, T=0.1)),
