@@ -66,8 +66,7 @@ def error_norm(grid: SpatialGrid, state: FieldState,
 
 def _settings(cfg: SolverConfig) -> dict:
     out = {"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
-           "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
-           "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
+           "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner, "rank_reduction": cfg.rank_reduction}
     if not cfg.rank_reduction:
         del out["m"]  # the direct operator reads no interpolation order
     return out

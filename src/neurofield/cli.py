@@ -221,10 +221,22 @@ def _solve_record(result: SolveResult) -> dict:
             if f.name not in _SOLVE_INPUTS}
 
 
+def _snapshot_stem(t: float) -> str:
+    return f"snapshot_t{t:g}"
+
+
 def _check_snapshots(cfg: SolverConfig, snapshots: list[float]) -> None:
-    """Raise before any solve if a snapshot time is not one of the run's levels."""
+    """Raise before any solve if a snapshot time is not one of the run's
+    levels, or if two times would write one file: the file names keep six
+    significant digits, so equal times and times closer than that clash."""
+    stems: dict[str, float] = {}
     for t in snapshots:
         cfg.stored_level(t)
+        stem = _snapshot_stem(t)
+        if stem in stems:
+            raise CliError(f"snapshot times {stems[stem]!r} and {t!r} both name their "
+                           f"files {stem}")
+        stems[stem] = t
 
 
 def _write_all(out: Path, files: dict[str, str], manifest: dict) -> None:
@@ -247,7 +259,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
     snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
     _check_snapshots(cfg, snapshots)
     result = solve(problem, cfg)
-    files = {f"snapshot_t{t:g}.csv": _snapshot_csv(result, t) for t in snapshots}
+    files = {f"{_snapshot_stem(t)}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
         "command": "run", "problem": problem.name,
         "parameters": {**params, **solver_settings([cfg])},
@@ -344,8 +356,8 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
     summary = ["t,delayed,undelayed"]
     lines = []
     for t in snapshots:
-        files[f"snapshot_t{t:g}_delayed.csv"] = _snapshot_csv(res_d, t)
-        files[f"snapshot_t{t:g}_undelayed.csv"] = _snapshot_csv(res_u, t)
+        files[f"{_snapshot_stem(t)}_delayed.csv"] = _snapshot_csv(res_d, t)
+        files[f"{_snapshot_stem(t)}_undelayed.csv"] = _snapshot_csv(res_u, t)
         nd = field_norm(res_d.grid, res_d.state_at(t).values, norm)
         nu = field_norm(res_u.grid, res_u.state_at(t).values, norm)
         summary.append(f"{_FMT % t},{_FMT % nd},{_FMT % nu}")

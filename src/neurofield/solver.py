@@ -144,6 +144,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TIME_ALIGN_RTOL = 1e-9
+# the cap on a level's fixed-point iterations: reaching it signals a time
+# step above the admissible bounds
+_MAX_INNER = 50
 
 
 def _physical_memory() -> int:
@@ -173,11 +176,14 @@ class SolverConfig:
     h_t is the time step, T the final time (T / h_t must be an integer),
     n and k fix the composite quadrature grid (N = n * k points per axis),
     m the interpolation order of the rank-reduced integral operator.
-    eps_inner and max_inner control the fixed-point loop.  rank_reduction
-    True applies the operator at the m x m Chebyshev points and lifts the
-    result to the grid; False evaluates the integral directly at every grid
-    point.  A config is checked when it is made: ValueError for a setting
-    out of range or a T that is not a multiple of h_t.
+    eps_inner is the fixed-point loop's tolerance.  rank_reduction True
+    applies the operator at the m x m Chebyshev points and lifts the result
+    to the grid; False evaluates the integral directly at every grid point.
+    h_t, T, eps_inner and rank_reduction are checked when the config is
+    made: ValueError for one out of range or a T that is not a multiple of
+    h_t.  solve checks n and k when it builds the grid, and m, for a
+    rank-reduced run, when it builds the interpolation operator: ValueError
+    before any other work.
     """
 
     h_t: float
@@ -186,13 +192,9 @@ class SolverConfig:
     k: int = 4
     m: int = 12
     eps_inner: float = 1e-10
-    max_inner: int = 50
     rank_reduction: bool = True
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if not (math.isfinite(self.h_t) and self.h_t > 0):
             raise ValueError(f"time step h_t must be positive and finite, got {self.h_t}")
         if not (math.isfinite(self.T) and self.T >= 0):
@@ -201,8 +203,6 @@ class SolverConfig:
             raise ValueError(f"final time T={self.T} is not an integer multiple of h_t={self.h_t}")
         if not (math.isfinite(self.eps_inner) and self.eps_inner > 0):
             raise ValueError(f"eps_inner must be positive and finite, got {self.eps_inner}")
-        if not (isinstance(self.max_inner, (int, np.integer)) and self.max_inner >= 1):
-            raise ValueError(f"max_inner must be an integer of at least 1, got {self.max_inner!r}")
         if not isinstance(self.rank_reduction, (bool, np.bool_)):
             raise ValueError(f"rank_reduction must be a bool, got {self.rank_reduction!r}")
 
@@ -430,7 +430,12 @@ def _near_pairs(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray,
     node-ascending.  hypot and the lag test run on the block, and the
     kernel on the pairs kept, so each value kept is _whole_pairs' own.
     Where the runs span both axes the block is every pair, which
-    _whole_pairs reads without the gathers.
+    _whole_pairs reads without the gathers.  Read through them at full
+    span, example 4's build took 1.10-1.29 times as long, with the same
+    matrices (medians of 30 alternating calls, one BLAS thread, 2 cores):
+    3.0 -> 3.8 ms at N = 24, m = 12, h_t = 0.1, n = 20; 11.5 -> 12.8 ms at
+    N = 48, m = 12, h_t = 0.02, n = 100; 195 -> 230 ms direct at that N,
+    h_t and n; 9.7 -> 11.5 ms direct at N = 24, h_t = 0.1, n = k_max.
 
     The far sum is A1 S A2^T minus the near sum on S = S(h0), summed with
     no subtraction, which near k_max would leave it to rounding: the
@@ -600,7 +605,8 @@ def step_bound(problem: ProblemSpec, norms: KernelNorms) -> StepBounds:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step record of the fixed-point loop and its operator cost.
+    """Per-step record of the fixed-point loop and its operator cost.  The
+    level's time is level * h_t.
 
     ``integrand_evals`` is ``kappa_applies`` times the table's pair_count:
     P N^2 terms per operator application for P evaluation points, the
@@ -609,7 +615,6 @@ class StepDiagnostics:
     """
 
     level: int
-    time: float
     inner_iterations: int
     contraction_estimate: Optional[float]
     kappa_applies: int
@@ -618,24 +623,23 @@ class StepDiagnostics:
 
 def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
               lift: Callable[[np.ndarray], np.ndarray], U: np.ndarray, f_i: np.ndarray,
-              level: int) -> tuple[np.ndarray, StepDiagnostics]:
+              lam: float, level: int) -> tuple[np.ndarray, StepDiagnostics]:
     """Solve one implicit two-step level by fixed-point iteration.
 
     U is the level's grid row of the history window, holding the lift of
     its Euler predictor; each iterate is written into it.  f_i holds every
     constant of the level, the frozen sum of its window among them, so an
-    iteration is lam times the live sum plus f_i.  Returns the solution on
-    the evaluation axes and the level's diagnostics.
+    iteration is lam times the live sum plus f_i, with solve's
+    lam = 2 h_t / (2 h_t + 3 c).  Returns the solution on the evaluation
+    axes and the level's diagnostics.
     Raises RuntimeError if the inner loop does not reach eps_inner within
-    max_inner iterations, which is the symptom of a time step above the
+    _MAX_INNER iterations, which is the symptom of a time step above the
     admissible bounds; its message lists the increment of every iteration.
     A non-finite increment stops the loop at once with a RuntimeError.
     """
-    h, c = config.h_t, problem.c
-    t_i = level * h
-    lam = 2.0 * h / (2.0 * h + 3.0 * c)
+    t_i = level * config.h_t
     increments: list[float] = []
-    for _ in range(config.max_inner):
+    for _ in range(_MAX_INNER):
         u = lam * table.live_sum(problem, U) + f_i
         U_next = lift(u)
         inc = float(np.max(np.abs(U_next - U)))
@@ -649,7 +653,7 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     else:
         raise RuntimeError(
             f"fixed-point iteration at t={t_i:g} did not reach {config.eps_inner:g} "
-            f"within {config.max_inner} iterations; the time step likely violates "
+            f"within {_MAX_INNER} iterations; the time step likely violates "
             f"the admissible bounds; increments: "
             f"{', '.join(f'{d:.3e}' for d in increments)}")
     logger.debug("level %d t=%g: %d inner iterations, last increment %.3e",
@@ -660,7 +664,7 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
     ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
     return u, StepDiagnostics(
-        level=level, time=t_i, inner_iterations=len(increments),
+        level=level, inner_iterations=len(increments),
         contraction_estimate=max(ratios) if ratios else None,
         kappa_applies=len(increments) + 1,
         integrand_evals=(len(increments) + 1) * table.pair_count)
@@ -809,7 +813,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             if i > 1:
                 f_i = lam * (I + frozen + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
                 del I, u  # the iteration starts from the window's row
-                u, diag = bdf2_step(problem, config, table, lift, levels[row], f_i, i)
+                u, diag = bdf2_step(problem, config, table, lift, levels[row], f_i, lam, i)
                 del f_i
                 diagnostics.append(diag)
             u_prev, u_prev2 = u, u_prev

@@ -18,7 +18,7 @@ import neurofield.analysis
 import neurofield.cli
 from neurofield.cli import _COMMANDS, _SETTINGS, _command_keys, build_parser, main
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
-from neurofield.solver import SolveResult
+from neurofield.solver import SolveResult, SolverConfig
 
 
 def read_field_csv(path):
@@ -48,15 +48,16 @@ def test_run_writes_snapshot_and_manifest(tmp_path):
     params = manifest["parameters"]
     # example 1's own parameters plus the solver settings; nothing the run
     # did not use
-    for key in ("example", "lambda", "sigma", "c", "ht", "T",
-                "n", "k", "m", "N", "eps_inner", "max_inner",
-                "rank_reduction"):
-        assert key in params, key
-    for key in ("mu", "v", "norm"):
-        assert key not in params, key
+    settings = {"ht", "T", "n", "k", "m", "N", "eps_inner", "rank_reduction"}
+    assert params.keys() == {"example", "lambda", "sigma", "c"} | settings
+    assert neurofield.analysis.solver_settings([SolverConfig(h_t=0.02, T=0.1)]).keys() == settings
     assert params["ht"] == 0.02 and params["N"] == 24
     assert params["rank_reduction"] is True
-    assert manifest["diagnostics"], "per-step diagnostics missing"
+    # a level's record holds what that level measured, and no run constant
+    # but the pair count in integrand_evals
+    assert manifest["diagnostics"][0].keys() == {
+        "level", "inner_iterations", "contraction_estimate", "kappa_applies",
+        "integrand_evals"}
     assert manifest["diagnostics"][0]["kappa_applies"] >= 2
     assert manifest["total_integrand_evals"] > 0
     # example 1's two axis factors, m x N = 12 x 24 each, not a pair table
@@ -168,6 +169,28 @@ def test_bad_snapshot_fails_before_any_solve(tmp_path, capsys, monkeypatch, argv
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: time ") and "is not a stored level (h_t=" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare-delay"])
+@pytest.mark.parametrize("times, first, second", [
+    ("0.1,0.1000004", "0.1", "0.1000004"),  # six significant digits read both as 0.1
+    ("0.1000004,0.2,0.1000004", "0.1000004", "0.1000004"),
+], ids=["six-digits", "equal"])
+def test_snapshot_times_that_share_a_file_fail_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, times, first, second):
+    """Two stored levels whose file names coincide once wrote one file, with
+    the later time's field under the earlier time's name; both are named."""
+    def no_solve(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(neurofield.cli, "solve", no_solve)
+    argv = [command, "--example", "1", "--n", "1", "--k", "1", "--no-rank-reduction",
+            "--ht", "4e-7", "--T", "0.2", "--snapshots", times, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: snapshot times {first} and {second} both name their files "
+                   f"snapshot_t0.1\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -340,8 +363,7 @@ def solved_configs(monkeypatch):
 def settings(cfg, *varying):
     """A config's recorded settings; a direct config reads no m."""
     out = {"ht": cfg.h_t, "T": cfg.T, "n": cfg.n, "k": cfg.k, "m": cfg.m,
-           "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner,
-           "max_inner": cfg.max_inner, "rank_reduction": cfg.rank_reduction}
+           "N": cfg.n * cfg.k, "eps_inner": cfg.eps_inner, "rank_reduction": cfg.rank_reduction}
     if not cfg.rank_reduction:
         del out["m"]
     return {key: value for key, value in out.items() if key not in varying}

@@ -93,19 +93,37 @@ def node_distances(grid):
 # --- configuration ----------------------------------------------------------
 
 def test_config_validation():
-    SolverConfig(h_t=0.01, T=0.1).validate()
+    SolverConfig(h_t=0.01, T=0.1)
     with pytest.raises(ValueError):
-        SolverConfig(h_t=0.0, T=0.1).validate()
+        SolverConfig(h_t=0.0, T=0.1)
     with pytest.raises(ValueError):
-        SolverConfig(h_t=-0.01, T=0.1).validate()
+        SolverConfig(h_t=-0.01, T=0.1)
     with pytest.raises(ValueError):
-        SolverConfig(h_t=0.01, T=-1.0).validate()
+        SolverConfig(h_t=0.01, T=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(h_t=0.03, T=0.1).validate()  # T not a multiple of h_t
+        SolverConfig(h_t=0.03, T=0.1)  # T not a multiple of h_t
     with pytest.raises(ValueError):
-        SolverConfig(h_t=0.01, T=0.1, eps_inner=0.0).validate()
-    with pytest.raises(ValueError):
-        SolverConfig(h_t=0.01, T=0.1, max_inner=0).validate()
+        SolverConfig(h_t=0.01, T=0.1, eps_inner=0.0)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"n": 0}, "subinterval count n must be a positive integer, got 0"),
+    ({"n": 2.5}, "subinterval count n must be a positive integer, got 2.5"),
+    ({"k": 0}, r"rule order k must be an integer in \[1, 32\], got 0"),
+    ({"m": 1}, "interpolation order m must be an integer >= 2, got 1"),
+    ({"m": 100}, "interpolation order m=100 exceeds grid resolution N=24"),
+], ids=["n-zero", "n-fraction", "k-zero", "m-one", "m-above-N"])
+def test_grid_settings_are_checked_by_solve_before_any_other_work(monkeypatch, setting,
+                                                                  message):
+    """n, k and m make a config; solve rejects them when it builds the grid
+    and the interpolation operator, before the kernel norms."""
+    def no_norms(*args):
+        raise AssertionError("compute_kernel_norms called")
+
+    monkeypatch.setattr(solver_module, "compute_kernel_norms", no_norms)
+    cfg = SolverConfig(h_t=0.01, T=0.02, **setting)
+    with pytest.raises(ValueError, match=message):
+        solve(example1(), cfg)
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -114,23 +132,9 @@ def test_config_rejects_a_non_finite_eps_inner(eps):
     example 1 at h_t = 0.04 ended 9.6e-5 away from its converged state,
     with no warning."""
     with pytest.raises(ValueError, match="eps_inner must be positive and finite"):
-        SolverConfig(h_t=0.04, T=0.2, eps_inner=eps).validate()
+        SolverConfig(h_t=0.04, T=0.2, eps_inner=eps)
     with pytest.raises(ValueError, match="eps_inner"):
         solve(example1(), SolverConfig(h_t=0.04, T=0.2, eps_inner=eps))
-
-
-def test_config_rejects_a_non_integer_max_inner(monkeypatch):
-    """A fractional or float max_inner fails validation, so solve raises
-    ValueError before it builds the grid."""
-    def no_grid(*args):
-        raise AssertionError("build_grid called")
-
-    monkeypatch.setattr(solver_module, "build_grid", no_grid)
-    for bad in (2.5, 3.0, "3"):
-        with pytest.raises(ValueError, match=f"max_inner must be an integer of at least 1, "
-                                             f"got {re.escape(repr(bad))}"):
-            solve(example1(), SolverConfig(h_t=0.01, T=0.1, max_inner=bad))
-    SolverConfig(h_t=0.01, T=0.1, max_inner=np.int64(3)).validate()
 
 
 def test_config_rejects_a_non_bool_rank_reduction(monkeypatch):
@@ -145,7 +149,7 @@ def test_config_rejects_a_non_bool_rank_reduction(monkeypatch):
                                              f"got {re.escape(repr(bad))}"):
             solve(example1(), SolverConfig(h_t=0.01, T=0.02, rank_reduction=bad))
     for good in (True, False, np.bool_(True)):
-        SolverConfig(h_t=0.01, T=0.02, rank_reduction=good).validate()
+        SolverConfig(h_t=0.01, T=0.02, rank_reduction=good)
 
 
 def test_config_num_steps():
@@ -215,7 +219,7 @@ def _reference_march(problem, config):
         U = lift(euler(I_i, u_prev, i - 1, F))
         F = frozen(U, i)
         f_i = lam * (I_i + F + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
-        for _ in range(config.max_inner):
+        for _ in range(solver_module._MAX_INNER):
             u = lam * table.live_sum(problem, U) + f_i
             U_next = lift(u)
             converged = np.max(np.abs(U_next - U)) < config.eps_inner
@@ -1465,13 +1469,14 @@ def test_inner_loop_divergence_raises():
         input_current=lambda x1, x2, t: np.zeros_like(x1),
         initial=lambda x1, x2, t: np.ones_like(x1),
     )
-    cfg = SolverConfig(h_t=5.0, T=10.0, max_inner=30)
+    cfg = SolverConfig(h_t=5.0, T=10.0)
     with pytest.raises(RuntimeError, match="did not reach"):
         solve(p, cfg)
 
 
-def test_nonconvergence_error_lists_the_increments():
-    cfg = SolverConfig(h_t=0.1, T=0.2, max_inner=2, eps_inner=1e-300)
+def test_nonconvergence_error_lists_the_increments(monkeypatch):
+    monkeypatch.setattr(solver_module, "_MAX_INNER", 2)
+    cfg = SolverConfig(h_t=0.1, T=0.2, eps_inner=1e-300)
     with pytest.raises(RuntimeError, match="did not reach") as info:
         solve(example1(), cfg)
     listed = re.search(r"increments: (.*)$", str(info.value)).group(1).split(", ")
@@ -1482,7 +1487,7 @@ def test_nonconvergence_error_lists_the_increments():
 
 def test_non_finite_increment_stops_the_loop_at_once(monkeypatch):
     """c = 1e-300 overflows the first inner iteration: the loop stops there,
-    naming t and the non-finite increment, instead of running max_inner NaN
+    naming t and the non-finite increment, instead of running _MAX_INNER NaN
     iterations and blaming the step bounds."""
     applies = []
     live_sum = AxisFactors.live_sum
@@ -1499,7 +1504,7 @@ def test_non_finite_increment_stops_the_loop_at_once(monkeypatch):
 def test_step_above_bound_warns_but_converges():
     # 0.375 < h = 0.4 < 0.5, so the bound trips while the inner loop still
     # contracts (slowly); the warning is recorded on the result
-    cfg = SolverConfig(h_t=0.4, T=0.8, eps_inner=1e-8, max_inner=300)
+    cfg = SolverConfig(h_t=0.4, T=0.8, eps_inner=1e-8)
     res = solve(example1(), cfg)
     assert any("bound" in w for w in res.warnings)
     assert len(res.states) == 3
@@ -1628,7 +1633,6 @@ def test_diagnostics_fields():
     res = solve(example1(), SolverConfig(h_t=0.01, T=0.05))
     assert [d.level for d in res.diagnostics] == [2, 3, 4, 5]
     for diag in res.diagnostics:
-        assert diag.time == pytest.approx(diag.level * 0.01)
         if diag.contraction_estimate is not None:
             # observed contraction stays at or below the a priori constant
             assert diag.contraction_estimate < res.contraction_bound + 0.05
@@ -1646,5 +1650,5 @@ def test_debug_log_has_one_line_per_two_step_level(caplog):
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(lines) == len(res.diagnostics) == 4
     for line, diag in zip(lines, res.diagnostics):
-        assert line.startswith(f"level {diag.level} t={diag.time:g}: "
+        assert line.startswith(f"level {diag.level} t={diag.level * 0.01:g}: "
                                f"{diag.inner_iterations} inner iterations, last increment ")
