@@ -52,10 +52,12 @@ class ProblemSpec:
     anything that broadcasts to its argument (a scalar, say), and every
     value must be finite; the solver reads it only through kernel_values.
     ``firing_rate`` maps field values to rates and must return an array of
-    its argument's shape.  ``input_current``, ``initial`` and the optional
-    known solution ``exact`` map ``(x1, x2, t)`` to field values: they get
-    two axes, a column ``x1[:, None]`` and a row ``x2[None, :]``, and may
-    return anything that broadcasts to the full tensor (a scalar, say).
+    its argument's shape; the solver reads it only through rate_values,
+    which checks that shape on every call.  ``input_current``, ``initial``
+    and the optional known solution ``exact`` map ``(x1, x2, t)`` to field
+    values: they get two axes, a column ``x1[:, None]`` and a row
+    ``x2[None, :]``, and may return anything that broadcasts to the full
+    tensor (a scalar, say).
     ``initial`` must accept any t <= 0 so delayed problems can read their
     history.
     ``firing_rate_slope_max`` bounds |S'| and feeds the step-size
@@ -96,6 +98,15 @@ class ProblemSpec:
         if not np.all(np.isfinite(kv)):
             raise ValueError(f"kernel {self.name!r} produced a non-finite value")
         return kv
+
+    def rate_values(self, u: np.ndarray) -> np.ndarray:
+        """S at the field values u, as a float array of u's shape.
+        ValueError, naming both shapes, if the rate returns another shape."""
+        s = np.asarray(self.firing_rate(u), dtype=float)
+        if s.shape != u.shape:
+            raise ValueError(f"firing_rate returned shape {s.shape} for field values of "
+                             f"shape {u.shape}; it must return its argument's shape")
+        return s
 
     @property
     def has_delay(self) -> bool:

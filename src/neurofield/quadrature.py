@@ -75,7 +75,8 @@ def build_gauss_rule(k: int) -> GaussRule:
 
 @dataclass
 class Rectangle:
-    """Axis-aligned rectangle [a1, b1] x [a2, b2]."""
+    """Axis-aligned rectangle [a1, b1] x [a2, b2], with finite bounds and
+    sides of positive length whose product, the area, is finite."""
 
     a1: float
     b1: float
@@ -83,8 +84,9 @@ class Rectangle:
     b2: float
 
     def __post_init__(self) -> None:
-        if not (self.b1 > self.a1 and self.b2 > self.a2):
-            raise ValueError("rectangle sides must have positive length")
+        if not (self.b1 > self.a1 and self.b2 > self.a2
+                and np.all(np.isfinite([self.a1, self.b1, self.a2, self.b2, self.area]))):
+            raise ValueError(f"{self} needs finite bounds, sides of positive length, finite area")
 
     @property
     def area(self) -> float:

@@ -74,21 +74,23 @@ now @ s[:-N^2] + then @ s[N^2:], with the live pairs (j = 0) at 0 in
 ``now``, reads rows 1 and deeper only, which stay put for a whole level:
 it is summed where the window moves, once per level, into the level's
 f_i, and reused by the next level's Euler predictor; S is evaluated over
-the window once for it, a view with no copy for a linear S.  The live
-part, ``live`` @ S(row 0), is all that an inner iteration applies.  It
-holds w delta at column q for the pairs with j = 0: the self pairs and the
-few whose travel time is under one step, or every pair, on ``then``'s
-index array, when no lag reaches one step.
+the window once for it (ProblemSpec.rate_values, as every sum evaluates
+S), a view with no copy for a linear S.  The live part, ``live`` @ S(row
+0), is all that an inner iteration applies.  It holds w delta at column q
+for the pairs with j = 0: the self pairs and the few whose travel time is
+under one step, or every pair, on ``then``'s index array, when no lag
+reaches one step.
 
 A run of n steps sums the frozen part on the windows of levels 0 .. n,
 so a pair at level offset j >= max(n, 1) only ever reads levels <= 0,
-the initial history.  solve scans that history before the table is
-built: if the initial data give the same grid field h0, value for value,
-at t = 0, -h_t, ..., -(k_max + 1) h_t (example 4, whose history is
-constant in time), those pairs are folded into one vector, ``fixed`` =
-sum of w S(h0) over them, and the matrices keep only the pairs with
-j < max(n, 1), on the max(n, 1) + 1 rows they reach, which are all the
-history rows the run then holds.  The frozen part is
+the initial history.  build_delay_table, told the run's n, scans that
+history when max(n, 1) <= k_max: if the initial data give the same grid
+field h0, value for value, at t = 0, -h_t, ..., -(k_max + 1) h_t
+(example 4, whose history is constant in time), those pairs are folded
+into one vector, ``fixed`` = sum of w S(h0) over them, and the matrices
+keep only the pairs with j < max(n, 1), on the max(n, 1) + 1 rows they
+reach, which are all the history rows the run then holds; solve seeds
+them all with the initial data at t = 0.  The frozen part is
 now @ s[:-N^2] + then @ s[N^2:] + fixed, with S evaluated on those rows
 alone; example 4 at N = 48, h_t = 0.02 and T = 0.5 keeps 12.6% of its
 pairs.  Such a folded table is exact only on windows whose rows max(n, 1)
@@ -273,7 +275,7 @@ class PairTable(_Table):
         return self.weights.shape
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
-        return self.weights @ np.asarray(problem.firing_rate(field), dtype=float)
+        return self.weights @ problem.rate_values(field)
 
 
 @dataclass
@@ -289,8 +291,7 @@ class AxisFactors(_Table):
         return (self.A1.shape[0] * self.A2.shape[0], self.A1.shape[1] * self.A2.shape[1])
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
-        s = np.asarray(problem.firing_rate(field), dtype=float)
-        s = s.reshape(self.A1.shape[1], -1)
+        s = problem.rate_values(field).reshape(self.A1.shape[1], -1)
         return (self.A1 @ s @ self.A2.T).ravel()
 
 
@@ -304,16 +305,16 @@ class DelayedPairs(_Table):
     w delta in row p at column q, on the rates of row 0, for the pairs with
     j = 0, which weigh 0 in ``now``.
 
-    Without ``fixed``, r = k_max + 1 and the matrices hold every pair.  A
-    table folded for a run of n steps on a constant history h0 has
-    r = max(n, 1), and ``fixed`` holds, per evaluation point, the sum of
-    w S(h0) over its pairs with j >= r.  It is exact only on windows whose
-    rows r and deeper hold h0 (module docstring)."""
+    Without ``fixed``, r = k_max + 1, with k_max = floor(tau_max / h_t),
+    and the matrices hold every pair.  A table that build_delay_table
+    folded for a run of n steps on a constant history h0 has r = max(n, 1),
+    and ``fixed`` holds, per evaluation point, the sum of w S(h0) over its
+    pairs with j >= r.  It is exact only on windows whose rows r and
+    deeper hold h0 (module docstring).  history_rows is r + 1."""
 
     now: sparse.csr_array
     then: sparse.csr_array
     live: sparse.csr_array
-    k_max: int
     fixed: Optional[np.ndarray] = None
 
     @property
@@ -333,7 +334,7 @@ class DelayedPairs(_Table):
         """The quadrature sum over every pair but the live pairs' reads of
         row 0.  For finite values of row 0 it depends on rows 1 and deeper
         only: the entries of ``now`` that read row 0 are 0."""
-        s = np.asarray(problem.firing_rate(history[:self.history_rows]), dtype=float).ravel()
+        s = problem.rate_values(history[:self.history_rows]).ravel()
         nodes = self.shape[1]
         out = self.now @ s[:-nodes] + self.then @ s[nodes:]
         if self.fixed is not None:
@@ -341,7 +342,7 @@ class DelayedPairs(_Table):
         return out
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
-        return self.live @ np.asarray(problem.firing_rate(field), dtype=float)
+        return self.live @ problem.rate_values(field)
 
 
 def _history_depth(problem: ProblemSpec, h_t: float, nodes: int) -> int:
@@ -362,7 +363,7 @@ def _index_type(columns: int, pairs: int) -> type:
 
 def _table_bound(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray, np.ndarray],
                  k_max: int, separable: bool) -> int:
-    """Bytes of the table build_delay_table makes without a history: exact
+    """Bytes of the table build_delay_table makes unfolded: exact
     for an undelayed kernel, with or without ``separable``; for a delayed
     one 20 B per pair (24 with int64 indices), ``now`` and ``then`` on one
     index array, leaving out the few live pairs and the indptrs."""
@@ -481,8 +482,7 @@ def _near_pairs(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray,
 
 def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                       axes: tuple[np.ndarray, np.ndarray], h_t: float,
-                      separable: bool = False, history: Optional[np.ndarray] = None,
-                      num_steps: int = 0) -> _Table:
+                      separable: bool = False, num_steps: Optional[int] = None) -> _Table:
     """The operator table of every pair of a grid node and a point of the
     tensor product of ``axes``, from the per-axis coordinate differences.
 
@@ -493,12 +493,13 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
     Chebyshev-to-grid ones of a rank-reduced run.  ValueError if
     tau_max / h_t levels of history are too many to index in int64.
 
-    ``history``, for a delayed problem, is the grid field that every level
-    <= 0 holds in a run of ``num_steps`` steps.  Given it, and if
-    r = max(num_steps, 1) <= k_max, the pairs at level offsets j >= r are
-    folded into DelayedPairs.fixed and the matrices keep the others, on
-    r N^2 columns (module docstring).  Without it the table is the same,
-    bit for bit, whatever ``num_steps``.
+    ``num_steps`` is the length of the run the table serves.  Given it,
+    for a delayed problem with r = max(num_steps, 1) <= k_max, the initial
+    data are scanned (_constant_history) and, if they give one grid field
+    h0 at every level <= 0 the delay reaches, the pairs at level offsets
+    j >= r are folded into DelayedPairs.fixed and the matrices keep the
+    others, on r N^2 columns (module docstring).  Otherwise, and without
+    ``num_steps``, the table is unfolded, the same bit for bit.
 
     A pair source gives the kept pairs' lags in steps, kernel weights,
     nodes and per-row counts, and the far sum.  _whole_pairs evaluates
@@ -518,11 +519,11 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         return AxisFactors(*_axis_factors(problem, grid, axes))
     k_max = _history_depth(problem, h_t, grid.total_points)
     P, Q = axes[0].size * axes[1].size, grid.total_points
-    reach, rates = max(num_steps, 1), None
-    if history is None or reach > k_max:
-        reach = k_max + 1
-    else:
-        rates = np.asarray(problem.firing_rate(history), dtype=float).ravel()
+    reach, rates = k_max + 1, None
+    if num_steps is not None and max(num_steps, 1) <= k_max:
+        h0 = _constant_history(problem, grid, h_t, k_max + 2)
+        if h0 is not None:
+            reach, rates = max(num_steps, 1), problem.rate_values(h0.ravel())
     itype = _index_type(reach * Q, P * Q)
     source = _near_pairs if separable and rates is not None else _whole_pairs
     lag, kw, node, counts, fixed = source(problem, grid, axes, problem.v * h_t, reach, rates,
@@ -549,7 +550,7 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
         live = now[:, :Q]
         now.data[is_live.ravel()] = 0.0
     return DelayedPairs(now=now, then=sparse.csr_array((then, index, indptr), shape=shape),
-                        live=live, k_max=k_max, fixed=fixed)
+                        live=live, fixed=fixed)
 
 
 def apply_integral_operator(problem: ProblemSpec, table: _Table,
@@ -729,15 +730,17 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     Builds the grid, the evaluation axes, the operator table and one array
     of every level, seeded from the initial data down to the deepest row
     the table reads for delayed problems, then takes one Euler step and
-    two-step levels.  A delayed problem's history is scanned before the
-    table is built: if it is constant over the k_max + 2 levels the delay
-    reaches, the table folds the pairs that read it alone
-    (build_delay_table) and the levels are seeded from that one field.
-    Step-size bounds are checked up front; a step above a bound only logs a
-    warning.  The run raises ValueError before the scan if the levels and a
-    bound of the table (_table_bound) exceed the machine's physical memory,
-    or if the firing rate, tried once on the initial state, does not return
-    its argument's shape.  It fails hard if the inner iteration stops
+    two-step levels.  The table is built for the run's num_steps, so a
+    delayed problem whose history is constant over the k_max + 2 levels
+    the delay reaches gets a folded table (build_delay_table), whose rows
+    are all seeded with the initial data at t = 0; any other table's rows
+    are seeded one level at a time.  Step-size bounds are checked up front;
+    a step above a bound only logs a warning.  The run raises ValueError
+    before it reads the history if the levels and a bound of the table
+    (_table_bound) exceed the machine's physical memory, or if the firing
+    rate, tried once on the initial state, does not return its argument's
+    shape; every later evaluation of S checks that shape too
+    (ProblemSpec.rate_values).  It fails hard if the inner iteration stops
     converging or a state goes non-finite.
     """
     h, c = config.h_t, problem.c
@@ -776,20 +779,16 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
         raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
                          f"levels, above the {available} B of physical memory")
     u0 = tensor_values(problem.initial, *axes, 0.0)
-    rates = np.shape(problem.firing_rate(u0))
-    if rates != u0.shape:
-        raise ValueError(f"firing_rate returned shape {rates} for field values of shape "
-                         f"{u0.shape}; it must return its argument's shape")
-    history = _constant_history(problem, grid, h, k_max + 2) if problem.has_delay else None
-    table = build_delay_table(problem, grid, axes, h, norms.separable,
-                              history=history, num_steps=num_steps)
+    problem.rate_values(u0)  # a rate of another shape fails here, before the table
+    table = build_delay_table(problem, grid, axes, h, norms.separable, num_steps=num_steps)
     levels = np.empty((num_steps + table.history_rows, grid.total_points))
     seed = levels[num_steps:].reshape(table.history_rows, grid.x1.size, grid.x2.size)
-    if history is None:
-        for l in range(table.history_rows):
-            seed[l] = problem.initial(grid.x1[:, None], grid.x2[None, :], -l * h)
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    if getattr(table, "fixed", None) is not None:  # folded: every level <= 0 holds t = 0's field
+        seed[:] = problem.initial(x1, x2, 0.0)
     else:
-        seed[:] = history
+        for l in range(table.history_rows):
+            seed[l] = problem.initial(x1, x2, -l * h)
 
     def record(level: int) -> FieldState:
         values = levels[num_steps - level]

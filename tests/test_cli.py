@@ -142,11 +142,17 @@ def test_run_failure_leaves_no_partial_files(tmp_path, capsys):
     # not in memory
     (["run", "--example", "4", "--v", "1e-9", "--ht", "0.1", "--T", "0.1"],
      "B of physical memory"),
+    # an infinite speed has no delay to compare, and NaN is no speed
+    (["compare-delay", "--v", "inf", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2"],
+     "needs a finite positive transmission speed"),
+    (["compare-delay", "--v", "nan", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2"],
+     "needs a finite positive transmission speed"),
 ], ids=["snapshot-inf", "snapshot-nan", "steps-nan", "k-zero", "steps-zero",
         "steps-with-zero", "steps-negative", "compare-delay-example5",
         "run-steps-overflow", "converge-time-steps-overflow", "zero-decay-rate",
         "inner-iteration-diverges", "c-inf", "c-tiny", "run-delay-too-deep",
-        "compare-delay-too-deep", "run-delay-beyond-memory"])
+        "compare-delay-too-deep", "run-delay-beyond-memory", "compare-delay-v-inf",
+        "compare-delay-v-nan"])
 def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
@@ -610,6 +616,36 @@ def test_config_file_rank_reduction_key(tmp_path):
     assert rc == 0
     params = json.loads((out / "manifest.json").read_text())["parameters"]
     assert params["rank_reduction"] is False
+
+
+def test_config_file_rank_reduction_on(tmp_path):
+    """``on`` is one of the words a boolean key reads as true."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank-reduction = on\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--ht", "0.05", "--T", "0.05",
+                 "--out", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["rank_reduction"] is True
+
+
+def test_config_file_rank_reduction_not_a_boolean(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("rank-reduction = maybe\n")
+    assert main(["run", "--config", str(cfg), "--ht", "0.05", "--T", "0.05",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:1: bad value 'maybe' for 'rank-reduction'" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_config_file_line_without_equals(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("example = 3\nht 0.05\n")
+    assert main(["run", "--config", str(cfg), "--T", "0.05", "--out", str(tmp_path)]) == 1
+    assert f"{cfg}:2: expected key=value, got 'ht 0.05'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_config_file_example_outside_choices(tmp_path, capsys):

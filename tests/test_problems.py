@@ -149,6 +149,21 @@ def test_kernel_values_is_a_finite_float_array_of_the_distances_shape():
             dataclasses.replace(example1(), kernel=kernel).kernel_values(r)
 
 
+def test_rate_values_is_a_float_array_of_the_fields_shape():
+    """The rate as a float array of its argument's shape, the argument
+    itself for a linear rate that returns it; and one ValueError, naming
+    both shapes, for a rate that returns a scalar or flattens or
+    transposes a 2-D argument."""
+    u = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+    assert example3().rate_values(u) is u
+    s = dataclasses.replace(example1(), firing_rate=lambda v: np.tanh(v).astype(np.float32))
+    assert s.rate_values(u).dtype == np.float64 and s.rate_values(u).shape == (2, 3)
+    for rate, shape in ((lambda v: 0.0, ()), (np.ravel, (6,)), (np.transpose, (3, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"firing_rate returned shape {shape} "
+                                                       f"for field values of shape (2, 3)")):
+            dataclasses.replace(example1(), firing_rate=rate).rate_values(u)
+
+
 @pytest.mark.parametrize("field_name", ["c", "firing_rate_slope_max"])
 @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
 def test_problem_rejects_non_finite_constants(field_name, value):

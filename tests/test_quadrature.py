@@ -1,6 +1,7 @@
 """Tests for the composite tensor-product Gauss-Legendre quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,18 @@ def test_rectangle_rejects_empty_sides():
         Rectangle(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Rectangle(0.0, 1.0, 2.0, -2.0)
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.inf, 0.0, 1.0), (-math.inf, 0.0, 0.0, 1.0),
+                                    (-1e308, 1e308, -1.0, 1.0), (-1e200, 1e200, -1e200, 1e200)],
+                         ids=["infinite-side", "infinite-bound", "overflowing-side",
+                              "overflowing-area"])
+def test_rectangle_rejects_what_is_not_finite(bounds):
+    """A rectangle with an infinite bound, or a side or area that overflows,
+    fails at construction with the rectangle named, not later in the
+    solver as a kernel that produced a non-finite value."""
+    with pytest.raises(ValueError, match=re.escape(f"{Rectangle.__name__}(a1={bounds[0]!r}")):
+        Rectangle(*bounds)
 
 
 def test_rectangle_geometry():

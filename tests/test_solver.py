@@ -196,7 +196,7 @@ def _reference_march(problem, config):
     else:
         axes, points, lift = (grid.x1, grid.x2), grid.flat_points(), lambda u: u
     table = build_delay_table(problem, grid, axes, config.h_t)
-    h, c, depth = config.h_t, problem.c, table.k_max + 2
+    h, c, depth = config.h_t, problem.c, table.history_rows
     p1, p2 = grid.flat_points()
     levels = {l: problem.initial(p1, p2, l * h) for l in range(1 - depth, 1)}
 
@@ -436,8 +436,8 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
     assert res.table_bytes == fast.nbytes == 8 * (axes[0].size + axes[1].size) * 12
     # the same run with the verdict withheld, so on the pair table
     monkeypatch.setattr(solver_module, "build_delay_table",
-                        lambda problem, grid, axes, h_t, separable, **history:
-                        build_delay_table(problem, grid, axes, h_t, **history))
+                        lambda problem, grid, axes, h_t, separable, **fold:
+                        build_delay_table(problem, grid, axes, h_t, **fold))
     ref_res = solve(p, cfg)
     assert ref_res.table_bytes == ref.nbytes
     for a, b in zip(res.states, ref_res.states):
@@ -446,10 +446,10 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
 
 # --- the callable contract ----------------------------------------------------
 
-def without_verdict(problem, grid, axes, h_t, separable, **history):
+def without_verdict(problem, grid, axes, h_t, separable, **fold):
     """build_delay_table with the separability verdict withheld, so an
     undelayed kernel gets the pair table and a fold reads every pair."""
-    return build_delay_table(problem, grid, axes, h_t, **history)
+    return build_delay_table(problem, grid, axes, h_t, **fold)
 
 
 @pytest.mark.parametrize("value", [1.0, 0.5])
@@ -505,6 +505,21 @@ def test_a_firing_rate_of_another_shape_fails_before_the_table(problem, rate, sh
     cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4)
     with pytest.raises(ValueError, match=re.escape(f"firing_rate returned shape {shape} for "
                                                    f"field values of shape (16,)")):
+        solve(dataclasses.replace(problem, firing_rate=rate), cfg)
+
+
+@pytest.mark.parametrize("problem,rows", [(example4(v=1.0), 5), (example5(v=1.0), 58)],
+                         ids=["example4-folded", "example5-unfolded"])
+def test_a_firing_rate_that_transposes_fails_on_the_history_window(problem, rows):
+    """A rate that transposes its argument passes the probe on the flat
+    initial state, but not the delayed table's frozen sum over a window of
+    history rows: every evaluation of S checks its shape
+    (ProblemSpec.rate_values), so the run raises with both shapes named
+    instead of finishing on scrambled rates (example 5's states 0.35 off)."""
+    cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4)
+    rate = lambda u: np.asarray(u, dtype=float).T
+    with pytest.raises(ValueError, match=re.escape(f"firing_rate returned shape (64, {rows}) "
+                                                   f"for field values of shape ({rows}, 64)")):
         solve(dataclasses.replace(problem, firing_rate=rate), cfg)
 
 
@@ -727,9 +742,8 @@ def test_delay_table_offsets_and_fractions():
     h = 0.1
     table = grid_table(p, grid, h)
     assert type(table) is DelayedPairs
-    assert table.k_max == int(math.floor(p.tau_max / h))
-    assert table.k_max == 28
-    assert table.history_rows == 30
+    k_max = table.history_rows - 2
+    assert k_max == int(math.floor(p.tau_max / h)) == 28
     now, then = table.now, table.then
     assert now.shape == then.shape == (64, 29 * 64)
     assert np.shares_memory(now.indices, then.indices)
@@ -738,7 +752,7 @@ def test_delay_table_offsets_and_fractions():
     # the flat index j * N^2 + q names history row j at node q
     j, q = np.divmod(then.indices.reshape(64, 64), 64)
     assert np.array_equal(q, np.broadcast_to(np.arange(64), (64, 64)))
-    assert np.all(j >= 0) and np.all(j <= table.k_max)
+    assert np.all(j >= 0) and np.all(j <= k_max)
     near, far, j_ref = one_shot_table(p, grid, (grid.x1, grid.x2), h)
     assert np.array_equal(j, j_ref)
     assert np.array_equal(then.data.reshape(64, 64), far)
@@ -773,7 +787,7 @@ def test_live_list_holds_the_pairs_of_lag_under_one_step():
     assert np.array_equal(table.now.data.reshape(64, 64)[~live], near[~live])
 
 
-def general_form(problem, grid, axes, h_t, separable=False, history=None, num_steps=0):
+def general_form(problem, grid, axes, h_t, separable=False, num_steps=None):
     """Reference: the delayed table in its general form from one_shot_table's
     arrays, with ``now`` all 0 where a pair is live and a live matrix of
     its own arrays, even when every pair is live, and no pair folded into
@@ -790,8 +804,7 @@ def general_form(problem, grid, axes, h_t, separable=False, history=None, num_st
     return DelayedPairs(
         now=sparse.csr_array((np.where(live, 0.0, near).ravel(), index, indptr), shape=shape),
         then=sparse.csr_array((far.ravel(), index, indptr), shape=shape),
-        live=sparse.csr_array((near[rows, cols], cols, live_indptr), shape=(P, Q)),
-        k_max=k_max)
+        live=sparse.csr_array((near[rows, cols], cols, live_indptr), shape=(P, Q)))
 
 
 def test_all_live_table_is_the_live_list_alone(monkeypatch):
@@ -806,7 +819,7 @@ def test_all_live_table_is_the_live_list_alone(monkeypatch):
     grid = make_grid(N=24)
     table = build_delay_table(p, grid, (grid.x1, grid.x2), cfg.h_t)
     near = one_shot_table(p, grid, (grid.x1, grid.x2), cfg.h_t)[0]
-    assert table.k_max == 0 and table.now.nnz == 0
+    assert table.history_rows == 2 and table.now.nnz == 0
     assert np.array_equal(table.live.toarray(), near)
     assert np.shares_memory(table.live.indices, table.then.indices)
     assert np.shares_memory(table.live.indptr, table.then.indptr)
@@ -839,7 +852,7 @@ def test_index_width_follows_the_history_columns():
         assert table.then.indices.dtype == table.then.indptr.dtype == itype
         j = one_shot_table(p, grid, (grid.x1, grid.x2), h)[2]
         assert np.array_equal(table.then.indices, (j * 64 + np.arange(64)).ravel())
-        assert table.then.shape[1] == (table.k_max + 1) * 64
+        assert table.then.shape[1] == (table.history_rows - 1) * 64
     assert table.then.shape[1] > np.iinfo(np.int32).max
 
 
@@ -987,8 +1000,8 @@ def test_delayed_memory_check_precedes_the_history_scan_and_the_build(monkeypatc
 
 # --- folding a constant initial history ------------------------------------
 
-def unfolded(problem, grid, axes, h_t, separable=False, history=None, num_steps=0):
-    """build_delay_table with the history withheld, so nothing folds."""
+def unfolded(problem, grid, axes, h_t, separable=False, num_steps=None):
+    """build_delay_table with the run's length withheld, so nothing folds."""
     return build_delay_table(problem, grid, axes, h_t, separable)
 
 
@@ -1020,8 +1033,8 @@ def test_folded_table_matches_the_unfolded_one(domain, rank_reduction, N, monkey
     for rate in (p.firing_rate, np.tanh):
         q = dataclasses.replace(p, firing_rate=rate)
         ref = build_delay_table(q, grid, axes, cfg.h_t)
-        fold = build_delay_table(q, grid, axes, cfg.h_t, history=h0, num_steps=n)
-        assert fold.k_max == ref.k_max > n
+        fold = build_delay_table(q, grid, axes, cfg.h_t, num_steps=n)
+        assert ref.history_rows - 2 == math.floor(p.tau_max / cfg.h_t) > n
         assert fold.history_rows == n + 1 and fold.shape == ref.shape
         assert 0 < fold.frozen_pairs < ref.frozen_pairs == ref.pair_count
         assert fold.nbytes < ref.nbytes
@@ -1056,7 +1069,7 @@ def kernel_sizes(monkeypatch):
 
 
 def assert_same_matrices(got, want):
-    assert got.shape == want.shape and got.k_max == want.k_max
+    assert got.shape == want.shape and got.history_rows == want.history_rows
     for name in ("now", "then", "live"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
@@ -1068,11 +1081,10 @@ def near_and_whole(problem, grid, axes, h, n, monkeypatch):
     """The fold of a constant history for n steps, built with the
     separability verdict, from the near pairs, and without it, from every
     pair, and the sizes of the kernel evaluations of the first."""
-    h0 = problem.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
     with monkeypatch.context() as patch:
         sizes = kernel_sizes(patch)
-        near = build_delay_table(problem, grid, axes, h, True, history=h0, num_steps=n)
-    whole = build_delay_table(problem, grid, axes, h, history=h0, num_steps=n)
+        near = build_delay_table(problem, grid, axes, h, True, num_steps=n)
+    whole = build_delay_table(problem, grid, axes, h, num_steps=n)
     assert near.history_rows == whole.history_rows == max(n, 1) + 1
     return near, whole, sizes
 
@@ -1166,7 +1178,7 @@ def test_near_build_matches_the_whole_build_at_its_edges(case, monkeypatch):
     # only where every pair is near does the kernel see them all at once
     assert (max(sizes) == near.pair_count) == (case == "n-equals-k_max")
     if case == "n-equals-k_max":
-        assert near.k_max == n
+        assert math.floor(p.tau_max / h) == n
     assert_same_matrices(near, whole)
     assert_close(near.fixed, whole.fixed)
     if case == "sharp-kernel":
@@ -1185,15 +1197,14 @@ def test_near_build_cuts_the_kernel_values_and_the_peak(monkeypatch):
     op = build_cheb_operator(12, grid)
     axes = (op.points1, op.points2)
     separable = compute_kernel_norms(p, grid).separable
-    h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
     with monkeypatch.context() as patch:
         sizes = kernel_sizes(patch)
-        table = build_delay_table(p, grid, axes, 0.02, separable, history=h0, num_steps=25)
+        table = build_delay_table(p, grid, axes, 0.02, separable, num_steps=25)
     assert table.pair_count == 331776 and table.frozen_pairs == 41816
     assert sum(sizes) < 0.15 * table.pair_count
     tracemalloc.start()
     try:
-        build_delay_table(p, grid, axes, 0.02, separable, history=h0, num_steps=25)
+        build_delay_table(p, grid, axes, 0.02, separable, num_steps=25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1215,7 +1226,7 @@ def test_a_fold_that_does_not_separate_reads_every_pair(monkeypatch):
     h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
     with monkeypatch.context() as patch:
         sizes = kernel_sizes(patch)
-        table = build_delay_table(p, grid, axes, cfg.h_t, False, history=h0, num_steps=n)
+        table = build_delay_table(p, grid, axes, cfg.h_t, False, num_steps=n)
     assert sizes == [table.pair_count]
     near, far, j = one_shot_table(p, grid, axes, cfg.h_t)
     kw = pair_lags(p, grid, axes, cfg.h_t)[0]
@@ -1230,7 +1241,7 @@ def test_a_fold_that_does_not_separate_reads_every_pair(monkeypatch):
         then=sparse.csr_array((far[kept], index, indptr), shape=shape),
         live=sparse.csr_array((near[rows, cols], cols, np.concatenate(
             [[0], np.cumsum(np.bincount(rows, minlength=kw.shape[0]))])), shape=(kw.shape[0], Q)),
-        k_max=table.k_max, fixed=np.where(kept, 0.0, kw) @ p.firing_rate(h0))
+        fixed=np.where(kept, 0.0, kw) @ p.firing_rate(h0))
     assert_same_matrices(table, ref)
     assert np.array_equal(table.fixed, ref.fixed)
     res = solve(p, cfg)
@@ -1499,6 +1510,24 @@ def test_non_finite_increment_stops_the_loop_at_once(monkeypatch):
             solve(example1(c=1e-300), SolverConfig(h_t=0.01, T=0.02, n=2, k=4, m=4))
     # the Euler step, the level's predictor and one inner iteration
     assert len(applies) == 3
+
+
+@pytest.mark.parametrize("problem", [example3(), example4(v=1.0)],
+                         ids=["undelayed", "delayed"])
+def test_a_nan_in_the_initial_state_fails_at_t0(problem):
+    """A NaN at one node of the initial state fails the record of level 0,
+    before any step, undelayed and delayed alike (NaN equals nothing, so
+    the delayed history does not fold)."""
+    initial = problem.initial
+
+    def holed(x1, x2, t):  # a new full tensor per call, as example 3's bump is
+        values = initial(x1, x2, t)
+        values[0, 0] = np.nan
+        return values
+
+    with pytest.raises(RuntimeError, match=r"non-finite field values at t=0$"):
+        solve(dataclasses.replace(problem, initial=holed),
+              SolverConfig(h_t=0.1, T=0.2, n=2, k=4, m=4))
 
 
 def test_step_above_bound_warns_but_converges():
