@@ -53,7 +53,8 @@ class ProblemSpec:
     value must be finite; the solver reads it only through kernel_values.
     ``firing_rate`` maps field values to rates and must return an array of
     its argument's shape; the solver reads it only through rate_values,
-    which checks that shape on every call.  ``input_current``, ``initial``
+    which checks that shape on every call, and only on flat vectors, a
+    window of history rows included.  ``input_current``, ``initial``
     and the optional known solution ``exact`` map ``(x1, x2, t)`` to field
     values: they get two axes, a column ``x1[:, None]`` and a row
     ``x2[None, :]``, and may return anything that broadcasts to the full

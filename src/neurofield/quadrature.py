@@ -194,7 +194,9 @@ def tensor_values(f: Callable[[np.ndarray, np.ndarray, float], np.ndarray],
 
     f is called once, on ``x1[:, None]`` and ``x2[None, :]``, and may return
     anything that broadcasts to ``(len(x1), len(x2))``: a scalar, say, or
-    an array that reads one axis only.
+    an array that reads one axis only.  The vector shares no memory with
+    what f returned, so a caller may write into it.
     """
     values = np.asarray(f(x1[:, None], x2[None, :], t), dtype=float)
-    return np.broadcast_to(values, (len(x1), len(x2))).flatten()
+    shape = (len(x1), len(x2))
+    return (values if values.shape == shape else np.broadcast_to(values, shape)).flatten()

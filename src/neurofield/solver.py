@@ -18,8 +18,19 @@ U_{i-1} + (h_t / c) (I - U_{i-1} + kappa(U_{i-1})) from the current
 history window, with I = I(0) at i = 1 and I(t_i) after that, moves the
 window up one row and writes that value's lift there.  Level 1 is that
 value; every later level builds f_i and starts bdf2_step's fixed-point
-iteration from it.  The level's input and predictor are let go before the
-iteration and f_i after it, so no temporary outlives its level.
+iteration from it.  Every vector the march forms is built in place, with
+the IEEE operations of the formulas above in their order, so the states
+are bit for bit those of the plain expressions: the predictor accumulates
+into a new I - U_{i-1}, f_i into the input I itself, and each iterate
+into its own live sum (u = live sum; u *= lam; u += f_i).  The increment
+|U_next - U| is formed in the window's row U itself, just before the row
+takes U_next, so an iteration allocates nothing beyond the live sum and
+the lift, and the lift's output is let go before the next operator
+application.  That rests on ownership: tensor_values returns a new copy
+of what input_current returned, and every table form's live_sum a new
+array (_Table), so the march writes into no array of the problem's or the
+table's.  The predictor is let go before the iteration and f_i after it,
+so no temporary outlives its level.
 
 The update is carried in an evaluation space: the tensor product of two
 axes, where kappa, I and f are formed, and a lift that maps values there
@@ -73,13 +84,13 @@ indptr, 20 B per pair with int32 indices.  The frozen part
 now @ s[:-N^2] + then @ s[N^2:], with the live pairs (j = 0) at 0 in
 ``now``, reads rows 1 and deeper only, which stay put for a whole level:
 it is summed where the window moves, once per level, into the level's
-f_i, and reused by the next level's Euler predictor; S is evaluated over
-the window once for it (ProblemSpec.rate_values, as every sum evaluates
-S), a view with no copy for a linear S.  The live part, ``live`` @ S(row
-0), is all that an inner iteration applies.  It holds w delta at column q
-for the pairs with j = 0: the self pairs and the few whose travel time is
-under one step, or every pair, on ``then``'s index array, when no lag
-reaches one step.
+f_i, and reused by the next level's Euler predictor; S is evaluated once
+for it on the window's rows as one flat vector (ProblemSpec.rate_values,
+as every sum evaluates S), a view with no copy for a linear S.  The live
+part, ``live`` @ S(row 0), is all that an inner iteration applies.  It
+holds w delta at column q for the pairs with j = 0: the self pairs and
+the few whose travel time is under one step, or every pair, on ``then``'s
+index array, when no lag reaches one step.
 
 A run of n steps sums the frozen part on the windows of levels 0 .. n,
 so a pair at level offset j >= max(n, 1) only ever reads levels <= 0,
@@ -234,7 +245,9 @@ class _Table:
     ``shape`` (P, N^2: evaluation points by grid nodes), ``live_sum``, the
     sum over the pairs that read the current grid iterate, and
     ``frozen_sum``, the sum over the others, which read history rows 1 and
-    deeper only: 0.0 for an undelayed table, whose pairs are all live."""
+    deeper only: 0.0 for an undelayed table, whose pairs are all live.
+    live_sum returns a new array, sharing no memory with its argument or
+    the table's arrays, which the caller may overwrite."""
 
     history_rows = 1
 
@@ -334,7 +347,7 @@ class DelayedPairs(_Table):
         """The quadrature sum over every pair but the live pairs' reads of
         row 0.  For finite values of row 0 it depends on rows 1 and deeper
         only: the entries of ``now`` that read row 0 are 0."""
-        s = problem.rate_values(history[:self.history_rows]).ravel()
+        s = problem.rate_values(history[:self.history_rows].ravel())
         nodes = self.shape[1]
         out = self.now @ s[:-nodes] + self.then @ s[nodes:]
         if self.fixed is not None:
@@ -628,10 +641,11 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     """Solve one implicit two-step level by fixed-point iteration.
 
     U is the level's grid row of the history window, holding the lift of
-    its Euler predictor; each iterate is written into it.  f_i holds every
-    constant of the level, the frozen sum of its window among them, so an
-    iteration is lam times the live sum plus f_i, with solve's
-    lam = 2 h_t / (2 h_t + 3 c).  Returns the solution on the evaluation
+    its Euler predictor; each increment and then each iterate is written
+    into it.  f_i, which is only read, holds every constant of the level,
+    the frozen sum of its window among them, so an iteration is lam times
+    the live sum plus f_i, with solve's lam = 2 h_t / (2 h_t + 3 c).
+    Returns the solution on the evaluation
     axes and the level's diagnostics.
     Raises RuntimeError if the inner loop does not reach eps_inner within
     _MAX_INNER iterations, which is the symptom of a time step above the
@@ -641,14 +655,18 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     t_i = level * config.h_t
     increments: list[float] = []
     for _ in range(_MAX_INNER):
-        u = lam * table.live_sum(problem, U) + f_i
+        u = table.live_sum(problem, U)
+        u *= lam
+        u += f_i
         U_next = lift(u)
-        inc = float(np.max(np.abs(U_next - U)))
+        # |U_next - U| is formed in U itself, which takes U_next next
+        inc = float(np.abs(np.subtract(U_next, U, out=U), out=U).max())
         if not math.isfinite(inc):
             raise RuntimeError(f"fixed-point iteration at t={t_i:g} reached a non-finite "
                                f"increment in iteration {len(increments) + 1}")
         increments.append(inc)
         U[:] = U_next
+        del U_next  # not kept across the next operator application
         if inc < config.eps_inner:
             break
     else:
@@ -662,8 +680,10 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
 
     # observed contraction: worst consecutive-increment ratio above the
     # roundoff floor, None when the loop finished in a single iteration
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
-    ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
+    ratios = []
+    if len(increments) > 1:
+        floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
+        ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
     return u, StepDiagnostics(
         level=level, inner_iterations=len(increments),
         contraction_estimate=max(ratios) if ratios else None,
@@ -792,7 +812,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
 
     def record(level: int) -> FieldState:
         values = levels[num_steps - level]
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
         return FieldState(values=values, time=level * h)
 
@@ -806,14 +826,23 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             if i == 1:  # each later window's frozen part is summed where it moves
                 frozen = table.frozen_sum(problem, levels[row + 1:])
             I = tensor_values(problem.input_current, *axes, i * h if i > 1 else 0.0)
-            u = u_prev + (h / c) * (I - u_prev + frozen + table.live_sum(problem, levels[row + 1]))
+            # u_prev + (h / c) * (I - u_prev + frozen + live), formed in place
+            u = I - u_prev
+            u += frozen
+            u += table.live_sum(problem, levels[row + 1])
+            u *= h / c
+            u += u_prev
             levels[row] = lift(u)
             frozen = table.frozen_sum(problem, levels[row:])
             if i > 1:
-                f_i = lam * (I + frozen + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
-                del I, u  # the iteration starts from the window's row
-                u, diag = bdf2_step(problem, config, table, lift, levels[row], f_i, lam, i)
-                del f_i
+                del u  # the iteration starts from the window's row
+                # f_i = lam * (I + frozen + (2 c / h) u_prev - (c / (2 h)) u_prev2), in I
+                I += frozen
+                I += (2.0 * c / h) * u_prev
+                I -= (0.5 * c / h) * u_prev2
+                I *= lam
+                u, diag = bdf2_step(problem, config, table, lift, levels[row], I, lam, i)
+                del I
                 diagnostics.append(diag)
             u_prev, u_prev2 = u, u_prev
             states.append(record(i))

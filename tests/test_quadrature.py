@@ -13,6 +13,7 @@ from neurofield.quadrature import (
     apply_quadrature,
     build_gauss_rule,
     build_grid,
+    tensor_values,
 )
 
 UNIT_BOX = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -104,6 +105,19 @@ def test_flat_layout_row_major():
         idx = a * N + b
         assert p1[idx] == grid.x1[a]
         assert p2[idx] == grid.x2[b]
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full-shape", "broadcast"])
+def test_tensor_values_returns_a_new_array(full):
+    """The flat row-major tensor of f as a new array that shares no memory
+    with what f returned, whether that is the full tensor or an array that
+    broadcasts to it: the solver writes into it."""
+    x1, x2 = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    held = np.add.outer(x1, x2) if full else 2.0 * x2[None, :]
+    want = np.broadcast_to(held, (3, 4)).flatten()
+    out = tensor_values(lambda a, b, t: held, x1, x2, 0.0)
+    assert out.shape == (12,) and np.array_equal(out, want)
+    assert not np.shares_memory(out, held)
 
 
 @pytest.mark.parametrize("domain,n,k", [

@@ -183,11 +183,15 @@ def test_time_level_rule():
 
 def _reference_march(problem, config):
     """The delayed scheme with the grid levels kept in a dict keyed by level
-    index, every level older than the delay reach dropped.  The update is
-    formed on the run's evaluation axes, the grid's or the m x m Chebyshev
-    points, and its lift is the grid level; the last two updates are kept
-    as they are, unlifted.  Each level's frozen sum goes into its own f_i
-    and the next level's predictor."""
+    index, every level older than the delay reach dropped, on the table
+    solve builds: the kernel norms' separable verdict and the run's
+    num_steps pick its form and its fold.  The update is formed on the
+    run's evaluation axes, the grid's or the m x m Chebyshev points, by
+    plain expressions into new arrays, and its lift is the grid level; the
+    last two updates are kept as they are, unlifted.  Each level's frozen
+    sum goes into its own f_i and the next level's predictor.  Returns
+    every level's grid field and each two-step level's inner-iteration
+    count."""
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
     if config.rank_reduction:
         cheb = build_cheb_operator(config.m, grid)
@@ -195,7 +199,9 @@ def _reference_march(problem, config):
         lift = lambda u: lift_to_grid(cheb, u)
     else:
         axes, points, lift = (grid.x1, grid.x2), grid.flat_points(), lambda u: u
-    table = build_delay_table(problem, grid, axes, config.h_t)
+    table = build_delay_table(problem, grid, axes, config.h_t,
+                              compute_kernel_norms(problem, grid).separable,
+                              num_steps=config.num_steps)
     h, c, depth = config.h_t, problem.c, table.history_rows
     p1, p2 = grid.flat_points()
     levels = {l: problem.initial(p1, p2, l * h) for l in range(1 - depth, 1)}
@@ -212,6 +218,7 @@ def _reference_march(problem, config):
     u_prev = euler(problem.input_current(*points, 0.0), u_prev2, 0, F)
     levels[1] = lift(u_prev)
     F = frozen(levels[1], 1)
+    states, iterations = [levels[0], levels[1]], []
     del levels[1 - depth]
     lam = 2.0 * h / (2.0 * h + 3.0 * c)
     for i in range(2, config.num_steps + 1):
@@ -219,7 +226,7 @@ def _reference_march(problem, config):
         U = lift(euler(I_i, u_prev, i - 1, F))
         F = frozen(U, i)
         f_i = lam * (I_i + F + (2.0 * c / h) * u_prev - (0.5 * c / h) * u_prev2)
-        for _ in range(solver_module._MAX_INNER):
+        for count in range(1, solver_module._MAX_INNER + 1):
             u = lam * table.live_sum(problem, U) + f_i
             U_next = lift(u)
             converged = np.max(np.abs(U_next - U)) < config.eps_inner
@@ -228,8 +235,10 @@ def _reference_march(problem, config):
                 break
         levels[i], u_prev, u_prev2 = U, u, u_prev
         del levels[i - depth]
-        assert len(levels) == depth
-    return levels
+        assert sorted(levels) == list(range(i + 1 - depth, i + 1))
+        states.append(U)
+        iterations.append(count)
+    return states, iterations
 
 
 def test_history_put_get_prune():
@@ -245,10 +254,76 @@ def test_history_put_get_prune():
         res = solve(p, cfg)
         P = (cfg.m if cfg.rank_reduction else res.grid.points_per_axis) ** 2
         assert res.frozen_pairs == P * res.grid.total_points  # nothing folded
-        levels = _reference_march(p, cfg)
-        assert sorted(levels) == [9, 10, 11, 12]
-        for i, U in levels.items():
-            assert np.array_equal(res.states[i].values, U)
+        states, _ = _reference_march(p, cfg)
+        assert len(states) == len(res.states) == 13
+        for state, U in zip(res.states, states):
+            assert np.array_equal(state.values, U)
+
+
+@pytest.mark.parametrize("problem,cfg,form", [
+    (example3(), SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "AxisFactors"),
+    (dataclasses.replace(example2(), firing_rate=np.tanh),
+     SolverConfig(h_t=0.02, T=0.2, n=3, k=4, m=8, eps_inner=1e-14), "AxisFactors"),
+    (dataclasses.replace(example3(), kernel=lambda r: np.exp(-r)),
+     SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "PairTable"),
+    (example4(v=1.0), SolverConfig(h_t=0.05, T=0.3, n=3, k=4, m=6), "DelayedPairs"),
+], ids=["example3-direct", "example2-tanh-reduced", "exp-kernel-direct", "example4-folded"])
+def test_solve_matches_the_reference_march_on_the_table_it_builds(problem, cfg, form):
+    """solve forms each level's predictor, f_i and iterates in place; the
+    reference march forms them by plain expressions into new arrays on the
+    same table, so both do the same IEEE operations and must agree bit for
+    bit, state by state and in every level's inner-iteration count.  The
+    cases are shaped like the benchmark's: the axis factors direct and with
+    the lift, the pair table, and a folded delayed table."""
+    res = solve(problem, cfg)
+    assert res.table_form == form
+    if form == "DelayedPairs":
+        assert 0 < res.frozen_pairs < cfg.m ** 2 * res.grid.total_points  # folded
+    states, iterations = _reference_march(problem, cfg)
+    assert iterations == [d.inner_iterations for d in res.diagnostics]
+    assert len(states) == len(res.states)
+    for state, U in zip(res.states, states):
+        assert np.array_equal(state.values, U)
+
+
+@pytest.mark.parametrize("problem,separable,form", [
+    (example3(), False, "PairTable"),
+    (example3(), True, "AxisFactors"),
+    (dataclasses.replace(example3(), v=1.0), False, "DelayedPairs"),
+])
+def test_live_sum_returns_an_array_the_caller_owns(problem, separable, form):
+    """Each table form's live_sum returns a new array, sharing no memory
+    with its argument or with the table's arrays, even under example 3's
+    linear rate, which returns its argument: the march scales and shifts
+    the sum in place."""
+    grid = make_grid(N=8)
+    table = build_delay_table(problem, grid, (grid.x1, grid.x2), 0.1, separable)
+    assert type(table).__name__ == form
+    field = np.linspace(-1.0, 1.0, grid.total_points)
+    assert problem.rate_values(field) is field
+    out = table.live_sum(problem, field)
+    arrays = [a for v in vars(table).values()
+              for a in ((v,) if isinstance(v, np.ndarray) else
+                        (v.data, v.indices, v.indptr) if sparse.issparse(v) else ())]
+    assert arrays and not any(np.shares_memory(out, a) for a in [field, *arrays])
+
+
+@pytest.mark.parametrize("rank_reduction", [False, True], ids=["direct", "reduced"])
+def test_an_input_array_the_problem_keeps_is_left_unchanged(rank_reduction):
+    """An input_current that returns one array it keeps, at every time,
+    finds it unchanged after the solve: the march forms the Euler
+    predictor and f_i in place, but in arrays of its own."""
+    kept = {}
+
+    def input_current(x1, x2, t):
+        shape = (np.size(x1), np.size(x2))
+        return kept.setdefault(shape, np.full(shape, 0.3))
+
+    res = solve(dataclasses.replace(example1(), input_current=input_current),
+                SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4, rank_reduction=rank_reduction))
+    assert len(res.diagnostics) == 3
+    assert [a.shape for a in kept.values()] == [(4, 4) if rank_reduction else (8, 8)]
+    assert all(np.all(a == 0.3) for a in kept.values())
 
 
 def test_history_negative_levels():
@@ -508,19 +583,27 @@ def test_a_firing_rate_of_another_shape_fails_before_the_table(problem, rate, sh
         solve(dataclasses.replace(problem, firing_rate=rate), cfg)
 
 
-@pytest.mark.parametrize("problem,rows", [(example4(v=1.0), 5), (example5(v=1.0), 58)],
-                         ids=["example4-folded", "example5-unfolded"])
-def test_a_firing_rate_that_transposes_fails_on_the_history_window(problem, rows):
-    """A rate that transposes its argument passes the probe on the flat
-    initial state, but not the delayed table's frozen sum over a window of
-    history rows: every evaluation of S checks its shape
-    (ProblemSpec.rate_values), so the run raises with both shapes named
-    instead of finishing on scrambled rates (example 5's states 0.35 off)."""
-    cfg = SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4)
+@pytest.mark.parametrize("problem,cfg,rows", [
+    (example4(v=1.0), SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4), 5),
+    (example5(v=1.0), SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4), 58),
+    (example5(v=1.0), SolverConfig(h_t=0.045, T=0.09, n=2, k=4, rank_reduction=False), 64),
+], ids=["example4-folded", "example5-unfolded", "example5-square-window"])
+def test_a_firing_rate_that_transposes_gives_the_plain_rates_states(problem, cfg, rows):
+    """The solver evaluates S on flat vectors only, the delayed table's
+    frozen sum included, which reads its window of history rows as one
+    flat view.  So a rate that transposes a 2-D argument changes nothing,
+    bit for bit, even where the window is square (rows = N^2), where a
+    2-D window would pass the shape check and scramble the rates."""
+    grid = build_grid(problem.domain, cfg.n, build_gauss_rule(cfg.k))
+    # the history rows do not depend on the evaluation axes: the grid's serve
+    table = build_delay_table(problem, grid, (grid.x1, grid.x2), cfg.h_t,
+                              num_steps=cfg.num_steps)
+    assert (table.history_rows, grid.total_points) == (rows, 64)
     rate = lambda u: np.asarray(u, dtype=float).T
-    with pytest.raises(ValueError, match=re.escape(f"firing_rate returned shape (64, {rows}) "
-                                                   f"for field values of shape ({rows}, 64)")):
-        solve(dataclasses.replace(problem, firing_rate=rate), cfg)
+    plain = solve(problem, cfg)
+    transposed = solve(dataclasses.replace(problem, firing_rate=rate), cfg)
+    for a, b in zip(plain.states, transposed.states, strict=True):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_the_firing_rate_shape_is_checked_once_per_solve():
