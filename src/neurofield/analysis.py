@@ -81,6 +81,25 @@ def solver_settings(configs: Sequence[SolverConfig]) -> dict:
             if all(s.get(key) == value for s in settings)}
 
 
+# Each study solves through one of these two, which return the errors alone:
+# a solve's states are rows of its one level array (SolveResult), so a result
+# held across the loop would keep its levels alive beside the next solve's.
+
+def _level_errors(problem: ProblemSpec, cfg: SolverConfig, mult: int,
+                  norm: str) -> dict[int, float]:
+    """The error of every level after t = 0 of one solve, keyed by the level
+    times ``mult``, its step as a multiple of the finest."""
+    res = solve(problem, cfg)
+    return {i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
+            for i in range(1, len(res.states))}
+
+
+def _final_error(problem: ProblemSpec, cfg: SolverConfig, norm: str) -> float:
+    """The error at T of one solve."""
+    res = solve(problem, cfg)
+    return error_norm(res.grid, res.states[-1], problem.exact, norm)
+
+
 @dataclass
 class ReportRow:
     """One line of a convergence table."""
@@ -246,6 +265,9 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
     (1e-14) rather than the default 1e-10, whose fixed-point residual would
     read as a time error: example 2, exact in time, showed errors near 1e-11
     falling at a ratio of 19 per halving at the default.
+
+    The study keeps each solve's errors only and lets the solve go before
+    the next one starts, so its memory peaks at its largest solve.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -261,14 +283,8 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
         if time_level(h, finest) is None:
             raise ValueError(f"steps are not nested: {h!r} is not a multiple of {finest!r}")
 
-    errors: dict[float, dict[int, float]] = {}
-    for cfg in configs:
-        res = solve(problem, cfg)
-        mult = time_level(cfg.h_t, finest)
-        errors[cfg.h_t] = {
-            i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
-            for i in range(1, len(res.states))
-        }
+    errors = {cfg.h_t: _level_errors(problem, cfg, time_level(cfg.h_t, finest), norm)
+              for cfg in configs}
     return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, errors=errors,
                      configs=configs)
 
@@ -320,7 +336,8 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     resolutions, but every N and every m must be in some pair with m <= N.
     The inner tolerance is _STUDY_EPS_INNER (1e-14), as in the time study,
     far below the default because the measured errors approach machine
-    precision.
+    precision.  Each solve is let go once its error at T is taken, before
+    the next one starts, so the study's memory peaks at its largest solve.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -341,11 +358,8 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     if idle:
         raise ValueError("unused by any solve: " + "; ".join(idle))
 
-    errors: dict[tuple[int, int], float] = {}
     configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=_STUDY_EPS_INNER)
                for N in N_values for m in m_values if m <= N]
-    for cfg in configs:
-        res = solve(problem, cfg)
-        errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
+    errors = {(cfg.n * cfg.k, cfg.m): _final_error(problem, cfg, norm) for cfg in configs}
     return SpaceStudy(problem_name=problem.name, norm=norm, N_values=N_values,
                       m_values=m_values, errors=errors, configs=configs)

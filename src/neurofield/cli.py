@@ -141,16 +141,21 @@ def _load_config_file(path: str, args: argparse.Namespace) -> None:
             setattr(args, _dest(key), parsed)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given one subcommand's name, only
+    that subparser gets its flags; the top-level usage, help and errors
+    read none of them, so they are the same either way."""
     parser = argparse.ArgumentParser(
         prog="neurofield",
         description="Neural field equation solver and convergence studies")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
-        for key in _command_keys(command):
-            keywords = {name: value for name, value in _SETTINGS[key].items()
-                        if name != "file_type"}
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if command not in (None, name):
+            continue
+        for key in _command_keys(name):
+            keywords = {kw: value for kw, value in _SETTINGS[key].items()
+                        if kw != "file_type"}
             sub.add_argument("--" + key, default=None, **keywords)
         sub.add_argument("--config", default=None, help="key=value settings file")
     return parser
@@ -388,7 +393,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's flags are needed to parse its arguments;
+    # without one (none given, help, an unknown name) every command is built
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if args.config is not None:
             _load_config_file(args.config, args)

@@ -707,6 +707,34 @@ def test_config_file_missing(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in _COMMANDS),
+    *([command, "--bogus"] for command in _COMMANDS),
+    ["run", "--example", "9"], ["--help"], ["-h", "run"], [], ["bogus"], ["--config", "x"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_builds_the_named_command_only_and_prints_what_the_whole_parser_does(
+        monkeypatch, capsys, argv):
+    """main, reading sys.argv[1:], fills in only the subparser that argv[0]
+    names, and every command without one; help and error texts and exit
+    codes are those of the parser of all four commands."""
+    with pytest.raises(SystemExit) as whole:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    built = []
+
+    def recording(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(neurofield.cli, "build_parser", recording)
+    monkeypatch.setattr(sys, "argv", ["neurofield", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == whole.value.code
+    assert capsys.readouterr() == expected
+    assert built == [argv[0] if argv and argv[0] in _COMMANDS else None]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
