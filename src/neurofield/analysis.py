@@ -81,25 +81,6 @@ def solver_settings(configs: Sequence[SolverConfig]) -> dict:
             if all(s.get(key) == value for s in settings)}
 
 
-# Each study solves through one of these two, which return the errors alone:
-# a solve's states are rows of its one level array (SolveResult), so a result
-# held across the loop would keep its levels alive beside the next solve's.
-
-def _level_errors(problem: ProblemSpec, cfg: SolverConfig, mult: int,
-                  norm: str) -> dict[int, float]:
-    """The error of every level after t = 0 of one solve, keyed by the level
-    times ``mult``, its step as a multiple of the finest."""
-    res = solve(problem, cfg)
-    return {i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
-            for i in range(1, len(res.states))}
-
-
-def _final_error(problem: ProblemSpec, cfg: SolverConfig, norm: str) -> float:
-    """The error at T of one solve."""
-    res = solve(problem, cfg)
-    return error_norm(res.grid, res.states[-1], problem.exact, norm)
-
-
 @dataclass
 class ReportRow:
     """One line of a convergence table."""
@@ -283,8 +264,15 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
         if time_level(h, finest) is None:
             raise ValueError(f"steps are not nested: {h!r} is not a multiple of {finest!r}")
 
-    errors = {cfg.h_t: _level_errors(problem, cfg, time_level(cfg.h_t, finest), norm)
-              for cfg in configs}
+    errors: dict[float, dict[int, float]] = {}
+    for cfg in configs:
+        res = solve(problem, cfg)
+        mult = time_level(cfg.h_t, finest)
+        errors[cfg.h_t] = {
+            i * mult: error_norm(res.grid, res.states[i], problem.exact, norm)
+            for i in range(1, len(res.states))
+        }
+        del res  # its levels would stay alive beside the next solve's
     return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, errors=errors,
                      configs=configs)
 
@@ -358,8 +346,12 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     if idle:
         raise ValueError("unused by any solve: " + "; ".join(idle))
 
+    errors: dict[tuple[int, int], float] = {}
     configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=_STUDY_EPS_INNER)
                for N in N_values for m in m_values if m <= N]
-    errors = {(cfg.n * cfg.k, cfg.m): _final_error(problem, cfg, norm) for cfg in configs}
+    for cfg in configs:
+        res = solve(problem, cfg)
+        errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
+        del res  # its levels would stay alive beside the next solve's
     return SpaceStudy(problem_name=problem.name, norm=norm, N_values=N_values,
                       m_values=m_values, errors=errors, configs=configs)

@@ -825,15 +825,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             row = num_steps - i  # level i's row; the current window starts one below
             if i == 1:  # each later window's frozen part is summed where it moves
                 frozen = table.frozen_sum(problem, levels[row + 1:])
-                # an undelayed table's frozen sum is the scalar 0.0, which the
-                # march does not add; a folded table that keeps no pair still
-                # returns its array of fixed sums, which it does
-                adds_frozen = not (isinstance(frozen, float) and frozen == 0.0)
             I = tensor_values(problem.input_current, *axes, i * h if i > 1 else 0.0)
             # u_prev + (h / c) * (I - u_prev + frozen + live), formed in place
             u = I - u_prev
-            if adds_frozen:
-                u += frozen
+            u += frozen
             u += table.live_sum(problem, levels[row + 1])
             u *= h / c
             u += u_prev
@@ -842,8 +837,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             if i > 1:
                 del u  # the iteration starts from the window's row
                 # f_i = lam * (I + frozen + (2 c / h) u_prev - (c / (2 h)) u_prev2), in I
-                if adds_frozen:
-                    I += frozen
+                I += frozen
                 I += (2.0 * c / h) * u_prev
                 I -= (0.5 * c / h) * u_prev2
                 I *= lam

@@ -260,33 +260,28 @@ def test_history_put_get_prune():
             assert np.array_equal(state.values, U)
 
 
-@pytest.mark.parametrize("problem,cfg,form,kept_pairs", [
-    (example3(), SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False),
-     "AxisFactors", None),
+@pytest.mark.parametrize("problem,cfg,form", [
+    (example3(), SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "AxisFactors"),
     (dataclasses.replace(example2(), firing_rate=np.tanh),
-     SolverConfig(h_t=0.02, T=0.2, n=3, k=4, m=8, eps_inner=1e-14), "AxisFactors", None),
+     SolverConfig(h_t=0.02, T=0.2, n=3, k=4, m=8, eps_inner=1e-14), "AxisFactors"),
     (dataclasses.replace(example3(), kernel=lambda r: np.exp(-r)),
-     SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "PairTable", None),
-    (example4(v=1.0), SolverConfig(h_t=0.05, T=0.3, n=3, k=4, m=6), "DelayedPairs", True),
-    (example4(v=0.01), SolverConfig(h_t=0.1, T=0.2, n=1, k=4, m=4), "DelayedPairs", False),
+     SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "PairTable"),
+    (example4(v=1.0), SolverConfig(h_t=0.05, T=0.3, n=3, k=4, m=6), "DelayedPairs"),
+    (example4(v=0.01), SolverConfig(h_t=0.1, T=0.2, n=1, k=4, m=4), "DelayedPairs"),
 ], ids=["example3-direct", "example2-tanh-reduced", "exp-kernel-direct", "example4-folded",
         "example4-folded-to-fixed"])
-def test_solve_matches_the_reference_march_on_the_table_it_builds(problem, cfg, form,
-                                                                 kept_pairs):
+def test_solve_matches_the_reference_march_on_the_table_it_builds(problem, cfg, form):
     """solve forms each level's predictor, f_i and iterates in place; the
     reference march forms them by plain expressions into new arrays on the
     same table, so both do the same IEEE operations and must agree bit for
     bit, state by state and in every level's inner-iteration count.  The
     cases are shaped like the benchmark's: the axis factors direct and with
     the lift, the pair table, and a folded delayed table.  At v = 0.01 the
-    fold keeps no pair at all, and the whole operator is in ``fixed``: the
-    march must add that frozen sum, although it skips an undelayed table's
-    scalar 0.0."""
+    fold keeps no pair at all, and the whole operator is in ``fixed``."""
     res = solve(problem, cfg)
     assert res.table_form == form
     if form == "DelayedPairs":
         assert res.frozen_pairs < cfg.m ** 2 * res.grid.total_points  # folded
-        assert (res.frozen_pairs > 0) == kept_pairs
     states, iterations = _reference_march(problem, cfg)
     assert iterations == [d.inner_iterations for d in res.diagnostics]
     assert len(states) == len(res.states)
