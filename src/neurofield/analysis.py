@@ -145,22 +145,21 @@ class TimeStudy:
     """Errors of several time steps on one grid, aligned on shared levels.
 
     ``configs`` are the solver configurations the study ran, one per step
-    (coarsest first), and its only record of their settings.
-    ``errors[h]`` maps an integer multiple of the finest step to the error
-    at that physical time; multiples not resolved by a coarser step are
-    absent.  ``ratio(coarse, fine, t)`` is the usual error quotient at a
-    time both steps reach.
+    (coarsest first), and its only record of their settings: ``steps``
+    and the report time T are read from them.  ``errors[h]`` maps an
+    integer multiple of the finest step to the error at that physical
+    time, absent where a coarser step has no level.  ``ratio(coarse,
+    fine, t)`` is the usual error quotient at a time both steps reach.
     """
 
     problem_name: str
     norm: str
-    steps: list[float]
     errors: dict[float, dict[int, float]]
     configs: list[SolverConfig]
 
-    def times(self) -> list[float]:
-        finest = self.configs[-1].h_t
-        return [i * finest for i in range(1, time_level(self.configs[-1].T, finest) + 1)]
+    @property
+    def steps(self) -> list[float]:
+        return [cfg.h_t for cfg in self.configs]
 
     def error_at(self, step: float, t: float) -> Optional[float]:
         """The error of ``step`` at time t, None where that step has no level.
@@ -184,16 +183,13 @@ class TimeStudy:
             return None
         return e_c / e_f
 
-    def report(self, at_time: Optional[float] = None) -> ConvergenceReport:
-        """Rows over the step sizes at one report time (default: T)."""
-        t = self.configs[-1].T if at_time is None else at_time
+    def report(self) -> ConvergenceReport:
+        """Rows over the step sizes at T, which every step reaches."""
+        t = self.configs[-1].T
         entries = []
         for h in self.steps:
-            err = self.error_at(h, t)
-            if err is None:
-                raise ValueError(f"time {t!r} is not a level of step {h!r}")
             extra = ["bootstrap-affected"] if time_level(t, h) <= 2 else []
-            entries.append((f"{h:g}", err, extra))
+            entries.append((f"{h:g}", self.error_at(h, t), extra))
         return ConvergenceReport(
             title=f"time convergence of {self.problem_name} at t={t:g}",
             norm=self.norm, fixed=solver_settings(self.configs), rows=_report_rows(entries))
@@ -209,7 +205,8 @@ class TimeStudy:
         fixed = ", ".join(f"{k}={v}" for k, v in solver_settings(self.configs).items())
         lines = [f"time convergence of {self.problem_name}  ({fixed}, norm {self.norm})",
                  "  ".join(head)]
-        for t in self.times():
+        finest = self.configs[-1]
+        for t in (i * finest.h_t for i in range(1, finest.num_steps + 1)):
             cells = [f"{t:8.4f}"]
             for h in self.steps:
                 err = self.error_at(h, t)
@@ -273,24 +270,29 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
             for i in range(1, len(res.states))
         }
         del res  # its levels would stay alive beside the next solve's
-    return TimeStudy(problem_name=problem.name, norm=norm, steps=steps, errors=errors,
-                     configs=configs)
+    return TimeStudy(problem_name=problem.name, norm=norm, errors=errors, configs=configs)
 
 
 @dataclass
 class SpaceStudy:
     """Errors over grid resolutions N for one or more interpolation orders.
 
-    ``configs``, one solver configuration per (N, m) pair with m <= N, are
-    the study's only record of the settings it ran.
+    ``configs``, one per (N, m) pair with m <= N, are the study's only
+    record of the settings it ran: ``N_values`` and ``m_values`` read them.
     """
 
     problem_name: str
     norm: str
-    N_values: list[int]
-    m_values: list[int]
     errors: dict[tuple[int, int], float]
     configs: list[SolverConfig]
+
+    @property
+    def N_values(self) -> list[int]:
+        return sorted({cfg.n * cfg.k for cfg in self.configs})
+
+    @property
+    def m_values(self) -> list[int]:
+        return sorted({cfg.m for cfg in self.configs})
 
     def error(self, N: int, m: int) -> Optional[float]:
         return self.errors.get((N, m))
@@ -353,5 +355,4 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
         res = solve(problem, cfg)
         errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
         del res  # its levels would stay alive beside the next solve's
-    return SpaceStudy(problem_name=problem.name, norm=norm, N_values=N_values,
-                      m_values=m_values, errors=errors, configs=configs)
+    return SpaceStudy(problem_name=problem.name, norm=norm, errors=errors, configs=configs)

@@ -113,20 +113,15 @@ class SpatialGrid:
     Attributes
     ----------
     domain : Rectangle
-    n : int
-        Subintervals per axis.
-    rule : GaussRule
-        The per-subinterval rule; ``points_per_axis == n * rule.k``.
     x1, x2 : ndarray, shape (N,)
-        Node coordinates along each axis, ascending.
+        Node coordinates along each axis, ascending; ``points_per_axis``,
+        N = n * k for n subintervals of a k-point rule, is ``x1.size``.
     w1, w2 : ndarray, shape (N,)
         Scaled per-axis weights; each sums to the side length, so the
         tensor-product weights sum to the domain area.
     """
 
     domain: Rectangle
-    n: int
-    rule: GaussRule
     x1: np.ndarray = field(repr=False)
     x2: np.ndarray = field(repr=False)
     w1: np.ndarray = field(repr=False)
@@ -134,7 +129,7 @@ class SpatialGrid:
 
     @property
     def points_per_axis(self) -> int:
-        return self.n * self.rule.k
+        return self.x1.size
 
     @property
     def total_points(self) -> int:
@@ -172,7 +167,7 @@ def build_grid(domain: Rectangle, n: int, rule: GaussRule) -> SpatialGrid:
         raise ValueError(f"subinterval count n must be a positive integer, got {n!r}")
     x1, w1 = _composite_axis(domain.a1, domain.b1, int(n), rule)
     x2, w2 = _composite_axis(domain.a2, domain.b2, int(n), rule)
-    return SpatialGrid(domain=domain, n=int(n), rule=rule, x1=x1, x2=x2, w1=w1, w2=w2)
+    return SpatialGrid(domain=domain, x1=x1, x2=x2, w1=w1, w2=w2)
 
 
 def apply_quadrature(grid: SpatialGrid, values: np.ndarray) -> float:

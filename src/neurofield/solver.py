@@ -247,9 +247,11 @@ class _Table:
     ``frozen_sum``, the sum over the others, which read history rows 1 and
     deeper only: 0.0 for an undelayed table, whose pairs are all live.
     live_sum returns a new array, sharing no memory with its argument or
-    the table's arrays, which the caller may overwrite."""
+    the table's arrays, which the caller may overwrite.  ``fixed`` is None
+    but on a folded DelayedPairs, whose history rows all hold one field."""
 
     history_rows = 1
+    fixed: Optional[np.ndarray] = None
 
     @property
     def pair_count(self) -> int:
@@ -734,13 +736,18 @@ def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
     """The initial data's grid field if it is the same, value for value, at
     t = 0, -h, ..., -(rows - 1) h, else None.  The times are evaluated one
     at a time, up to the first that differs from t = 0; each is compared
-    as it broadcasts to the grid, and NaN equals nothing."""
+    as it broadcasts to the grid, and NaN equals nothing.  A time at which
+    the initial data raise ArithmeticError differs too: solve's seeding
+    then names it."""
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     h0 = np.empty((grid.x1.size, grid.x2.size))
     h0[...] = problem.initial(x1, x2, 0.0)
-    for l in range(1, rows):
-        if not np.all(problem.initial(x1, x2, -l * h) == h0):
-            return None
+    try:
+        for l in range(1, rows):
+            if not np.all(problem.initial(x1, x2, -l * h) == h0):
+                return None
+    except ArithmeticError:
+        return None
     return h0
 
 
@@ -754,12 +761,14 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     delayed problem whose history is constant over the k_max + 2 levels
     the delay reaches gets a folded table (build_delay_table), whose rows
     are all seeded with the initial data at t = 0; any other table's rows
-    are seeded one level at a time.  Step-size bounds are checked up front;
-    a step above a bound only logs a warning.  The run raises ValueError
-    before it reads the history if the levels and a bound of the table
-    (_table_bound) exceed the machine's physical memory, or if the firing
-    rate, tried once on the initial state, does not return its argument's
-    shape; every later evaluation of S checks that shape too
+    are seeded one level at a time, and a level below 0 at which the
+    initial data raise ArithmeticError (math.exp overflowing, say) or are
+    not finite raises ValueError naming its time.  Step-size bounds are
+    checked up front; a step above a bound only logs a warning.  The run
+    raises ValueError before it reads the history if the levels and a bound
+    of the table (_table_bound) exceed the machine's physical memory, or if
+    the firing rate, tried once on the initial state, does not return its
+    argument's shape; every later evaluation of S checks that shape too
     (ProblemSpec.rate_values).  It fails hard if the inner iteration stops
     converging or a state goes non-finite.
     """
@@ -803,12 +812,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     table = build_delay_table(problem, grid, axes, h, norms.separable, num_steps=num_steps)
     levels = np.empty((num_steps + table.history_rows, grid.total_points))
     seed = levels[num_steps:].reshape(table.history_rows, grid.x1.size, grid.x2.size)
-    x1, x2 = grid.x1[:, None], grid.x2[None, :]
-    if getattr(table, "fixed", None) is not None:  # folded: every level <= 0 holds t = 0's field
-        seed[:] = problem.initial(x1, x2, 0.0)
-    else:
-        for l in range(table.history_rows):
-            seed[l] = problem.initial(x1, x2, -l * h)
 
     def record(level: int) -> FieldState:
         values = levels[num_steps - level]
@@ -816,7 +819,22 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
         return FieldState(values=values, time=level * h)
 
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    seed[0] = problem.initial(x1, x2, 0.0)
     states = [record(0)]
+    if table.fixed is not None:  # folded: every level <= 0 holds t = 0's field
+        seed[1:] = seed[0]
+    else:
+        for l in range(1, table.history_rows):
+            t = -l * h
+            try:
+                seed[l] = problem.initial(x1, x2, t)
+            except ArithmeticError as exc:
+                raise ValueError(f"the initial data overflow at t={t:g}, a level the run "
+                                 f"seeds: {exc}") from exc
+            if not np.isfinite(seed[l]).all():
+                raise ValueError(f"the initial data are not finite at t={t:g}, a level the "
+                                 f"run seeds")
     diagnostics: list[StepDiagnostics] = []
     u_prev, u_prev2 = u0, None
     # overflow ends in a non-finite increment or state, on which the march raises

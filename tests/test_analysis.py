@@ -135,21 +135,14 @@ def test_time_study_rejects_times_off_the_step_grid(ex1_study):
     # 0.0349 is no level of any step: it must not snap to t = 0.03 or 0.04
     with pytest.raises(ValueError, match="not a level"):
         ex1_study.error_at(0.01, 0.0349)
-    with pytest.raises(ValueError, match="not a level"):
-        ex1_study.report(at_time=0.0409)
-    assert ex1_study.report(at_time=0.04).title.endswith("t=0.04")
 
 
-def test_time_study_bootstrap_flag(ex1_study):
-    report = ex1_study.report(at_time=0.04)
+def test_time_study_bootstrap_flag():
+    report = time_convergence_study(example1(), [0.02, 0.01], T=0.04).report()
+    assert report.title.endswith("t=0.04")
     by_param = {row.param: row for row in report.rows}
     assert "bootstrap-affected" in by_param["0.02"].flags  # level 2 of h=0.02
     assert "bootstrap-affected" not in by_param["0.01"].flags
-
-
-def test_time_study_report_needs_shared_time(ex1_study):
-    with pytest.raises(ValueError):
-        ex1_study.report(at_time=0.03)
 
 
 def test_time_study_text_table(ex1_study):
@@ -351,8 +344,8 @@ def test_space_study_peaks_at_its_largest_solve():
 
 
 def test_roundoff_floor_flag():
-    study = SpaceStudy(problem_name="demo", norm="max", N_values=[24, 48],
-                       m_values=[12], errors={(24, 12): 2e-10, (48, 12): 5e-14},
+    study = SpaceStudy(problem_name="demo", norm="max",
+                       errors={(24, 12): 2e-10, (48, 12): 5e-14},
                        configs=[SolverConfig(h_t=0.01, T=0.1, n=N // 4, k=4, m=12)
                                 for N in (24, 48)])
     rows = study.report(12).rows

@@ -160,6 +160,49 @@ def test_bad_times_and_rule_order_exit_cleanly(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("settings,t", [
+    (["--v", "1e-3", "--n", "1", "--k", "1", "--no-rank-reduction"], "-709.8"),
+    (["--c", "0.003", "--n", "1", "--k", "2", "--m", "2"], "-2.2"),
+], ids=["slow", "fast-decay"])
+def test_a_history_that_overflows_exits_with_one_error_line(tmp_path, capsys, settings, t):
+    """Example 5's history overflows math.exp at a level the run seeds:
+    one error line names its time, after the step-bound warnings, and no
+    file is written."""
+    rc = main(["run", "--example", "5", *settings, "--ht", "0.1", "--T", "0.1",
+               "--out", str(tmp_path)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert rc == 1 and errors == [f"error: the initial data overflow at t={t}, a level the run "
+                                  f"seeds: math range error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("example,name,value", [
+    (example, name, value)
+    for example, names, values in [
+        (1, ("lambda", "sigma"), ("1e-300", "1e300")),
+        (2, ("lambda", "sigma"), ("1e-300", "1e300")),
+        (3, ("lambda", "mu"), ("1e-300", "1e300")),
+        # below v = 1e-2 example 4's history scan takes a third of a second
+        (4, ("v",), ("1e-2", "1e300")),
+        (4, ("c",), ("1e-300", "1e300")),
+        # example 5's history exp(-t / c) bump overflows at t = -709.8 for
+        # v = 1e-3 and at t = -0.1 for c = 1e-300
+        (5, ("v",), ("1e-3", "1e300")),
+        (5, ("c",), ("1e-300", "1e300")),
+    ]
+    for name in names for value in values])
+def test_shipped_examples_at_extreme_parameters_exit_cleanly(tmp_path, capsys, example, name,
+                                                             value):
+    """Every example at a tiny and a huge value of each of its parameters
+    either runs or fails with one error line and no files: no exception
+    escapes main."""
+    rc = main(["run", "--example", str(example), f"--{name}", value, "--ht", "0.1", "--T", "0.1",
+               "--n", "1", "--k", "1", "--no-rank-reduction", "--out", str(tmp_path)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert (rc, errors) == (0, []) or (rc == 1 and len(errors) == 1
+                                        and list(tmp_path.iterdir()) == [])
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--example", "4", "--ht", "0.01", "--T", "0.5", "--snapshots", "0.035"],
     ["run", "--ht", "0.01", "--T", "0.5", "--snapshots", "0.1,0.6"],

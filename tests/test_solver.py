@@ -302,6 +302,7 @@ def test_live_sum_returns_an_array_the_caller_owns(problem, separable, form):
     grid = make_grid(N=8)
     table = build_delay_table(problem, grid, (grid.x1, grid.x2), 0.1, separable)
     assert type(table).__name__ == form
+    assert table.fixed is None  # no form but a folded DelayedPairs has a fixed sum
     field = np.linspace(-1.0, 1.0, grid.total_points)
     assert problem.rate_values(field) is field
     out = table.live_sum(problem, field)
@@ -1613,6 +1614,29 @@ def test_a_nan_in_the_initial_state_fails_at_t0(problem):
 
     with pytest.raises(RuntimeError, match=r"non-finite field values at t=0$"):
         solve(dataclasses.replace(problem, initial=holed),
+              SolverConfig(h_t=0.1, T=0.2, n=2, k=4, m=4))
+
+
+@pytest.mark.parametrize("parameters,t", [({"v": 1e-3}, "-709.8"), ({"c": 0.003}, "-2.2")],
+                         ids=["slow", "fast-decay"])
+def test_a_history_that_overflows_fails_at_its_time(parameters, t):
+    """Example 5's history exp(-t / c) bump overflows math.exp at the first
+    seeded level with -t / c > 709.78; solve names that time in a ValueError."""
+    with pytest.raises(ValueError, match=rf"initial data overflow at t={t}, a level the run seeds"):
+        solve(example5(**parameters), SolverConfig(h_t=0.1, T=0.1, n=1, k=2, m=2))
+
+
+def test_a_nan_in_the_history_below_level_0_fails_at_its_time():
+    """A history that is NaN at one level below -h_t is not folded (NaN
+    equals nothing) and fails its seeding, naming that level's time, not
+    the march after it."""
+    initial = example4(v=1.0).initial
+
+    def holed(x1, x2, t):
+        return initial(x1, x2, t) + (np.nan if time_level(t, 0.1) == -3 else 0.0)
+
+    with pytest.raises(ValueError, match=r"initial data are not finite at t=-0\.3,"):
+        solve(dataclasses.replace(example4(v=1.0), initial=holed),
               SolverConfig(h_t=0.1, T=0.2, n=2, k=4, m=4))
 
 
