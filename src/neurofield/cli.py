@@ -8,9 +8,8 @@ outputs into an existing directory given by --out: CSV files with a fixed
 17-significant-digit format (so runs are bit-reproducible) plus a JSON
 manifest recording the problem's own parameters, the solver settings all
 its solves shared (``analysis.solver_settings``) and the wall time of the
-whole command.  ``run`` and ``compare-delay`` also record each solve the
-same way (``_solve_record``): every field of its ``SolveResult`` but the
-inputs and the states, so a field added there reaches both manifests.
+whole command.  ``run`` and ``compare-delay`` also record each solve as
+``SolveResult.record()`` gives it, the one definition of a solve's record.
 
 Each ``cmd_*`` function maps the parsed settings to the files it would
 write, the manifest and the message for stdout, and raises on failure;
@@ -216,16 +215,6 @@ def _snapshot_csv(result: SolveResult, t: float) -> str:
     return "\n".join(lines) + "\n"
 
 
-# SolveResult's inputs and states; a manifest records its every other field.
-_SOLVE_INPUTS = ("problem", "config", "grid", "states")
-
-
-def _solve_record(result: SolveResult) -> dict:
-    """The run-level fields of one solve, keyed by their field names."""
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(SolveResult)
-            if f.name not in _SOLVE_INPUTS}
-
-
 def _snapshot_stem(t: float) -> str:
     return f"snapshot_t{t:g}"
 
@@ -269,7 +258,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
         "command": "run", "problem": problem.name,
         "parameters": {**params, **solver_settings([cfg])},
         "snapshots": snapshots,
-        **_solve_record(result),
+        **result.record(),
     }
     return files, manifest, f"wrote {len(files)} snapshot(s) and manifest.json to {Path(args.out)}"
 
@@ -372,7 +361,7 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
         "command": "compare-delay", "problem": problem.name,
         "parameters": {**params, "v": v, **solver_settings([cfg]), "norm": norm},
         "snapshots": snapshots,
-        "solves": {"delayed": _solve_record(res_d), "undelayed": _solve_record(res_u)},
+        "solves": {"delayed": res_d.record(), "undelayed": res_u.record()},
     }
     return files, manifest, "\n".join(lines)
 

@@ -126,7 +126,7 @@ import functools
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -722,9 +722,12 @@ class SolveResult:
     separable: bool = False
     frozen_pairs: int = 0
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.states])
+    def record(self) -> dict:
+        """The run-level fields by name, in field order: every field but
+        the inputs (problem, config, grid) and the states.  The one
+        definition of what a manifest records of a solve."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name not in ("problem", "config", "grid", "states")}
 
     def state_at(self, t: float) -> FieldState:
         """The stored state at time t (SolverConfig.stored_level)."""
@@ -738,7 +741,14 @@ def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
     at a time, up to the first that differs from t = 0; each is compared
     as it broadcasts to the grid, and NaN equals nothing.  A time at which
     the initial data raise ArithmeticError differs too: solve's seeding
-    then names it."""
+    then names it.
+
+    solve's memory check runs first, and the scan then makes at most
+    rows = k_max + 2 calls to ``initial``: the count an unfolded seeding
+    of the same run makes, over levels the check has admitted.  So the
+    scan at most doubles the seeding's calls, and a folded run then seeds
+    from one call.  Run before the check, it would need a bound of its
+    own."""
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     h0 = np.empty((grid.x1.size, grid.x2.size))
     h0[...] = problem.initial(x1, x2, 0.0)

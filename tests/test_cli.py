@@ -17,8 +17,9 @@ import pytest
 import neurofield.analysis
 import neurofield.cli
 from neurofield.cli import _COMMANDS, _SETTINGS, _command_keys, build_parser, main
+from neurofield.problems import example1
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
-from neurofield.solver import SolveResult, SolverConfig
+from neurofield.solver import SolveResult, SolverConfig, solve
 
 
 def read_field_csv(path):
@@ -565,7 +566,15 @@ SOLVE_RECORD = {f.name for f in dataclasses.fields(SolveResult)} - {
     "problem", "config", "grid", "states"}
 
 
-def test_manifests_record_every_run_level_field_of_each_solve(tmp_path):
+def test_manifests_record_every_run_level_field_of_each_solve(tmp_path, monkeypatch):
+    """Each manifest holds SolveResult.record() of the solves that made it."""
+    solves = []
+
+    def keeping(problem, config):
+        solves.append(solve(problem, config))
+        return solves[-1]
+
+    monkeypatch.setattr(neurofield.cli, "solve", keeping)
     run_out, delay_out = tmp_path / "run", tmp_path / "delay"
     run_out.mkdir()
     delay_out.mkdir()
@@ -573,13 +582,19 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path):
                  "--out", str(run_out)]) == 0
     assert main(["compare-delay", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2",
                  "--out", str(delay_out)]) == 0
+    # as the manifests write them: dataclass values as dicts, through JSON
+    run_record, delayed, undelayed = (
+        json.loads(json.dumps(res.record(), default=dataclasses.asdict)) for res in solves)
     run = json.loads((run_out / "manifest.json").read_text())
     assert run.keys() - {"command", "problem", "parameters", "snapshots",
                          "wall_time"} == SOLVE_RECORD
+    assert list(run) == ["command", "problem", "parameters", "snapshots", *run_record,
+                         "wall_time"]
+    assert {key: run[key] for key in run_record} == run_record
     delay = json.loads((delay_out / "manifest.json").read_text())
     assert delay.keys() == {"command", "problem", "parameters", "snapshots", "solves",
                             "wall_time"}
-    assert delay["solves"].keys() == {"delayed", "undelayed"}
+    assert delay["solves"] == {"delayed": delayed, "undelayed": undelayed}
     for record in delay["solves"].values():
         assert record.keys() == SOLVE_RECORD
         assert record["bounds"].keys() == {"bound_l2", "bound_max"}
@@ -591,6 +606,14 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path):
         assert 0 < record["frozen_pairs"] < 144 * 576
     assert delay["solves"]["undelayed"]["separable"] is True
     assert delay["solves"]["undelayed"]["frozen_pairs"] == 0
+
+
+def test_solve_record_is_every_field_but_the_inputs_in_field_order():
+    res = solve(example1(), SolverConfig(h_t=0.01, T=0.02))
+    record = res.record()
+    assert list(record) == [f.name for f in dataclasses.fields(SolveResult)
+                            if f.name in SOLVE_RECORD]
+    assert all(value is getattr(res, name) for name, value in record.items())
 
 
 def test_compare_delay_names_the_solve_of_each_warning(tmp_path):
@@ -801,6 +824,26 @@ def test_readme_library_block_runs():
     assert proc.returncode == 0, proc.stderr
     # example 1's max error at t = 0.1 with the README's settings
     assert float(proc.stdout) == pytest.approx(7.7514e-5, rel=1e-3)
+
+
+def test_module_form_prints_the_help_of_main(monkeypatch, capsys):
+    """``python -m neurofield.cli``, which the README gives as equal to
+    ``neurofield``, runs main on its arguments and exits with its status."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    expected = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src"), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected and proc.stderr == ""
+    # main's own status, not argparse's exit: 1 for a run without --out
+    proc = subprocess.run([sys.executable, "-m", "neurofield.cli", "run"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: no output directory given (--out)\n"
 
 
 def test_readme_config_keys_match_the_flag_table():

@@ -1396,6 +1396,33 @@ def test_a_constant_history_folds_at_its_edges(case, monkeypatch):
         assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
+def test_near_pairs_reads_every_pair_only_when_its_runs_span_the_grid(monkeypatch):
+    """A separable fold whose near runs span both axes takes every pair
+    from _whole_pairs, with the folded rates: acceptance criterion 5's
+    delayed solve, whose T = 2 reaches across the domain.  At the
+    benchmark's delay_n48 settings the runs are narrower and _near_pairs
+    gathers its candidates, never calling _whole_pairs."""
+    calls = []
+    whole = solver_module._whole_pairs
+
+    def spy(problem, grid, axes, step, reach, rates, itype):
+        calls.append((grid, reach, rates))
+        return whole(problem, grid, axes, step, reach, rates, itype)
+
+    monkeypatch.setattr(solver_module, "_whole_pairs", spy)
+    p = example4(v=1.0)
+    res = solve(p, SolverConfig(h_t=0.1, T=2.0))
+    assert res.table_form == "DelayedPairs" and res.separable
+    [(grid, reach, rates)] = calls
+    assert reach == 20
+    h0 = np.broadcast_to(p.initial(grid.x1[:, None], grid.x2[None, :], 0.0),
+                         (grid.x1.size, grid.x2.size))
+    assert np.array_equal(rates, p.rate_values(h0.ravel()))
+    calls.clear()
+    res = solve(p, SolverConfig(h_t=0.02, T=0.5, n=12, k=4, m=12))
+    assert calls == [] and 0 < res.frozen_pairs < res.grid.total_points * 144
+
+
 def test_lift_identity_without_operator():
     """Without rank reduction the evaluation points are the grid nodes and
     the lift is the identity: the first level is the Euler formula at the
@@ -1665,7 +1692,7 @@ def test_state_at():
     for bad in (0.015, -0.01, 0.06):
         with pytest.raises(ValueError):
             res.state_at(bad)
-    assert res.times == pytest.approx(0.01 * np.arange(6))
+    assert [s.time for s in res.states] == pytest.approx(0.01 * np.arange(6))
 
 
 def test_rank_reduction_on_off_agree():
