@@ -39,6 +39,7 @@ __all__ = [
     "example5",
     "kernel_box_integral",
     "compute_kernel_norms",
+    "kernel_norms_bytes",
 ]
 
 DEFAULT_DOMAIN = Rectangle(-1.0, 1.0, -1.0, 1.0)
@@ -277,10 +278,11 @@ def example5(lam: float = 1.0, mu: float = 1.0, c: float = 1.0, v: float = 1.0,
 class KernelNorms:
     """Discrete kernel magnitudes used by the step-size diagnostics.
 
-    ``k_max`` is the largest |K| over all ordered grid-point pairs
-    (self-pairs included, so for a kernel peaked at zero distance this is
-    K(0)), bit for bit that of a full pair scan for any kernel that moves
-    by less than 1e-12 k_max over a few ulps of distance.
+    ``k_max`` is the largest |K| over the grid's merged axis distances
+    (compute_kernel_norms).  For a kernel largest at zero distance it is
+    K(0), the max over all ordered grid-point pairs bit for bit; for any
+    other it may read about an ulp below that max, which can sit at a
+    float some ulps of distance from the one evaluated.
     ``l2_estimate`` approximates the L2 norm of K(|x - y|) over
     domain x domain by the tensor quadrature on the same grid; it is summed
     in row blocks over merged axis distances, so its last digits depend on
@@ -301,12 +303,13 @@ class KernelNorms:
 # length; distinct true distances on the composite grids sit at least
 # 2.5e-3 of it apart at N = 96 and 1.2e-3 at N = 192.
 _MERGE_TOL = 1e-13
-# Kernel values within this fraction of the max may hide the scan's max at
-# another float of their merged distances (compute_kernel_norms).
-_PEAK_TOL = 1e-12
 # Bytes of one temporary of a row block: a block's few temporaries then fit
 # in a 2 MB L2 cache.
 _BLOCK_BYTES = 128 * 1024
+# Row blocks the norms' pass holds at once: a block's distances and three
+# temporaries of the kernel's own, as example 5's kernel makes.  The pass's
+# own arrays, K with its magnitudes or with its separability gap, take two.
+_NORM_BLOCKS = 4
 
 
 def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
@@ -317,29 +320,42 @@ def _row_blocks(rows: int, row_bytes: int) -> Iterator[slice]:
         yield slice(lo, min(lo + size, rows))
 
 
-def _axis_distance_groups(x: np.ndarray,
-                          w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _axis_distance_groups(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The node-pair distances |x_a - x_c| of one axis merged into true
     distances, with the summed w_a * w_c of the pairs at each.
 
-    Returns the sorted floats of all N^2 pairs, the index at which each
-    merged distance starts among them and the merged weights.  A merged
-    distance starts wherever the sorted floats step by more than _MERGE_TOL
-    times the largest one; its smallest float, floats[starts], stands for
-    it and is a distance of the full pair scan.
+    A merged distance starts wherever the sorted floats of all N^2 pairs
+    step by more than _MERGE_TOL times the largest one; its smallest float
+    stands for it and is a distance of the full pair scan.  Returns these
+    representatives, ascending, and the merged weights.
     """
     d = np.abs(x[:, None] - x[None, :]).ravel()
     order = np.argsort(d)
     floats = d[order]
-    starts = np.flatnonzero(np.diff(floats) > _MERGE_TOL * floats[-1]) + 1
-    starts = np.concatenate(([0], starts))
-    return floats, starts, np.add.reduceat(np.outer(w, w).ravel()[order], starts)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(floats) > _MERGE_TOL * floats[-1]) + 1))
+    return floats[starts], np.add.reduceat(np.outer(w, w).ravel()[order], starts)
 
 
-def _split_floats(floats: np.ndarray, starts: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """The distinct floats of the given merged distances."""
-    ends = np.append(starts[1:], floats.size)
-    return np.unique(np.concatenate([floats[starts[g]:ends[g]] for g in groups]))
+def kernel_norms_bytes(grid: SpatialGrid) -> int:
+    """A bound, known before they run, on the bytes compute_kernel_norms
+    holds at once on ``grid``, for a kernel of at most three block-sized
+    temporaries at once (_NORM_BLOCKS).
+
+    An axis of N nodes has N^2 node pairs and, as |x_a - x_c| equals
+    |x_c - x_a|, at most M = N (N - 1) / 2 + 1 merged distances.
+    _axis_distance_groups holds five arrays of 8 B per pair (the distances,
+    their sort order, the sorted floats, the weight products and their
+    sorted copy) and two of at most M (the starts and the representatives),
+    beside the other axis's merged distances and weights: 40 N^2 + 32 M
+    bytes, which also cover the six arrays of M the pass keeps (both axes'
+    distances and weights, the column sums and K on the second axis
+    alone).  The pass adds _NORM_BLOCKS row blocks, each of at most
+    max(_BLOCK_BYTES, one row) and never more than all M^2 values.
+    """
+    nodes = max(grid.x1.size, grid.x2.size)
+    merged = nodes * (nodes - 1) // 2 + 1
+    block = 8 * min(merged * merged, max(_BLOCK_BYTES // 8, merged))
+    return 40 * nodes * nodes + 32 * merged + _NORM_BLOCKS * block
 
 
 def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms:
@@ -360,15 +376,11 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     values.
 
     Each merged distance is represented by its smallest float, itself a
-    distance of the full pair scan, so every K[i, j] is a value of the
-    scan.  The scan's max may sit at another float of a merged distance.
-    As long as K moves by less than _PEAK_TOL k_max over a few ulps of
-    distance, that max lies at a pair of merged distances whose |K| is
-    within _PEAK_TOL of the max; the pass records those pairs, and after
-    it K is evaluated on the hypot grid of their floats, where a merged
-    distance holds more than one.  So k_max is the scan's bit for bit.  A
-    kernel that peaks at r = 0 evaluates nothing more: distance 0 is a
-    single float.
+    distance of the full pair scan, so k_max is a value of the scan and at
+    most its max.  Distance 0 is a single float, so for a kernel largest
+    at r = 0 k_max is the scan's bit for bit; elsewhere the scan's max may
+    sit at another float of a merged distance, some ulps of distance away,
+    where K differs by about an ulp.
 
     K is never held whole: it is evaluated in row blocks (_row_blocks),
     and the pass carries the running max |K|, the largest separability
@@ -379,32 +391,21 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     the full pair scan also by K's change over a few ulps of distance
     (6.5e-16 relative on the shipped kernels).
     """
-    f1, s1, W1 = _axis_distance_groups(grid.x1, grid.w1)
-    f2, s2, W2 = _axis_distance_groups(grid.x2, grid.w2)
-    d1, d2 = f1[s1], f2[s2]
-    k_max, gap_max, col, peaks = 0.0, 0.0, np.zeros(d2.size), []
+    d1, W1 = _axis_distance_groups(grid.x1, grid.w1)
+    d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
+    k_max, gap_max, col = 0.0, 0.0, np.zeros(d2.size)
     for rows in _row_blocks(d1.size, d2.nbytes):
         kv = problem.kernel_values(np.hypot(d1[rows, None], d2[None, :]))
         if rows.start == 0:  # d1 = 0: K(0) and K on the second axis alone
             k0, row0 = kv[0, 0], kv[0].copy()
-        mag = np.abs(kv)
-        top = float(np.max(mag))
-        i, j = np.nonzero(mag >= (1.0 - _PEAK_TOL) * top)
-        peaks.append((i + rows.start, j, mag[i, j]))
-        k_max = max(k_max, top)
+        k_max = max(k_max, float(np.max(np.abs(kv))))
         if k0 > 0:  # |K(d1) K(d2) / K(0) - K(hypot(d1, d2))| in place, one temporary
             gap = np.multiply.outer(kv[:, 0] / k0, row0)
             gap -= kv
             gap_max = max(gap_max, float(np.max(np.abs(gap, out=gap))))
+            del gap
         col += W1[rows] @ np.square(kv, out=kv)
-    i, j, mag = (np.concatenate(part) for part in zip(*peaks))
-    near = mag >= (1.0 - _PEAK_TOL) * k_max
-    g1, g2 = np.unique(i[near]), np.unique(j[near])
-    r1, r2 = _split_floats(f1, s1, g1), _split_floats(f2, s2, g2)
-    if k_max > 0 and (r1.size > g1.size or r2.size > g2.size):  # a peak pair holds more floats
-        for rows in _row_blocks(r1.size, r2.nbytes):
-            kv = problem.kernel_values(np.hypot(r1[rows, None], r2[None, :]))
-            k_max = max(k_max, float(np.max(np.abs(kv))))
+        del kv  # no block is held while the next one's distances and kernel form
     separable = bool(k0 > 0 and gap_max <= 1e-13 * k_max * k_max / k0)
     return KernelNorms(k_max=k_max, l2_estimate=math.sqrt(float(col @ W2)),
                        separable=separable)

@@ -133,7 +133,7 @@ import numpy as np
 from scipy import sparse
 
 from .chebyshev import ChebOperator, build_cheb_operator
-from .problems import KernelNorms, ProblemSpec, compute_kernel_norms
+from .problems import KernelNorms, ProblemSpec, compute_kernel_norms, kernel_norms_bytes
 from .quadrature import SpatialGrid, build_gauss_rule, build_grid, tensor_values
 
 __all__ = [
@@ -165,6 +165,14 @@ _MAX_INNER = 50
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine, as the operating system reports it."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _check_memory(needed: int, what: str) -> None:
+    """ValueError if ``needed`` bytes, for ``what``, exceed physical memory."""
+    available = _physical_memory()
+    if needed > available:
+        raise ValueError(f"the run needs {needed} B for {what}, above the {available} B of "
+                         f"physical memory")
 
 
 def time_level(t: float, h: float) -> Optional[int]:
@@ -446,9 +454,13 @@ def _near_pairs(problem: ProblemSpec, grid: SpatialGrid, axes: tuple[np.ndarray,
     node-ascending.  hypot and the lag test run on the block, and the
     kernel on the pairs kept, so each value kept is _whole_pairs' own.
     Where the runs span both axes the block is every pair, which
-    _whole_pairs reads without the gathers.  Read through them at full
-    span, example 4's build took 1.10-1.29 times as long, with the same
-    matrices (medians of 30 alternating calls, one BLAS thread, 2 cores):
+    _whole_pairs reads without the gathers, in less memory and time.  Read
+    through them at full span, example 4's direct build at N = 24,
+    h_t = 0.1, n = 20 (331,776 pairs) peaked at 36.2 B per pair against
+    24.8 (12.0 against 8.24 MB, traced), as the candidates' lags, their
+    kept mask and the rates taken on them are all held beside the
+    distances.  It took 1.10-1.29 times as long, with the same matrices
+    (medians of 30 alternating calls, one BLAS thread, 2 cores):
     3.0 -> 3.8 ms at N = 24, m = 12, h_t = 0.1, n = 20; 11.5 -> 12.8 ms at
     N = 48, m = 12, h_t = 0.02, n = 100; 195 -> 230 ms direct at that N,
     h_t and n; 9.7 -> 11.5 ms direct at N = 24, h_t = 0.1, n = k_max.
@@ -775,8 +787,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     initial data raise ArithmeticError (math.exp overflowing, say) or are
     not finite raises ValueError naming its time.  Step-size bounds are
     checked up front; a step above a bound only logs a warning.  The run
-    raises ValueError before it reads the history if the levels and a bound
-    of the table (_table_bound) exceed the machine's physical memory, or if
+    raises ValueError before the kernel norms if the levels alone, or a
+    bound of the norms' working set (kernel_norms_bytes), exceed the
+    machine's physical memory; before it reads the history if the levels
+    and a bound of the table (_table_bound) together exceed it; or if
     the firing rate, tried once on the initial state, does not return its
     argument's shape; every later evaluation of S checks that shape too
     (ProblemSpec.rate_values).  It fails hard if the inner iteration stops
@@ -791,6 +805,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     else:
         axes = (grid.x1, grid.x2)
         lift = np.asarray  # identity: the samples already sit on the grid
+    num_steps = config.num_steps
+    k_max = _history_depth(problem, h, grid.total_points)
+    rows = num_steps + (k_max + 2 if problem.has_delay else 1)
+    level_bytes = rows * grid.total_points * 8
+    _check_memory(level_bytes, f"{rows} grid levels")
+    _check_memory(kernel_norms_bytes(grid), "its kernel norms")
     norms = compute_kernel_norms(problem, grid)
     bounds = step_bound(problem, norms)
     lam = 2.0 * h / (2.0 * h + 3.0 * c)
@@ -808,15 +828,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     for msg in warnings:
         logger.warning(msg)
 
-    num_steps = config.num_steps
-    k_max = _history_depth(problem, h, grid.total_points)
-    rows = num_steps + (k_max + 2 if problem.has_delay else 1)
-    needed = (_table_bound(problem, grid, axes, k_max, norms.separable)
-              + rows * grid.total_points * 8)
-    available = _physical_memory()
-    if needed > available:
-        raise ValueError(f"the run needs {needed} B for its operator table and {rows} grid "
-                         f"levels, above the {available} B of physical memory")
+    _check_memory(_table_bound(problem, grid, axes, k_max, norms.separable) + level_bytes,
+                  f"its operator table and {rows} grid levels")
     u0 = tensor_values(problem.initial, *axes, 0.0)
     problem.rate_values(u0)  # a rate of another shape fails here, before the table
     table = build_delay_table(problem, grid, axes, h, norms.separable, num_steps=num_steps)

@@ -19,6 +19,7 @@ from neurofield.problems import (
     example4,
     example5,
     kernel_box_integral,
+    kernel_norms_bytes,
 )
 from neurofield.quadrature import Rectangle, apply_quadrature, build_gauss_rule, build_grid
 
@@ -462,19 +463,28 @@ def brute_force_kernel_norms(kernel, grid):
 @pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(1.0, 2.0, -3.0, -1.0),
                                     Rectangle(1e6, 1e6 + 2.0, -1.0, 1.0)],
                          ids=["square", "offset", "far"])
-@pytest.mark.parametrize("kernel", [
-    lambda r: np.exp(-r * r),
-    lambda r: np.exp(-300.0 * r * r),
-    lambda r: r * r * np.exp(-r * r),          # largest away from r = 0
-    lambda r: (1.0 - r * r) * np.exp(-r * r),  # negative at long range
-], ids=["gauss", "sharp", "ring", "signed"])
+@pytest.mark.parametrize("kernel,peak_at_zero", [
+    (lambda r: np.exp(-r * r), True),
+    (lambda r: np.exp(-300.0 * r * r), True),
+    (lambda r: r * r * np.exp(-r * r), False),         # largest away from r = 0
+    (lambda r: (1.0 - r * r) * np.exp(-r * r), True),  # negative at long range
+    (lambda r: np.exp(-r), True),
+    (example5().kernel, True),
+], ids=["gauss", "sharp", "ring", "signed", "exp", "example5"])
 @pytest.mark.parametrize("n,k", [(3, 4), (6, 4), (4, 6)])
-def test_kernel_norms_match_brute_force_scan(domain, kernel, n, k):
+def test_kernel_norms_match_brute_force_scan(domain, kernel, peak_at_zero, n, k):
+    """k_max is the scan's max bit for bit for a kernel largest at r = 0,
+    which distance 0, a single float, holds.  A kernel largest elsewhere
+    may peak at another float of a merged distance, some ulps away, which
+    the merge does not evaluate: there k_max is within one ulp of it."""
     import dataclasses
     grid = build_grid(domain, n, build_gauss_rule(k))
     norms = compute_kernel_norms(dataclasses.replace(example1(domain=domain), kernel=kernel), grid)
     k_max, l2 = brute_force_kernel_norms(kernel, grid)
-    assert norms.k_max == k_max
+    if peak_at_zero:
+        assert norms.k_max == k_max
+    else:
+        assert abs(norms.k_max - k_max) <= np.spacing(k_max)
     assert norms.l2_estimate == pytest.approx(l2, rel=1e-13, abs=0.0)
 
 
@@ -528,6 +538,22 @@ def test_streamed_kernel_norms_match_one_whole_matrix(domain, kernel):
     assert norms.k_max == k_max
     assert norms.separable is separable
     assert norms.l2_estimate == pytest.approx(l2, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [6, 24], ids=["N24", "N96"])
+@pytest.mark.parametrize("problem", [example1(), example5()], ids=["example1", "example5"])
+def test_kernel_norms_bytes_bound_the_traced_peak(problem, n):
+    """What solve counts for the kernel norms before running them bounds
+    what they hold at their peak: on one row block at N = 24 and on many
+    at N = 96, for example 5's kernel, whose temporaries the count sizes."""
+    grid = build_grid(UNIT_BOX, n, build_gauss_rule(4))
+    tracemalloc.start()
+    try:
+        compute_kernel_norms(problem, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernel_norms_bytes(grid)
 
 
 def test_kernel_norms_hold_no_matrix_of_kernel_values():

@@ -25,6 +25,7 @@ from neurofield.problems import (
     example4,
     example5,
     kernel_box_integral,
+    kernel_norms_bytes,
 )
 from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
 from neurofield.solver import (
@@ -1048,16 +1049,42 @@ def test_run_beyond_physical_memory_fails_before_allocating(problem, config):
 
 
 def test_memory_check_compares_the_table_and_levels_with_physical_memory(monkeypatch):
-    """The run fits exactly when its table and its three levels (0, 1 and 2)
-    take no more bytes than the machine has."""
+    """The run fits exactly when the bound of its kernel norms, and apart
+    from it its table with its three levels (0, 1 and 2), take no more
+    bytes than the machine has.  At N = 8 the norms' bound is the larger,
+    so the table and levels decide only with that bound taken as 0."""
     p, cfg = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
     needed = solve(p, cfg).table_bytes + 3 * 64 * 8
+    norms = kernel_norms_bytes(build_grid(p.domain, 2, build_gauss_rule(4)))
+    assert norms > needed
+
+    def fits_exactly(memory, what):
+        monkeypatch.setattr(solver_module, "_physical_memory", lambda: memory - 1)
+        with pytest.raises(ValueError, match=f"needs {memory} B for {what}, above the "
+                                             f"{memory - 1} B of physical memory"):
+            solve(p, cfg)
+        monkeypatch.setattr(solver_module, "_physical_memory", lambda: memory)
+        assert len(solve(p, cfg).states) == 3
+
+    fits_exactly(norms, "its kernel norms")
+    monkeypatch.setattr(solver_module, "kernel_norms_bytes", lambda grid: 0)
+    fits_exactly(needed, "its operator table and 3 grid levels")
+
+
+@pytest.mark.parametrize("refused", ["levels", "norms"])
+def test_memory_check_precedes_the_kernel_norms(refused, monkeypatch):
+    """A run whose levels alone, or the bound of whose kernel norms, exceed
+    physical memory is refused before compute_kernel_norms runs, so it
+    cannot die inside them."""
+    p, cfg = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
+    grid = build_grid(p.domain, 2, build_gauss_rule(4))
+    needed, what = {"levels": (3 * 64 * 8, "3 grid levels"),
+                    "norms": (kernel_norms_bytes(grid), "its kernel norms")}[refused]
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
-    with pytest.raises(ValueError, match=f"needs {needed} B .* 3 grid levels, above the "
+    monkeypatch.setattr(solver_module, "compute_kernel_norms", refuse("compute_kernel_norms"))
+    with pytest.raises(ValueError, match=f"needs {needed} B for {what}, above the "
                                          f"{needed - 1} B of physical memory"):
         solve(p, cfg)
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
-    assert len(solve(p, cfg).states) == 3
 
 
 def refuse(name):
@@ -1421,6 +1448,24 @@ def test_near_pairs_reads_every_pair_only_when_its_runs_span_the_grid(monkeypatc
     calls.clear()
     res = solve(p, SolverConfig(h_t=0.02, T=0.5, n=12, k=4, m=12))
     assert calls == [] and 0 < res.frozen_pairs < res.grid.total_points * 144
+
+
+def test_full_span_fold_builds_within_28_bytes_per_pair():
+    """_near_pairs hands a fold whose runs span both axes to _whole_pairs
+    for memory above all: example 4's direct fold at N = 24, h_t = 0.1
+    over 20 steps (331,776 pairs) peaks at 24.8 B per pair that way and at
+    36.2 through the gathers."""
+    p = example4(v=1.0)
+    grid = build_grid(p.domain, 6, build_gauss_rule(4))
+    tracemalloc.start()
+    try:
+        table = build_delay_table(p, grid, (grid.x1, grid.x2), 0.1, separable=True,
+                                  num_steps=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.fixed is not None  # folded
+    assert peak <= 28 * grid.total_points ** 2
 
 
 def test_lift_identity_without_operator():
