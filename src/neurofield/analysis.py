@@ -244,8 +244,9 @@ def time_convergence_study(problem: ProblemSpec, steps: Sequence[float], T: floa
     read as a time error: example 2, exact in time, showed errors near 1e-11
     falling at a ratio of 19 per halving at the default.
 
-    The study keeps each solve's errors only and lets the solve go before
-    the next one starts, so its memory peaks at its largest solve.
+    Each solve keeps every level, since the study compares them all.  The
+    study keeps each solve's errors only and lets the solve go before the
+    next one starts, so its memory peaks at its largest solve.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -326,8 +327,10 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     resolutions, but every N and every m must be in some pair with m <= N.
     The inner tolerance is _STUDY_EPS_INNER (1e-14), as in the time study,
     far below the default because the measured errors approach machine
-    precision.  Each solve is let go once its error at T is taken, before
-    the next one starts, so the study's memory peaks at its largest solve.
+    precision.  Each solve keeps only its state at T (solve's ``keep``), so
+    it holds the levels its march reads rather than every level, and is let
+    go once its error is taken, before the next one starts: the study's
+    memory peaks at its largest solve.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no exact solution to compare against")
@@ -352,7 +355,8 @@ def space_convergence_study(problem: ProblemSpec, N_values: Sequence[int],
     configs = [SolverConfig(h_t=h_t, T=T, n=N // k, k=k, m=m, eps_inner=_STUDY_EPS_INNER)
                for N in N_values for m in m_values if m <= N]
     for cfg in configs:
-        res = solve(problem, cfg)
-        errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.states[-1], problem.exact, norm)
-        del res  # its levels would stay alive beside the next solve's
+        res = solve(problem, cfg, keep=(cfg.T,))
+        errors[(cfg.n * cfg.k, cfg.m)] = error_norm(res.grid, res.state_at(cfg.T),
+                                                    problem.exact, norm)
+        del res  # its state at T would stay alive beside the next solve
     return SpaceStudy(problem_name=problem.name, norm=norm, errors=errors, configs=configs)

@@ -252,7 +252,7 @@ def cmd_run(args: argparse.Namespace) -> _Outcome:
                        **_solver_flags(args, SolverConfig))
     snapshots = _parse_list(_resolve(args, "snapshots", ""), "snapshot", float)
     _check_snapshots(cfg, snapshots)
-    result = solve(problem, cfg)
+    result = solve(problem, cfg, keep=snapshots)
     files = {f"{_snapshot_stem(t)}.csv": _snapshot_csv(result, t) for t in snapshots}
     manifest = {
         "command": "run", "problem": problem.name,
@@ -343,8 +343,8 @@ def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:
                        **_solver_flags(args, SolverConfig))
     snapshots = _parse_list(_resolve(args, "snapshots", "0.5,1,1.5,2"), "snapshot", float)
     _check_snapshots(cfg, snapshots)
-    res_d = solve(delayed, cfg)
-    res_u = solve(undelayed, cfg)
+    res_d = solve(delayed, cfg, keep=snapshots)
+    res_u = solve(undelayed, cfg, keep=snapshots)
     norm = _resolve(args, "norm", NORMS[0])
     files: dict[str, str] = {}
     summary = ["t,delayed,undelayed"]

@@ -67,14 +67,18 @@ delta * S(U_{i-j}) + (1 - delta) * S(U_{i-j-1}); pairs with j = 0 reference
 the current iterate, which keeps the scheme implicit.  Interpolating the
 rate rather than the field is second order too, and the two agree for a
 linear S; for example 4 with S = tanh(3u) the states move by 4.7e-6 at
-h_t = 0.04, about 300 times below that run's own time error.  One array
-holds every grid level of the run, newest first, down to the deepest
-level the table reads: -(k_max + 1) unless a constant history is folded
-(below).  The grid history is a window onto it whose row l holds the
-field l levels back, with row 0 the current iterate: the table's
-history_rows, k_max + 2 for an unfolded delayed table and a single row
-without delay.  Each level moves the window
-one row up and copies nothing.
+h_t = 0.04, about 300 times below that run's own time error.  The grid
+levels sit in one buffer, newest first, down to the deepest level the
+table reads: -(k_max + 1) unless a constant history is folded (below).
+The grid history is a window onto it whose row l holds the field l
+levels back, with row 0 the current iterate: the table's history_rows H,
+k_max + 2 for an unfolded delayed table and a single row without delay.
+Each level moves the window one row up.  By default the buffer holds
+every level of the run, num_steps + H rows, and the window never reaches
+its top.  A run told which levels to keep holds
+B = min(num_steps + H, 2 (H + 1)) rows: when the window reaches row 0,
+its H rows are copied to the bottom and the march goes on there, so the
+window stays one contiguous block, at a copy of H rows per H + 2 levels.
 
 The delayed operator is then linear in the rates s = S(history), flattened
 row by row: three sparse matrices (DelayedPairs).  ``now`` holds w delta
@@ -127,7 +131,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -707,16 +711,20 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
 
 @dataclass
 class SolveResult:
-    """States at every time level plus the run's diagnostics.
+    """The kept states plus the run's diagnostics.
 
+    ``states`` holds the levels solve was asked to keep, in time order:
+    by default every level, as rows of the run's one level buffer, so
+    holding any one keeps every level alive, with a delayed run's
+    history_rows - 1 rows of initial data; with ``keep``, a copy of each
+    kept level, which holds nothing else of the run.
     ``total_integrand_evals`` counts every operator application of the run
     as StepDiagnostics does, ``table_bytes`` sizes the table's arrays and
-    ``table_form`` names its form (build_delay_table).  ``separable`` is
+    ``table_form`` names its form (build_delay_table).  ``level_bytes``
+    sizes the level buffer plus the kept copies.  ``separable`` is
     the kernel norms' verdict, which picks AxisFactors for an undelayed
     kernel, and ``frozen_pairs`` the pairs one frozen sum reads: 0 without
     delay, fewer than the pair count where a constant history was folded.
-    The states are rows of one array, so holding any one keeps every level
-    alive, with a delayed run's history_rows - 1 rows of initial data.
     """
 
     problem: ProblemSpec
@@ -730,6 +738,7 @@ class SolveResult:
     warnings: list[str] = field(default_factory=list)
     total_integrand_evals: int = 0
     table_bytes: int = 0
+    level_bytes: int = 0
     table_form: str = ""
     separable: bool = False
     frozen_pairs: int = 0
@@ -742,8 +751,14 @@ class SolveResult:
                 if f.name not in ("problem", "config", "grid", "states")}
 
     def state_at(self, t: float) -> FieldState:
-        """The stored state at time t (SolverConfig.stored_level)."""
-        return self.states[self.config.stored_level(t)]
+        """The state at time t (SolverConfig.stored_level); ValueError if
+        the run did not keep it."""
+        time = self.config.stored_level(t) * self.config.h_t
+        for state in self.states:
+            if state.time == time:
+                return state
+        raise ValueError(f"time {t!r} was not kept; the run kept the times "
+                         f"{[state.time for state in self.states]}")
 
 
 def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
@@ -773,13 +788,26 @@ def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
     return h0
 
 
-def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
+def _buffer_rows(num_steps: int, history_rows: int, keep: bool) -> int:
+    """The rows of a run's level buffer (module docstring): every level,
+    num_steps + history_rows, or with ``keep`` at most 2 (history_rows + 1)."""
+    rows = num_steps + history_rows
+    return min(rows, 2 * (history_rows + 1)) if keep else rows
+
+
+def solve(problem: ProblemSpec, config: SolverConfig,
+          keep: Optional[Iterable[float]] = None) -> SolveResult:
     """Run the full scheme from t = 0 to t = T.
 
-    Builds the grid, the evaluation axes, the operator table and one array
-    of every level, seeded from the initial data down to the deepest row
+    Builds the grid, the evaluation axes, the operator table and a buffer
+    of grid levels, seeded from the initial data down to the deepest row
     the table reads for delayed problems, then takes one Euler step and
-    two-step levels.  The table is built for the run's num_steps, so a
+    two-step levels.  ``keep`` names the times whose states the result
+    holds, each a stored level (SolverConfig.stored_level, checked before
+    any other work but the grid's); the buffer then holds only the levels
+    the march reads, the kept states are copied out of it, and it is let
+    go on return.  By default every level is kept, as rows of one buffer
+    of every level.  The table is built for the run's num_steps, so a
     delayed problem whose history is constant over the k_max + 2 levels
     the delay reaches gets a folded table (build_delay_table), whose rows
     are all seeded with the initial data at t = 0; any other table's rows
@@ -787,14 +815,15 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     initial data raise ArithmeticError (math.exp overflowing, say) or are
     not finite raises ValueError naming its time.  Step-size bounds are
     checked up front; a step above a bound only logs a warning.  The run
-    raises ValueError before the kernel norms if the levels alone, or a
-    bound of the norms' working set (kernel_norms_bytes), exceed the
+    raises ValueError before the kernel norms if the levels alone (the
+    buffer's rows, counted for an unfolded table, plus the kept copies),
+    or a bound of the norms' working set (kernel_norms_bytes), exceed the
     machine's physical memory; before it reads the history if the levels
     and a bound of the table (_table_bound) together exceed it; or if
     the firing rate, tried once on the initial state, does not return its
     argument's shape; every later evaluation of S checks that shape too
     (ProblemSpec.rate_values).  It fails hard if the inner iteration stops
-    converging or a state goes non-finite.
+    converging or a state goes non-finite, at any level, kept or not.
     """
     h, c = config.h_t, problem.c
     grid = build_grid(problem.domain, config.n, build_gauss_rule(config.k))
@@ -805,10 +834,14 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     else:
         axes = (grid.x1, grid.x2)
         lift = np.asarray  # identity: the samples already sit on the grid
+    kept = None if keep is None else {config.stored_level(t) for t in keep}
+    copies = 0 if kept is None else len(kept)
     num_steps = config.num_steps
     k_max = _history_depth(problem, h, grid.total_points)
-    rows = num_steps + (k_max + 2 if problem.has_delay else 1)
-    level_bytes = rows * grid.total_points * 8
+    row_bytes = grid.total_points * 8
+    rows = _buffer_rows(num_steps, k_max + 2 if problem.has_delay else 1,
+                        kept is not None) + copies
+    level_bytes = rows * row_bytes
     _check_memory(level_bytes, f"{rows} grid levels")
     _check_memory(kernel_norms_bytes(grid), "its kernel norms")
     norms = compute_kernel_norms(problem, grid)
@@ -833,22 +866,29 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     u0 = tensor_values(problem.initial, *axes, 0.0)
     problem.rate_values(u0)  # a rate of another shape fails here, before the table
     table = build_delay_table(problem, grid, axes, h, norms.separable, num_steps=num_steps)
-    levels = np.empty((num_steps + table.history_rows, grid.total_points))
-    seed = levels[num_steps:].reshape(table.history_rows, grid.x1.size, grid.x2.size)
+    H = table.history_rows
+    B = _buffer_rows(num_steps, H, kept is not None)
+    levels = np.empty((B, grid.total_points))
+    top = B - H  # the first row of the current window, which holds its newest level
+    seed = levels[top:].reshape(H, grid.x1.size, grid.x2.size)
+    states: list[FieldState] = []
 
-    def record(level: int) -> FieldState:
-        values = levels[num_steps - level]
+    def record(row: int, level: int) -> None:
+        values = levels[row]
         if not np.isfinite(values).all():
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
-        return FieldState(values=values, time=level * h)
+        if kept is None:
+            states.append(FieldState(values=values, time=level * h))
+        elif level in kept:
+            states.append(FieldState(values=values.copy(), time=level * h))
 
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     seed[0] = problem.initial(x1, x2, 0.0)
-    states = [record(0)]
+    record(top, 0)
     if table.fixed is not None:  # folded: every level <= 0 holds t = 0's field
         seed[1:] = seed[0]
     else:
-        for l in range(1, table.history_rows):
+        for l in range(1, H):
             t = -l * h
             try:
                 seed[l] = problem.initial(x1, x2, t)
@@ -863,7 +903,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
     # overflow ends in a non-finite increment or state, on which the march raises
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, num_steps + 1):
-            row = num_steps - i  # level i's row; the current window starts one below
+            if top == 0:  # only with keep: carry the window to the bottom
+                levels[B - H:] = levels[:H]
+                top = B - H
+            row = top - 1  # level i's row, above the current window
             if i == 1:  # each later window's frozen part is summed where it moves
                 frozen = table.frozen_sum(problem, levels[row + 1:])
             I = tensor_values(problem.input_current, *axes, i * h if i > 1 else 0.0)
@@ -886,12 +929,13 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> SolveResult:
                 del I
                 diagnostics.append(diag)
             u_prev, u_prev2 = u, u_prev
-            states.append(record(i))
+            record(row, i)
+            top = row
 
     applies = min(num_steps, 1) + sum(d.kappa_applies for d in diagnostics)
     return SolveResult(
         problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics, warnings=warnings,
         total_integrand_evals=applies * table.pair_count, table_bytes=table.nbytes,
-        table_form=type(table).__name__, separable=norms.separable,
-        frozen_pairs=table.frozen_pairs)
+        level_bytes=levels.nbytes + copies * row_bytes, table_form=type(table).__name__,
+        separable=norms.separable, frozen_pairs=table.frozen_pairs)

@@ -298,18 +298,25 @@ def test_space_study_requires_exact_solution():
 ], ids=["time", "space"])
 def test_study_lets_each_solve_go_before_the_next(monkeypatch, run_study, solves):
     """A study keeps only each solve's errors: when it starts a solve, the
-    level array of every earlier solve is gone already, with no help from
-    the cyclic collector.  Every state is a row of that one array
-    (SolveResult), so a result held across the loop keeps it all."""
+    levels of every earlier solve are gone already, with no help from the
+    cyclic collector.  The time study keeps every level, each a row of
+    one array (SolveResult), so a result held across the loop keeps it
+    all; the space study keeps T's state alone, a copy that holds no other
+    level, and that copy is gone too."""
     earlier = []
 
-    def solve_and_watch(problem, cfg):
-        alive = [i for i, ref in enumerate(earlier) if ref() is not None]
+    def solve_and_watch(problem, cfg, keep=None):
+        alive = [i for i, refs in enumerate(earlier) if any(ref() is not None for ref in refs)]
         assert not alive, f"the levels of solves {alive} outlive their solve"
-        res = solve(problem, cfg)
-        levels = res.states[0].values.base
-        assert all(state.values.base is levels for state in res.states)
-        earlier.append(weakref.ref(levels))
+        res = solve(problem, cfg, keep=keep)
+        if keep is None:
+            levels = res.states[0].values.base
+            assert all(state.values.base is levels for state in res.states)
+            earlier.append([weakref.ref(levels)])
+        else:
+            assert [state.time for state in res.states] == [cfg.T]
+            assert all(state.values.base is None for state in res.states)
+            earlier.append([weakref.ref(state.values) for state in res.states])
         return res
 
     monkeypatch.setattr("neurofield.analysis.solve", solve_and_watch)

@@ -401,9 +401,9 @@ def solved_configs(monkeypatch):
     """Every SolverConfig the study drivers hand to the solver."""
     configs = []
 
-    def recording_solve(problem, config):
+    def recording_solve(problem, config, keep=None):
         configs.append(config)
-        return solve(problem, config)
+        return solve(problem, config, keep=keep)
 
     solve = neurofield.analysis.solve
     monkeypatch.setattr(neurofield.analysis, "solve", recording_solve)
@@ -570,8 +570,8 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path, monkeypa
     """Each manifest holds SolveResult.record() of the solves that made it."""
     solves = []
 
-    def keeping(problem, config):
-        solves.append(solve(problem, config))
+    def keeping(problem, config, keep=None):
+        solves.append(solve(problem, config, keep=keep))
         return solves[-1]
 
     monkeypatch.setattr(neurofield.cli, "solve", keeping)
@@ -606,6 +606,34 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path, monkeypa
         assert 0 < record["frozen_pairs"] < 144 * 576
     assert delay["solves"]["undelayed"]["separable"] is True
     assert delay["solves"]["undelayed"]["frozen_pairs"] == 0
+
+
+def test_run_and_compare_delay_keep_only_their_snapshots(tmp_path, monkeypatch):
+    """Both commands pass their snapshot times to solve, so each solve
+    holds the levels its march reads plus a copy per snapshot, and its
+    manifest's level_bytes says so: at N = 24, a 4-row buffer without
+    delay, and example 4's folded 2-step buffer of 2 + 3 rows, against the
+    num_steps + 1 rows of a run that keeps every level."""
+    kept = []
+
+    def solve_and_note(problem, config, keep=None):
+        kept.append(list(keep))
+        return solve(problem, config, keep=keep)
+
+    monkeypatch.setattr(neurofield.cli, "solve", solve_and_note)
+    row = 576 * 8
+    run_out, delay_out = tmp_path / "run", tmp_path / "delay"
+    run_out.mkdir()
+    delay_out.mkdir()
+    assert main(["run", "--ht", "0.01", "--T", "0.1", "--snapshots", "0.05,0.1",
+                 "--out", str(run_out)]) == 0
+    assert json.loads((run_out / "manifest.json").read_text())["level_bytes"] == (4 + 2) * row
+    assert main(["compare-delay", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2",
+                 "--out", str(delay_out)]) == 0
+    solves = json.loads((delay_out / "manifest.json").read_text())["solves"]
+    assert solves["delayed"]["level_bytes"] == (2 + 3 + 1) * row
+    assert solves["undelayed"]["level_bytes"] == (3 + 1) * row
+    assert kept == [[0.05, 0.1], [0.2], [0.2]]
 
 
 def test_solve_record_is_every_field_but_the_inputs_in_field_order():

@@ -1112,6 +1112,128 @@ def test_delayed_memory_check_precedes_the_history_scan_and_the_build(monkeypatc
     assert len(solve(p, cfg).states) == 3
 
 
+# --- keeping only some levels -----------------------------------------------
+
+# (problem, config, table form): every form, and a direct delayed run of
+# 50 steps whose 20-row buffer (k_max = 7, history_rows H = 9) wraps 4 times
+KEEP_CASES = {
+    "PairTable": (dataclasses.replace(example3(), kernel=lambda r: np.exp(-r)),
+                  SolverConfig(h_t=0.01, T=0.2, n=4, k=4, m=8), "PairTable"),
+    "AxisFactors": (example1(), SolverConfig(h_t=0.01, T=0.2, n=6, k=4, m=12), "AxisFactors"),
+    "folded": (example4(v=1.0), SolverConfig(h_t=0.02, T=0.2, n=6, k=4, m=12), "DelayedPairs"),
+    "unfolded": (example5(v=1.0), SolverConfig(h_t=0.05, T=0.3, n=3, k=4, m=8), "DelayedPairs"),
+    "wrapping": (example4(v=20.0), SolverConfig(h_t=0.02, T=1.0, n=2, k=4,
+                                                rank_reduction=False), "DelayedPairs"),
+}
+
+
+@pytest.mark.parametrize("case", KEEP_CASES)
+def test_kept_states_are_the_rows_of_a_full_run(case):
+    """With ``keep`` at its default, as T alone or as a few times in any
+    order, the states are the matching levels of a run that keeps every
+    level, bit for bit, in time order, and the diagnostics and counters
+    are the same: the level buffer changes what is held, not what is
+    computed.  A kept state is a copy that owns its values."""
+    problem, cfg, form = KEEP_CASES[case]
+    full = solve(problem, cfg)
+    assert full.table_form == form
+    T, mid = cfg.T, cfg.num_steps // 2 * cfg.h_t
+    for keep in (None, (T,), (T, 0.0, mid, T)):
+        res = solve(problem, cfg, keep=keep)
+        expected = full.states if keep is None else [full.state_at(t) for t in (0.0, mid, T)
+                                                     if t in keep]
+        assert [s.time for s in res.states] == [s.time for s in expected]
+        for state, ref in zip(res.states, expected):
+            assert np.array_equal(state.values, ref.values)
+            assert keep is None or state.values.base is None
+        assert res.diagnostics == full.diagnostics
+        assert res.record().keys() == full.record().keys()
+        assert {k: v for k, v in res.record().items() if k != "level_bytes"} == \
+            {k: v for k, v in full.record().items() if k != "level_bytes"}
+
+
+def test_level_bytes_size_the_buffer_and_the_kept_copies():
+    """A run keeping every level holds num_steps + history_rows grid rows;
+    one told to keep some holds at most 2 (history_rows + 1) rows plus a
+    copy of each kept level.  The wrapping case's buffer is 20 rows for 50
+    steps and 9 history rows, so its window moves to the bottom 4 times."""
+    problem, cfg, _ = KEEP_CASES["wrapping"]
+    row = 64 * 8
+    H = math.floor(problem.tau_max / cfg.h_t) + 2
+    assert (cfg.num_steps, H) == (50, 9)
+    assert solve(problem, cfg).level_bytes == (50 + H) * row
+    res = solve(problem, cfg, keep=(cfg.T, 0.5))
+    assert res.level_bytes == (2 * (H + 1) + 2) * res.grid.total_points * 8
+    assert res.record()["level_bytes"] == res.level_bytes
+    assert (cfg.num_steps - 1) // (H + 2) == 4  # H + 2 levels between moves
+    # an undelayed run reads one row besides the new one: a buffer of 4
+    p, short = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
+    assert [solve(p, short, keep=keep).level_bytes for keep in (None, (), (0.1,))] == \
+        [3 * row, 3 * row, 4 * row]
+
+
+def test_keep_times_are_checked_before_the_kernel_norms(monkeypatch):
+    """A keep time that is not a stored level raises SolverConfig.stored_level's
+    ValueError before the norms run."""
+    monkeypatch.setattr(solver_module, "compute_kernel_norms", refuse("compute_kernel_norms"))
+    cfg = SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
+    for bad in (0.075, 0.15, -0.05, math.nan):
+        with pytest.raises(ValueError, match=r"is not a stored level \(h_t=0.05, T=0.1\)"):
+            solve(example1(), cfg, keep=(0.1, bad))
+
+
+def test_state_at_a_time_not_kept_names_the_kept_times():
+    res = solve(example1(), SolverConfig(h_t=0.05, T=0.2, n=2, k=4, m=4), keep=(0.2, 0.05))
+    assert res.state_at(0.05) is res.states[0] and res.state_at(0.2) is res.states[1]
+    with pytest.raises(ValueError, match=r"time 0.1 was not kept; the run kept the times "
+                                         r"\[0.05, 0.2\]"):
+        res.state_at(0.1)
+    with pytest.raises(ValueError, match="is not a stored level"):
+        res.state_at(0.3)
+
+
+def test_memory_check_counts_the_buffer_and_the_kept_levels(monkeypatch):
+    """A 100-step undelayed run needs 101 grid levels when it keeps every
+    level, and with keep=(T,) a 4-row buffer and one copy.  With physical
+    memory set to the table and those 5 rows, the full run is refused and
+    the kept one goes on."""
+    p, cfg = example1(), SolverConfig(h_t=0.01, T=1.0, n=2, k=4, m=4)
+    monkeypatch.setattr(solver_module, "kernel_norms_bytes", lambda grid: 0)
+    needed = solve(p, cfg, keep=()).table_bytes + 5 * 64 * 8
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
+    with pytest.raises(ValueError, match="needs 51712 B for 101 grid levels"):
+        solve(p, cfg)
+    assert [s.time for s in solve(p, cfg, keep=(1.0,)).states] == [1.0]
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ValueError, match=f"needs {needed} B for its operator table and 5 grid "
+                                         f"levels"):
+        solve(p, cfg, keep=(1.0,))
+
+
+def test_long_run_keeping_its_last_state_peaks_near_its_set_up():
+    """Example 1 over 2,000 steps at N = 96, keeping the state at T: the
+    run peaks within 8 grid vectors of a run of no steps on the same grid
+    (measured 5.8, the 2,000 levels' diagnostics among them), where keeping
+    every level took 2,009 more."""
+    p = example1()
+    cfg = SolverConfig(h_t=0.001, T=2.0, n=24, k=4, m=4)
+    set_up = SolverConfig(h_t=0.001, T=0.0, n=24, k=4, m=4)
+    solve(p, set_up)  # what the first solve of a process allocates
+
+    def traced_peak(config):
+        tracemalloc.start()
+        try:
+            res = solve(p, config, keep=(config.T,))
+            return res, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = traced_peak(set_up)[1]
+    res, peak = traced_peak(cfg)
+    assert [s.time for s in res.states] == [2.0]
+    assert (peak - base) / (res.grid.total_points * 8) <= 8
+
+
 # --- folding a constant initial history ------------------------------------
 
 def unfolded(problem, grid, axes, h_t, separable=False, num_steps=None):
