@@ -32,6 +32,18 @@ array (_Table), so the march writes into no array of the problem's or the
 table's.  The predictor is let go before the iteration and f_i after it,
 so no temporary outlives its level.
 
+An iteration dispatches little beyond its arithmetic, too.  Beside the
+live sum and the lift, whose products go through ndarray.dot (the BLAS
+calls of the @ operator without the matmul ufunc's set-up), it makes six
+numpy calls on the row: the two updates, the increment's subtract, abs
+and np.maximum.reduce (np.max's value without its Python wrapper), and
+the copy into the row.  Its Python calls are the table's live_sum,
+ProblemSpec.rate_values, the firing rate and, rank-reduced, lift_to_grid.
+An undelayed table's frozen part is 0.0 (history_rows 1).  The march asks
+for it once per level, as of any table, but adds it to neither the
+predictor nor f_i.  That changes no value: adding 0.0 could only turn a
+-0.0 into 0.0.
+
 The update is carried in an evaluation space: the tensor product of two
 axes, where kappa, I and f are formed, and a lift that maps values there
 to the N^2 grid, where the quadrature reads the field.  Without rank
@@ -244,7 +256,7 @@ class SolverConfig:
         return idx
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldState:
     """Field values on the flat N^2 grid at one time level."""
 
@@ -302,7 +314,7 @@ class PairTable(_Table):
         return self.weights.shape
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
-        return self.weights @ problem.rate_values(field)
+        return self.weights.dot(problem.rate_values(field))
 
 
 @dataclass
@@ -319,7 +331,7 @@ class AxisFactors(_Table):
 
     def live_sum(self, problem: ProblemSpec, field: np.ndarray) -> np.ndarray:
         s = problem.rate_values(field).reshape(self.A1.shape[1], -1)
-        return (self.A1 @ s @ self.A2.T).ravel()
+        return self.A1.dot(s).dot(self.A2.T).ravel()
 
 
 @dataclass
@@ -607,7 +619,7 @@ def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
     """Interpolate values at the m^2 Chebyshev points onto the flat grid:
     L1 @ M @ L2, the coefficient transform and grid evaluation in one."""
     M = samples.reshape(cheb_op.m, cheb_op.m)
-    return (cheb_op.L1 @ M @ cheb_op.L2).ravel()
+    return cheb_op.L1.dot(M).dot(cheb_op.L2).ravel()
 
 
 @dataclass
@@ -635,7 +647,7 @@ def step_bound(problem: ProblemSpec, norms: KernelNorms) -> StepBounds:
     return StepBounds(bound_l2=bound_l2, bound_max=bound_max)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepDiagnostics:
     """Per-step record of the fixed-point loop and its operator cost.  The
     level's time is level * h_t.
@@ -661,8 +673,9 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     U is the level's grid row of the history window, holding the lift of
     its Euler predictor; each increment and then each iterate is written
     into it.  f_i, which is only read, holds every constant of the level,
-    the frozen sum of its window among them, so an iteration is lam times
-    the live sum plus f_i, with solve's lam = 2 h_t / (2 h_t + 3 c).
+    the frozen sum of its window among them if the table has one, so an
+    iteration is lam times the live sum plus f_i, with solve's
+    lam = 2 h_t / (2 h_t + 3 c).
     Returns the solution on the evaluation
     axes and the level's diagnostics.
     Raises RuntimeError if the inner loop does not reach eps_inner within
@@ -678,7 +691,7 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
         u += f_i
         U_next = lift(u)
         # |U_next - U| is formed in U itself, which takes U_next next
-        inc = float(np.abs(np.subtract(U_next, U, out=U), out=U).max())
+        inc = float(np.maximum.reduce(np.abs(np.subtract(U_next, U, out=U), out=U)))
         if not math.isfinite(inc):
             raise RuntimeError(f"fixed-point iteration at t={t_i:g} reached a non-finite "
                                f"increment in iteration {len(increments) + 1}")
@@ -700,7 +713,7 @@ def bdf2_step(problem: ProblemSpec, config: SolverConfig, table: _Table,
     # roundoff floor, None when the loop finished in a single iteration
     ratios = []
     if len(increments) > 1:
-        floor = 1e-12 * max(1.0, float(np.max(np.abs(U))))
+        floor = 1e-12 * max(1.0, float(np.maximum.reduce(np.abs(U))))
         ratios = [b / a for a, b in zip(increments, increments[1:]) if a > floor]
     return u, StepDiagnostics(
         level=level, inner_iterations=len(increments),
@@ -875,7 +888,7 @@ def solve(problem: ProblemSpec, config: SolverConfig,
 
     def record(row: int, level: int) -> None:
         values = levels[row]
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise RuntimeError(f"non-finite field values at t={level * h:g}")
         if kept is None:
             states.append(FieldState(values=values, time=level * h))
@@ -899,6 +912,7 @@ def solve(problem: ProblemSpec, config: SolverConfig,
                 raise ValueError(f"the initial data are not finite at t={t:g}, a level the "
                                  f"run seeds")
     diagnostics: list[StepDiagnostics] = []
+    applies = min(num_steps, 1)
     u_prev, u_prev2 = u0, None
     # overflow ends in a non-finite increment or state, on which the march raises
     with np.errstate(over="ignore", invalid="ignore"):
@@ -912,7 +926,8 @@ def solve(problem: ProblemSpec, config: SolverConfig,
             I = tensor_values(problem.input_current, *axes, i * h if i > 1 else 0.0)
             # u_prev + (h / c) * (I - u_prev + frozen + live), formed in place
             u = I - u_prev
-            u += frozen
+            if H > 1:  # an undelayed table's frozen part is 0.0: nothing to add
+                u += frozen
             u += table.live_sum(problem, levels[row + 1])
             u *= h / c
             u += u_prev
@@ -921,18 +936,19 @@ def solve(problem: ProblemSpec, config: SolverConfig,
             if i > 1:
                 del u  # the iteration starts from the window's row
                 # f_i = lam * (I + frozen + (2 c / h) u_prev - (c / (2 h)) u_prev2), in I
-                I += frozen
+                if H > 1:
+                    I += frozen
                 I += (2.0 * c / h) * u_prev
                 I -= (0.5 * c / h) * u_prev2
                 I *= lam
                 u, diag = bdf2_step(problem, config, table, lift, levels[row], I, lam, i)
                 del I
                 diagnostics.append(diag)
+                applies += diag.kappa_applies
             u_prev, u_prev2 = u, u_prev
             record(row, i)
             top = row
 
-    applies = min(num_steps, 1) + sum(d.kappa_applies for d in diagnostics)
     return SolveResult(
         problem=problem, config=config, grid=grid, bounds=bounds, contraction_bound=L1,
         stability_margin=margin, states=states, diagnostics=diagnostics, warnings=warnings,

@@ -97,6 +97,54 @@ def test_kernel_box_integral_matches_composite_sum(lam, mu, domain):
         assert g == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+def per_axis_kernel_box_integral(lam, x1, x2, domain, mu):
+    """The closed form evaluated axis by axis, one erf pair and one weight
+    per axis: the reference kernel_box_integral's one pass must match."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    s = lam + mu
+    r = math.sqrt(s)
+
+    def axis_factor(x, a, b):
+        x0 = (lam / s) * x
+        return np.exp(-(lam * mu / s) * x * x) * (erf(r * (b - x0)) + erf(r * (x0 - a)))
+
+    f1 = axis_factor(x1, domain.a1, domain.b1)
+    f2 = axis_factor(x2, domain.a2, domain.b2)
+    return (math.pi / (4.0 * s)) * f1 * f2
+
+
+@pytest.mark.parametrize("domain", [UNIT_BOX, Rectangle(-0.5, 1.5, -2.0, 0.25)],
+                         ids=["square", "rectangle"])
+@pytest.mark.parametrize("mu", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("lam", [1.0, 5.0, 300.0])
+def test_kernel_box_integral_matches_the_per_axis_form_bit_for_bit(lam, mu, domain):
+    """Both axes in one pass give the per-axis values bit for bit, in the
+    same shape and type: on the column and row that tensor_values passes,
+    on flat point vectors of equal shape, and on scalar coordinates, the
+    domain's corners and points outside it among them."""
+    grid = build_grid(domain, 3, build_gauss_rule(4))
+    p1, p2 = grid.flat_points()
+    rng = np.random.default_rng(3)
+    edges1 = np.array([domain.a1, domain.b1, 0.5 * (domain.a1 + domain.b1), domain.a1 - 0.7])
+    edges2 = np.array([domain.b2, domain.a2, domain.b2 + 0.3, 0.5 * (domain.a2 + domain.b2)])
+    cases = {
+        "column-row": (grid.x1[:, None], grid.x2[None, :]),
+        "flat": (p1, p2),
+        "flat-edges": (edges1, edges2),
+        "flat-random": tuple(rng.uniform(-3.0, 3.0, (2, 50))),
+        "scalar": (0.3, -0.5),
+        "scalar-corner": (domain.a1, domain.b2),
+        "scalar-arrays": (np.float64(domain.b1), np.array(domain.a2)),
+    }
+    for name, (x1, x2) in cases.items():
+        got = kernel_box_integral(lam, x1, x2, domain, mu=mu)
+        want = per_axis_kernel_box_integral(lam, x1, x2, domain, mu)
+        assert type(got) is type(want), name
+        assert np.shape(got) == np.shape(want), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
 def test_weighted_kernel_box_integral_center():
     got = float(kernel_box_integral(1.0, 0.0, 0.0, mu=1.0))
     assert got == pytest.approx(1.4311050108193526, abs=1e-12)

@@ -290,6 +290,58 @@ def test_solve_matches_the_reference_march_on_the_table_it_builds(problem, cfg, 
         assert np.array_equal(state.values, U)
 
 
+@pytest.mark.parametrize("P1,P2,N1,N2", [(1, 1, 4, 4), (2, 5, 4, 8), (12, 12, 12, 12),
+                                         (12, 12, 48, 48), (32, 32, 32, 32)])
+def test_products_are_those_of_the_matmul_operator(P1, P2, N1, N2):
+    """The undelayed live sums and the lift call ndarray.dot, the BLAS calls
+    of the @ operator without the matmul ufunc's set-up: each gives the @
+    expression's values bit for bit, on square, rectangular and one-row
+    factors."""
+    rng = np.random.default_rng(P1 + 7 * N2)
+    p = example3()  # linear rate: the sums read the field itself
+    field = rng.standard_normal(N1 * N2)
+    weights = rng.standard_normal((P1 * P2, N1 * N2))
+    assert PairTable(weights).live_sum(p, field).tobytes() == (weights @ field).tobytes()
+    A1, A2 = rng.standard_normal((P1, N1)), rng.standard_normal((P2, N2))
+    assert (AxisFactors(A1, A2).live_sum(p, field).tobytes()
+            == (A1 @ field.reshape(N1, N2) @ A2.T).ravel().tobytes())
+    for m in {min(max(P1, 2), N1), N1}:
+        op = build_cheb_operator(m, make_grid(N=N1))
+        samples = rng.standard_normal(m * m)
+        assert (lift_to_grid(op, samples).tobytes()
+                == (op.L1 @ samples.reshape(m, m) @ op.L2).ravel().tobytes())
+
+
+class _NotAddable:
+    """A stand-in for a frozen part that no array operation accepts."""
+
+    def __array_ufunc__(self, *args, **kwargs):
+        raise AssertionError("the march added an undelayed table's frozen part")
+
+
+@pytest.mark.parametrize("problem,cfg,form", [
+    (example3(), SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "AxisFactors"),
+    (example1(), SolverConfig(h_t=0.05, T=0.5, n=2, k=4, m=6), "AxisFactors"),
+    (dataclasses.replace(example3(), kernel=lambda r: np.exp(-r)),
+     SolverConfig(h_t=0.05, T=0.5, n=2, k=4, rank_reduction=False), "PairTable"),
+], ids=["AxisFactors-direct", "AxisFactors-reduced", "PairTable"])
+def test_an_undelayed_march_adds_no_frozen_part(monkeypatch, problem, cfg, form):
+    """An undelayed table's frozen part is 0.0.  The march still asks for it
+    once per level, but adds it to neither the predictor nor f_i: with it
+    replaced by an object that fails any array operation, solve gives the
+    states and inner-iteration counts of the reference march, which adds
+    the 0.0 as the formulas read."""
+    states, iterations = _reference_march(problem, cfg)
+    for table_form in (AxisFactors, PairTable):
+        monkeypatch.setattr(table_form, "frozen_sum", lambda self, problem, history: _NotAddable())
+    res = solve(problem, cfg)
+    assert res.table_form == form
+    assert iterations == [d.inner_iterations for d in res.diagnostics]
+    assert len(states) == len(res.states)
+    for state, U in zip(res.states, states):
+        assert np.array_equal(state.values, U)
+
+
 @pytest.mark.parametrize("problem,separable,form", [
     (example3(), False, "PairTable"),
     (example3(), True, "AxisFactors"),
@@ -1232,6 +1284,29 @@ def test_long_run_keeping_its_last_state_peaks_near_its_set_up():
     res, peak = traced_peak(cfg)
     assert [s.time for s in res.states] == [2.0]
     assert (peak - base) / (res.grid.total_points * 8) <= 8
+
+
+def test_per_level_records_hold_no_instance_dict():
+    """StepDiagnostics and FieldState declare slots, so no instance has a
+    __dict__, and a 2,000-level run that keeps only T's state holds its
+    diagnostics in at most 170 B per level: the objects, the numbers
+    Python does not cache, and the list's slots (measured 162, and 204
+    with an instance dict)."""
+    res = solve(example1(), SolverConfig(h_t=0.01, T=0.03))
+    for record in (res.diagnostics[0], res.states[0]):
+        assert not hasattr(record, "__dict__")
+    cfg = SolverConfig(h_t=0.001, T=2.0, n=1, k=4, m=4)
+    tracemalloc.start()
+    try:
+        res = solve(example1(), cfg, keep=(cfg.T,))
+        levels = len(res.diagnostics)
+        held = tracemalloc.get_traced_memory()[0]
+        res.diagnostics.clear()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert levels == cfg.num_steps - 1
+    assert held / levels <= 170
 
 
 # --- folding a constant initial history ------------------------------------
