@@ -41,10 +41,12 @@ class ChebOperator:
 
     C is m x m with C[i, j] = c_i(p_j) at the Chebyshev roots p_j; it
     satisfies C @ C.T = I.  P1 and P2 are m x N with the basis evaluated at
-    the grid's axis coordinates pulled back to [-1, 1]; for a square domain
-    they coincide.  points1/points2 are the Chebyshev roots pushed forward
-    to the physical axes, so the operator must be sampled at the tensor
-    points (points1[i], points2[j]) in row-major order.  L1 = P1.T @ C
+    the grid's axis coordinates pulled back to [-1, 1].  points1/points2
+    are the Chebyshev roots pushed forward to the physical axes, so the
+    operator must be sampled at the tensor points (points1[i], points2[j])
+    in row-major order.  All four are read-only, and for a square domain,
+    whose grid has one axis (``grid.x2 is grid.x1``), they coincide:
+    ``P2 is P1`` and ``points2 is points1``, each built once.  L1 = P1.T @ C
     (N x m) and L2 = C.T @ P2 (m x N) fold the coefficient transform into
     the grid evaluation: samples M lift to L1 @ M @ L2, the same as
     eval_on_grid(coeffs_from_samples(M)) up to rounding.
@@ -86,9 +88,14 @@ def build_cheb_operator(m: int, grid: SpatialGrid) -> ChebOperator:
     C = _scaled_basis(m, ref_nodes)
     dom = grid.domain
     P1 = _scaled_basis(m, _to_reference(grid.x1, dom.a1, dom.b1))
-    P2 = _scaled_basis(m, _to_reference(grid.x2, dom.a2, dom.b2))
     points1 = 0.5 * (dom.a1 + dom.b1) + 0.5 * (dom.b1 - dom.a1) * ref_nodes
-    points2 = 0.5 * (dom.a2 + dom.b2) + 0.5 * (dom.b2 - dom.a2) * ref_nodes
+    if grid.x2 is grid.x1:  # a square domain's one axis (build_grid)
+        P2, points2 = P1, points1
+    else:
+        P2 = _scaled_basis(m, _to_reference(grid.x2, dom.a2, dom.b2))
+        points2 = 0.5 * (dom.a2 + dom.b2) + 0.5 * (dom.b2 - dom.a2) * ref_nodes
+    for axis in (P1, points1, P2, points2):
+        axis.flags.writeable = False
     return ChebOperator(m=m, C=C, P1=P1, P2=P2, points1=points1, points2=points2,
                         L1=P1.T @ C, L2=C.T @ P2)
 

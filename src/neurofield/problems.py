@@ -153,8 +153,8 @@ def kernel_box_integral(lam: float, x1, x2, domain: Rectangle = DEFAULT_DOMAIN,
     x[:n1], x[n1:] = x1.ravel(), x2.ravel()
     x0 = (lam / s) * x
     # each point's own axis bounds, b in row hi and a in row lo; then b - x0 and x0 - a
-    z = np.array((domain.b1, domain.b2, domain.a1, domain.a2)).repeat((n1, n2, n1, n2))
-    z = z.reshape(2, -1)
+    z = np.array((domain.b1, domain.b2, domain.a1, domain.a2), dtype=float)
+    z = z.repeat((n1, n2, n1, n2)).reshape(2, -1)
     hi, lo = z
     np.subtract(hi, x0, out=hi)
     np.subtract(x0, lo, out=lo)
@@ -378,8 +378,10 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     The pair (x1_a, x2_b), (x1_c, x2_d) sits at distance
     hypot(|x1_a - x1_c|, |x2_b - x2_d|) and carries the weight
     w1_a w1_c w2_b w2_d.  So each axis's node pairs are grouped by distance
-    (_axis_distance_groups), with the group weights W1 and W2 summed, and
-    the kernel is evaluated once per pair of merged axis distances,
+    (_axis_distance_groups), with the group weights W1 and W2 summed, once
+    for both axes where they coincide (a square domain's grid, on which
+    ``grid.x2 is grid.x1`` and ``grid.w2 is grid.w1``), and the kernel
+    is evaluated once per pair of merged axis distances,
     K[i, j] = K(hypot(d1_i, d2_j)): k_max = max |K| and
     l2_estimate = sqrt(W1 @ K^2 @ W2).  Rounding splits one true distance
     into a few floats some ulps apart (670 floats for 212 distances per
@@ -405,7 +407,10 @@ def compute_kernel_norms(problem: ProblemSpec, grid: SpatialGrid) -> KernelNorms
     (6.5e-16 relative on the shipped kernels).
     """
     d1, W1 = _axis_distance_groups(grid.x1, grid.w1)
-    d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
+    if grid.x2 is grid.x1 and grid.w2 is grid.w1:  # a square domain's one axis
+        d2, W2 = d1, W1
+    else:
+        d2, W2 = _axis_distance_groups(grid.x2, grid.w2)
     k_max, gap_max, col = 0.0, 0.0, np.zeros(d2.size)
     for rows in _row_blocks(d1.size, d2.nbytes):
         kv = problem.kernel_values(np.hypot(d1[rows, None], d2[None, :]))

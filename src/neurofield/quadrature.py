@@ -119,6 +119,12 @@ class SpatialGrid:
     w1, w2 : ndarray, shape (N,)
         Scaled per-axis weights; each sums to the side length, so the
         tensor-product weights sum to the domain area.
+
+    build_grid makes the four arrays read-only, and on a square domain
+    (a2, b2) == (a1, b1) it sets up one axis: ``x2 is x1`` and
+    ``w2 is w1``.  That identity is what downstream set-up reads to
+    evaluate a square's axis once (build_cheb_operator,
+    compute_kernel_norms).
     """
 
     domain: Rectangle
@@ -162,11 +168,18 @@ def build_grid(domain: Rectangle, n: int, rule: GaussRule) -> SpatialGrid:
     Returns
     -------
     SpatialGrid
+        With read-only axes; on a square domain the second axis is the
+        first, one array each for the nodes and the weights.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"subinterval count n must be a positive integer, got {n!r}")
     x1, w1 = _composite_axis(domain.a1, domain.b1, int(n), rule)
-    x2, w2 = _composite_axis(domain.a2, domain.b2, int(n), rule)
+    if (domain.a2, domain.b2) == (domain.a1, domain.b1):
+        x2, w2 = x1, w1
+    else:
+        x2, w2 = _composite_axis(domain.a2, domain.b2, int(n), rule)
+    for axis in (x1, w1, x2, w2):
+        axis.flags.writeable = False
     return SpatialGrid(domain=domain, x1=x1, x2=x2, w1=w1, w2=w2)
 
 

@@ -88,9 +88,13 @@ k_max + 2 for an unfolded delayed table and a single row without delay.
 Each level moves the window one row up.  By default the buffer holds
 every level of the run, num_steps + H rows, and the window never reaches
 its top.  A run told which levels to keep holds
-B = min(num_steps + H, 2 (H + 1)) rows: when the window reaches row 0,
-its H rows are copied to the bottom and the march goes on there, so the
-window stays one contiguous block, at a copy of H rows per H + 2 levels.
+B = min(num_steps + H, 2 H) rows: when the window reaches row 0, its H
+rows are copied to the bottom and the march goes on there, so the window
+stays one contiguous block, at a copy of H rows per H levels; without
+delay that is two rows and one row copy per level.  No vector the march
+carries between levels is a row (u_prev and u_prev2 live on the
+evaluation axes), so a row may be overwritten as soon as it leaves the
+window.
 
 The delayed operator is then linear in the rates s = S(history), flattened
 row by row: three sparse matrices (DelayedPairs).  ``now`` holds w delta
@@ -792,9 +796,11 @@ def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     h0 = np.empty((grid.x1.size, grid.x2.size))
     h0[...] = problem.initial(x1, x2, 0.0)
+    same = np.empty(h0.shape, dtype=bool)  # one buffer for every comparison
     try:
         for l in range(1, rows):
-            if not np.all(problem.initial(x1, x2, -l * h) == h0):
+            np.equal(problem.initial(x1, x2, -l * h), h0, out=same)
+            if not np.logical_and.reduce(same, axis=None):  # np.all without its wrapper
                 return None
     except ArithmeticError:
         return None
@@ -803,9 +809,10 @@ def _constant_history(problem: ProblemSpec, grid: SpatialGrid, h: float,
 
 def _buffer_rows(num_steps: int, history_rows: int, keep: bool) -> int:
     """The rows of a run's level buffer (module docstring): every level,
-    num_steps + history_rows, or with ``keep`` at most 2 (history_rows + 1)."""
+    num_steps + history_rows, or with ``keep`` at most 2 history_rows, so
+    the window moves to the bottom every history_rows levels."""
     rows = num_steps + history_rows
-    return min(rows, 2 * (history_rows + 1)) if keep else rows
+    return min(rows, 2 * history_rows) if keep else rows
 
 
 def solve(problem: ProblemSpec, config: SolverConfig,

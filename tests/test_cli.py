@@ -611,7 +611,7 @@ def test_manifests_record_every_run_level_field_of_each_solve(tmp_path, monkeypa
 def test_run_and_compare_delay_keep_only_their_snapshots(tmp_path, monkeypatch):
     """Both commands pass their snapshot times to solve, so each solve
     holds the levels its march reads plus a copy per snapshot, and its
-    manifest's level_bytes says so: at N = 24, a 4-row buffer without
+    manifest's level_bytes says so: at N = 24, a 2-row buffer without
     delay, and example 4's folded 2-step buffer of 2 + 3 rows, against the
     num_steps + 1 rows of a run that keeps every level."""
     kept = []
@@ -627,12 +627,12 @@ def test_run_and_compare_delay_keep_only_their_snapshots(tmp_path, monkeypatch):
     delay_out.mkdir()
     assert main(["run", "--ht", "0.01", "--T", "0.1", "--snapshots", "0.05,0.1",
                  "--out", str(run_out)]) == 0
-    assert json.loads((run_out / "manifest.json").read_text())["level_bytes"] == (4 + 2) * row
+    assert json.loads((run_out / "manifest.json").read_text())["level_bytes"] == (2 + 2) * row
     assert main(["compare-delay", "--ht", "0.1", "--T", "0.2", "--snapshots", "0.2",
                  "--out", str(delay_out)]) == 0
     solves = json.loads((delay_out / "manifest.json").read_text())["solves"]
     assert solves["delayed"]["level_bytes"] == (2 + 3 + 1) * row
-    assert solves["undelayed"]["level_bytes"] == (3 + 1) * row
+    assert solves["undelayed"]["level_bytes"] == (2 + 1) * row
     assert kept == [[0.05, 0.1], [0.2], [0.2]]
 
 

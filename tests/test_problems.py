@@ -71,6 +71,15 @@ def test_kernel_box_integral_vs_quadrature(lam, x1, x2):
         apply_quadrature(grid, vals), abs=1e-12)
 
 
+def test_kernel_box_integral_takes_integer_bounds():
+    """A rectangle of integer bounds gives the values of its float twin,
+    bit for bit."""
+    x1, x2 = np.linspace(0.0, 2.0, 5)[:, None], np.linspace(-1.0, 1.0, 4)[None, :]
+    got = kernel_box_integral(1.0, x1, x2, Rectangle(0, 2, -1, 1), mu=1.0)
+    want = kernel_box_integral(1.0, x1, x2, Rectangle(0.0, 2.0, -1.0, 1.0), mu=1.0)
+    assert got.tobytes() == want.tobytes()
+
+
 def composite_axis_integral(lam, mu, x, a, b, n=512, k=16):
     """int_a^b exp(-lam (x - y)^2 - mu y^2) dy by a composite k-point Gauss
     sum on n subintervals, fine enough for lam up to several hundred."""

@@ -10,6 +10,7 @@ from scipy.special import roots_legendre
 from neurofield.quadrature import (
     GaussRule,
     Rectangle,
+    _composite_axis,
     apply_quadrature,
     build_gauss_rule,
     build_grid,
@@ -129,6 +130,28 @@ def test_weights_sum_to_area(domain, n, k):
     grid = build_grid(domain, n, build_gauss_rule(k))
     assert np.sum(grid.flat_weights()) == pytest.approx(domain.area, rel=1e-12)
     assert np.sum(grid.w1) == pytest.approx(domain.b1 - domain.a1, rel=1e-12)
+
+
+@pytest.mark.parametrize("domain,shared", [
+    (UNIT_BOX, True), (Rectangle(0.0, 2.0, 0.0, 2.0), True),
+    (Rectangle(0.0, 1.0, 0.0, 2.0), False), (Rectangle(0.0, 2.0, -1.0, 1.0), False),
+], ids=["unit-box", "square", "rectangle", "shifted-equal-sides"])
+def test_a_square_domain_sets_up_one_read_only_axis(domain, shared):
+    """On a square domain the second axis is the first, ``x2 is x1`` and
+    ``w2 is w1``; on a rectangle, or on sides of equal length shifted
+    apart, each axis is its own.  Either way each axis is read-only and
+    bit for bit the axis built on its own side."""
+    rule = build_gauss_rule(4)
+    grid = build_grid(domain, 3, rule)
+    assert grid.x2 is grid.x1 if shared else not np.shares_memory(grid.x2, grid.x1)
+    assert grid.w2 is grid.w1 if shared else not np.shares_memory(grid.w2, grid.w1)
+    sides = ((domain.a1, domain.b1), (domain.a2, domain.b2))
+    for axis, side in zip(((grid.x1, grid.w1), (grid.x2, grid.w2)), sides):
+        for got, want in zip(axis, _composite_axis(*side, 3, rule)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
 
 
 def test_apply_quadrature_constant_gives_area():

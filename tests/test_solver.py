@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from neurofield import problems as problems_module
 from neurofield import solver as solver_module
 from neurofield.analysis import error_norm, time_convergence_study
 from neurofield.chebyshev import build_cheb_operator, coeffs_from_samples, eval_on_grid
@@ -27,7 +28,7 @@ from neurofield.problems import (
     kernel_box_integral,
     kernel_norms_bytes,
 )
-from neurofield.quadrature import Rectangle, build_gauss_rule, build_grid
+from neurofield.quadrature import Rectangle, _composite_axis, build_gauss_rule, build_grid
 from neurofield.solver import (
     AxisFactors,
     DelayedPairs,
@@ -1167,7 +1168,7 @@ def test_delayed_memory_check_precedes_the_history_scan_and_the_build(monkeypatc
 # --- keeping only some levels -----------------------------------------------
 
 # (problem, config, table form): every form, and a direct delayed run of
-# 50 steps whose 20-row buffer (k_max = 7, history_rows H = 9) wraps 4 times
+# 50 steps whose 18-row buffer (k_max = 7, history_rows H = 9) wraps 5 times
 KEEP_CASES = {
     "PairTable": (dataclasses.replace(example3(), kernel=lambda r: np.exp(-r)),
                   SolverConfig(h_t=0.01, T=0.2, n=4, k=4, m=8), "PairTable"),
@@ -1206,22 +1207,23 @@ def test_kept_states_are_the_rows_of_a_full_run(case):
 
 def test_level_bytes_size_the_buffer_and_the_kept_copies():
     """A run keeping every level holds num_steps + history_rows grid rows;
-    one told to keep some holds at most 2 (history_rows + 1) rows plus a
-    copy of each kept level.  The wrapping case's buffer is 20 rows for 50
-    steps and 9 history rows, so its window moves to the bottom 4 times."""
+    one told to keep some holds at most 2 history_rows rows plus a copy of
+    each kept level.  The wrapping case's buffer is 18 rows for 50 steps
+    and 9 history rows, so its window moves to the bottom every 9 levels,
+    5 times."""
     problem, cfg, _ = KEEP_CASES["wrapping"]
     row = 64 * 8
     H = math.floor(problem.tau_max / cfg.h_t) + 2
     assert (cfg.num_steps, H) == (50, 9)
     assert solve(problem, cfg).level_bytes == (50 + H) * row
     res = solve(problem, cfg, keep=(cfg.T, 0.5))
-    assert res.level_bytes == (2 * (H + 1) + 2) * res.grid.total_points * 8
+    assert res.level_bytes == (2 * H + 2) * res.grid.total_points * 8
     assert res.record()["level_bytes"] == res.level_bytes
-    assert (cfg.num_steps - 1) // (H + 2) == 4  # H + 2 levels between moves
-    # an undelayed run reads one row besides the new one: a buffer of 4
+    assert (cfg.num_steps - 1) // H == 5  # H levels between moves
+    # an undelayed run reads one row besides the new one: a buffer of 2
     p, short = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
     assert [solve(p, short, keep=keep).level_bytes for keep in (None, (), (0.1,))] == \
-        [3 * row, 3 * row, 4 * row]
+        [3 * row, 2 * row, 3 * row]
 
 
 def test_keep_times_are_checked_before_the_kernel_norms(monkeypatch):
@@ -1246,18 +1248,18 @@ def test_state_at_a_time_not_kept_names_the_kept_times():
 
 def test_memory_check_counts_the_buffer_and_the_kept_levels(monkeypatch):
     """A 100-step undelayed run needs 101 grid levels when it keeps every
-    level, and with keep=(T,) a 4-row buffer and one copy.  With physical
-    memory set to the table and those 5 rows, the full run is refused and
+    level, and with keep=(T,) a 2-row buffer and one copy.  With physical
+    memory set to the table and those 3 rows, the full run is refused and
     the kept one goes on."""
     p, cfg = example1(), SolverConfig(h_t=0.01, T=1.0, n=2, k=4, m=4)
     monkeypatch.setattr(solver_module, "kernel_norms_bytes", lambda grid: 0)
-    needed = solve(p, cfg, keep=()).table_bytes + 5 * 64 * 8
+    needed = solve(p, cfg, keep=()).table_bytes + 3 * 64 * 8
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
     with pytest.raises(ValueError, match="needs 51712 B for 101 grid levels"):
         solve(p, cfg)
     assert [s.time for s in solve(p, cfg, keep=(1.0,)).states] == [1.0]
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
-    with pytest.raises(ValueError, match=f"needs {needed} B for its operator table and 5 grid "
+    with pytest.raises(ValueError, match=f"needs {needed} B for its operator table and 3 grid "
                                          f"levels"):
         solve(p, cfg, keep=(1.0,))
 
@@ -1737,6 +1739,163 @@ def test_lift_constant_field():
     op = build_cheb_operator(4, grid)
     lifted = lift_to_grid(op, np.full(16, 2.5))
     assert lifted == pytest.approx(np.full(64, 2.5), abs=1e-13)
+
+
+def plain_constant_history(problem, grid, h, rows):
+    """The history scan as the plain expression np.all(initial == h0)."""
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    h0 = np.empty((grid.x1.size, grid.x2.size))
+    h0[...] = problem.initial(x1, x2, 0.0)
+    try:
+        for l in range(1, rows):
+            if not np.all(problem.initial(x1, x2, -l * h) == h0):
+                return None
+    except ArithmeticError:
+        return None
+    return h0
+
+
+def nan_at_one_node(problem):
+    """The problem's initial data with NaN at the first node at every time."""
+    initial = problem.initial
+
+    def nan(x1, x2, t):
+        values = np.array(np.broadcast_to(initial(x1, x2, t), (x1.size, x2.size)))
+        values[0, 0] = math.nan
+        return values
+
+    return dataclasses.replace(problem, initial=nan)
+
+
+def overflows_at_the_deepest_level(problem, h, k_max):
+    """The problem's initial data, raising OverflowError at level -(k_max + 1)."""
+    initial = problem.initial
+
+    def deep(x1, x2, t):
+        return initial(x1, x2, t) * (math.exp(1e4) if t < -(k_max + 0.5) * h else 1.0)
+
+    return dataclasses.replace(problem, initial=deep)
+
+
+@pytest.mark.parametrize("case,folds", [
+    ("constant", True), ("varying", False), ("nan", False), ("scalar", True),
+    ("overflowing", False),
+])
+def test_the_history_scan_decides_and_builds_as_the_plain_scan(case, folds, monkeypatch):
+    """_constant_history compares into one boolean buffer; its fold decision,
+    its h0 and the table built on it are bit for bit those of the plain
+    np.all scan, on a constant history (example 4), one that varies in time
+    (example 5), one with NaN at one node, which equals nothing, a scalar
+    broadcast to the grid, and one that overflows at the deepest level."""
+    h, num_steps = 1.0, 2
+    p = example5(v=1.0, c=10.0) if case == "varying" else example4(v=1.0, c=10.0)
+    k_max = math.floor(p.tau_max / h)
+    assert num_steps <= k_max  # the run is short enough to fold
+    if case == "nan":
+        p = nan_at_one_node(p)
+    elif case == "scalar":
+        p = dataclasses.replace(p, initial=lambda x1, x2, t: 0.3)
+    elif case == "overflowing":
+        p = overflows_at_the_deepest_level(p, h, k_max)
+    grid = build_grid(p.domain, 2, build_gauss_rule(4))
+    axes = (grid.x1, grid.x2)
+    h0 = solver_module._constant_history(p, grid, h, k_max + 2)
+    ref = plain_constant_history(p, grid, h, k_max + 2)
+    assert (h0 is not None) == (ref is not None) == folds
+    if folds:
+        assert h0.tobytes() == ref.tobytes()
+    table = build_delay_table(p, grid, axes, h, num_steps=num_steps)
+    monkeypatch.setattr(solver_module, "_constant_history", plain_constant_history)
+    ref_table = build_delay_table(p, grid, axes, h, num_steps=num_steps)
+    assert (table.fixed is not None) == (ref_table.fixed is not None) == folds
+    assert table.history_rows == ref_table.history_rows
+    for name in ("now", "then", "live"):
+        a, b = getattr(table, name), getattr(ref_table, name)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+    if folds:
+        assert table.fixed.tobytes() == ref_table.fixed.tobytes()
+
+
+# --- a square domain's one axis -----------------------------------------------
+
+def grid_with_its_second_axis_built(n=6, k=4):
+    """The unit box's grid, whose second axis is its first, and the same
+    grid with its second axis evaluated on its own side."""
+    rule = build_gauss_rule(k)
+    grid = build_grid(UNIT_BOX, n, rule)
+    x2, w2 = _composite_axis(UNIT_BOX.a2, UNIT_BOX.b2, n, rule)
+    return grid, dataclasses.replace(grid, x2=x2, w2=w2)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in a spy; returns the list its calls append to."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_square_grid_builds_its_operator_once_per_axis():
+    """On the square the Chebyshev operator's second axis is its first,
+    ``P2 is P1`` and ``points2 is points1``, and every array of the
+    operator is bit for bit that of the grid with its second axis built."""
+    grid, built = grid_with_its_second_axis_built()
+    assert grid.x2 is grid.x1 and built.x2 is not built.x1
+    op, ref = build_cheb_operator(8, grid), build_cheb_operator(8, built)
+    assert op.P2 is op.P1 and op.points2 is op.points1
+    assert ref.P2 is not ref.P1 and ref.points2 is not ref.points1
+    for f in dataclasses.fields(op):
+        got, want = getattr(op, f.name), getattr(ref, f.name)
+        if f.name == "m":
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert f.name in ("C", "L1", "L2") or not got.flags.writeable
+
+
+@pytest.mark.parametrize("problem", [example1(), example5(v=1.0),
+                                     dataclasses.replace(example3(), kernel=lambda r: np.exp(-r))],
+                         ids=["gaussian", "delayed", "exp"])
+def test_a_square_grid_groups_its_distances_once(problem, monkeypatch):
+    """compute_kernel_norms groups one axis's distances when the grid's axes
+    are one array, and two when the second is built on its own; the norms
+    are the same bit for bit."""
+    calls = count_calls(monkeypatch, problems_module, "_axis_distance_groups")
+    grid, built = grid_with_its_second_axis_built()
+    norms = compute_kernel_norms(problem, grid)
+    assert len(calls) == 1
+    ref = compute_kernel_norms(problem, built)
+    assert len(calls) == 3
+    assert dataclasses.astuple(norms) == dataclasses.astuple(ref)
+    assert norms.k_max.hex() == ref.k_max.hex()
+    assert norms.l2_estimate.hex() == ref.l2_estimate.hex()
+
+
+@pytest.mark.parametrize("domain,groupings", [
+    (UNIT_BOX, 1), (Rectangle(0.0, 1.0, 0.0, 2.0), 2), (Rectangle(0, 2, -1, 1), 2),
+], ids=["square", "rectangle", "shifted-equal-sides"])
+@pytest.mark.parametrize("rank_reduction", [True, False], ids=["reduced", "direct"])
+def test_a_solve_groups_the_distances_once_per_distinct_axis(domain, groupings,
+                                                            rank_reduction, monkeypatch):
+    """A solve on the square groups its axis distances once, and shares the
+    Chebyshev basis; on a rectangle, or on equal sides shifted apart,
+    nothing is shared."""
+    calls = count_calls(monkeypatch, problems_module, "_axis_distance_groups")
+    real, built = solver_module.build_cheb_operator, []
+    monkeypatch.setattr(solver_module, "build_cheb_operator",
+                        lambda m, grid: built.append(real(m, grid)) or built[-1])
+    cfg = SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4, rank_reduction=rank_reduction)
+    res = solve(example1(domain=domain), cfg)
+    assert len(calls) == groupings
+    assert (res.grid.x2 is res.grid.x1) == (groupings == 1)
+    assert len(built) == rank_reduction
+    for op in built:
+        assert (op.P2 is op.P1) == (op.points2 is op.points1) == (groupings == 1)
 
 
 # --- step bounds ------------------------------------------------------------
