@@ -294,16 +294,15 @@ def cmd_converge_time(args: argparse.Namespace) -> _Outcome:
     study = time_convergence_study(problem, steps, T=_resolve(args, "T", default_T),
                                    **_solver_flags(args, time_convergence_study),
                                    **_given(norm=args.norm))
-    report = study.report()
-    files = {"report.csv": report.to_csv(),
-             "report.txt": study.to_text() + "\n"}
+    report, text = study.report(), study.to_text()
+    files = {"report.csv": report.to_csv(), "report.txt": text + "\n"}
     manifest = {
         "command": "converge-time", "problem": problem.name,
         "parameters": {**params, **solver_settings(study.configs),
                        "steps": study.steps, "norm": study.norm},
         "rows": report.rows,
     }
-    return files, manifest, study.to_text()
+    return files, manifest, text
 
 
 def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
@@ -312,7 +311,8 @@ def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
     m_values = _parse_list(_resolve(args, "m", "12,24"), "m", int)
     study = space_convergence_study(problem, N_values, m_values,
                                     **_given(k=args.k, h_t=args.ht, T=args.T, norm=args.norm))
-    files = {"report.txt": study.to_text() + "\n"}
+    text = study.to_text()
+    files = {"report.txt": text + "\n"}
     rows = {}
     for m, report in study.reports().items():
         files[f"report_m{m}.csv"] = report.to_csv()
@@ -323,7 +323,7 @@ def cmd_converge_space(args: argparse.Namespace) -> _Outcome:
                        "N": study.N_values, "m": study.m_values, "norm": study.norm},
         "rows": rows,
     }
-    return files, manifest, study.to_text()
+    return files, manifest, text
 
 
 def cmd_compare_delay(args: argparse.Namespace) -> _Outcome:

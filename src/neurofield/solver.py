@@ -125,9 +125,8 @@ them all with the initial data at t = 0.  The frozen part is
 now @ s[:-N^2] + then @ s[N^2:] + fixed, with S evaluated on those rows
 alone; example 4 at N = 48, h_t = 0.02 and T = 0.5 keeps 12.6% of its
 pairs.  Such a folded table is exact only on windows whose rows max(n, 1)
-and deeper hold h0, as every window of its run does; the same holds for
-apply_integral_operator on it.  Nothing is folded when the history varies
-(example 5) or n > k_max.
+and deeper hold h0, as every window of its run does.  Nothing is folded
+when the history varies (example 5) or n > k_max.
 
 A fold of a kernel that separates builds only the pairs it keeps.  The
 nodes within R = max(n, 1) v h_t of a point lie in one run of each axis,
@@ -167,7 +166,6 @@ __all__ = [
     "SolveResult",
     "time_level",
     "build_delay_table",
-    "apply_integral_operator",
     "lift_to_grid",
     "bdf2_step",
     "step_bound",
@@ -180,6 +178,10 @@ _TIME_ALIGN_RTOL = 1e-9
 # the cap on a level's fixed-point iterations: reaching it signals a time
 # step above the admissible bounds
 _MAX_INNER = 50
+# the bytes the memory check counts per record a run holds, its list slot
+# included: a level's StepDiagnostics, and a kept state's FieldState with
+# its array object (at most 165 and 192 B, traced at N = 1 and 4)
+_RECORD_BYTES = 200
 
 
 def _physical_memory() -> int:
@@ -600,25 +602,6 @@ def build_delay_table(problem: ProblemSpec, grid: SpatialGrid,
                         live=live, fixed=fixed)
 
 
-def apply_integral_operator(problem: ProblemSpec, table: _Table,
-                            history: np.ndarray) -> np.ndarray:
-    """Quadrature sum of K * S(field) at every evaluation point of the table:
-    its frozen sum plus its live sum on row 0, the whole operator that
-    solve's march applies in these two parts.
-
-    ``history[l]`` is the grid field l levels back, row 0 being the current
-    iterate; it needs ``table.history_rows`` rows.  On a table folded for a
-    constant history (DelayedPairs.fixed) the sum is exact only where the
-    history holds that field from row max(n, 1) on.  Returns a vector with
-    one entry per evaluation point.
-    """
-    nodes = table.shape[1]
-    if history.ndim != 2 or history.shape[0] < table.history_rows or history.shape[1] != nodes:
-        raise ValueError(f"the operator needs a history of {table.history_rows} grid rows "
-                         f"of {nodes} nodes, got shape {history.shape}")
-    return table.frozen_sum(problem, history) + table.live_sum(problem, history[0])
-
-
 def lift_to_grid(cheb_op: ChebOperator, samples: np.ndarray) -> np.ndarray:
     """Interpolate values at the m^2 Chebyshev points onto the flat grid:
     L1 @ M @ L2, the coefficient transform and grid evaluation in one."""
@@ -836,7 +819,8 @@ def solve(problem: ProblemSpec, config: SolverConfig,
     not finite raises ValueError naming its time.  Step-size bounds are
     checked up front; a step above a bound only logs a warning.  The run
     raises ValueError before the kernel norms if the levels alone (the
-    buffer's rows, counted for an unfolded table, plus the kept copies),
+    buffer's rows, counted for an unfolded table, plus the kept copies,
+    and _RECORD_BYTES for each level's diagnostics and each state held),
     or a bound of the norms' working set (kernel_norms_bytes), exceed the
     machine's physical memory; before it reads the history if the levels
     and a bound of the table (_table_bound) together exceed it; or if
@@ -861,8 +845,10 @@ def solve(problem: ProblemSpec, config: SolverConfig,
     row_bytes = grid.total_points * 8
     rows = _buffer_rows(num_steps, k_max + 2 if problem.has_delay else 1,
                         kept is not None) + copies
-    level_bytes = rows * row_bytes
-    _check_memory(level_bytes, f"{rows} grid levels")
+    records = num_steps + 1 + (num_steps + 1 if kept is None else copies)
+    held = rows * row_bytes + records * _RECORD_BYTES
+    what = f"{rows} grid levels and {records} level records"
+    _check_memory(held, what)
     _check_memory(kernel_norms_bytes(grid), "its kernel norms")
     norms = compute_kernel_norms(problem, grid)
     bounds = step_bound(problem, norms)
@@ -881,8 +867,8 @@ def solve(problem: ProblemSpec, config: SolverConfig,
     for msg in warnings:
         logger.warning(msg)
 
-    _check_memory(_table_bound(problem, grid, axes, k_max, norms.separable) + level_bytes,
-                  f"its operator table and {rows} grid levels")
+    _check_memory(_table_bound(problem, grid, axes, k_max, norms.separable) + held,
+                  f"its operator table, {what}")
     u0 = tensor_values(problem.initial, *axes, 0.0)
     problem.rate_values(u0)  # a rate of another shape fails here, before the table
     table = build_delay_table(problem, grid, axes, h, norms.separable, num_steps=num_steps)

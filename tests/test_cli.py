@@ -466,6 +466,26 @@ def test_report_header_shows_the_manifest_settings(tmp_path, solved_configs, arg
     assert all(params[key] == [shared[key]] for key in listed)
 
 
+@pytest.mark.parametrize("argv,study", [
+    (["converge-time", "--steps", "0.02,0.01", "--T", "0.04", "--n", "2"], "TimeStudy"),
+    (["converge-space", "--N", "8,12", "--m", "8", "--T", "0.02"], "SpaceStudy"),
+], ids=["time", "space"])
+def test_a_study_command_builds_its_text_once(tmp_path, capsys, monkeypatch, argv, study):
+    """A study command builds its report text once: report.txt holds it
+    with a final newline, and it is what the command prints."""
+    cls = getattr(neurofield.analysis, study)
+    to_text, calls = cls.to_text, []
+
+    def counted(self):
+        calls.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(cls, "to_text", counted)
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
+
+
 def test_converge_time_can_turn_rank_reduction_on(tmp_path, solved_configs):
     assert main(["converge-time", "--steps", "0.02,0.01", "--T", "0.04",
                  "--rank-reduction", "--m", "6", "--out", str(tmp_path)]) == 0

@@ -37,6 +37,43 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+def binds(node, name):
+    """Whether a module-level statement defines or imports ``name``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any((alias.asname or alias.name) == name for alias in node.names)
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def references(tree):
+    """Every name a tree reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_exported_name_is_used(path):
+    """A name in a module's ``__all__`` is read by package code outside the
+    statement that defines it, or by the acceptance tests: the public
+    surface holds nothing that only its own definition or other tests use."""
+    statements = [(other, node, set(references(node))) for other in PACKAGE.glob("*.py")
+                  for node in ast.parse(other.read_text()).body]
+    acceptance = set(references(ast.parse((PACKAGE.parents[1] / "tests"
+                                           / "test_acceptance.py").read_text())))
+    unused = [name for name in sorted(exported_names(ast.parse(path.read_text())))
+              if not name.startswith("__") and name not in acceptance
+              and not any(name in refs for other, node, refs in statements
+                          if other != path or not binds(node, name))]
+    assert not unused, f"{path.name} exports {unused} and only their definitions use them"
+
+
 def calls_to(func, name):
     return [node for node in ast.walk(func) if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name) and node.func.id == name]

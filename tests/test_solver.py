@@ -34,7 +34,6 @@ from neurofield.solver import (
     DelayedPairs,
     PairTable,
     SolverConfig,
-    apply_integral_operator,
     build_delay_table,
     lift_to_grid,
     solve,
@@ -85,6 +84,12 @@ def grid_table(problem, grid, h):
 def solver_table(problem, grid, axes, h):
     """The table solve builds: with the verdict of the kernel norms."""
     return build_delay_table(problem, grid, axes, h, compute_kernel_norms(problem, grid).separable)
+
+
+def apply_table(problem, table, history):
+    """The whole operator on a history window: the frozen sum plus the live
+    sum on row 0, the two parts the march applies."""
+    return table.frozen_sum(problem, history) + table.live_sum(problem, history[0])
 
 
 def node_distances(grid):
@@ -402,20 +407,10 @@ def test_history_stack_rows():
     h = 0.1
     table = grid_table(p, grid, h)
     rows = -np.arange(table.history_rows, dtype=float)[:, None] * np.ones(64)
-    out = apply_integral_operator(p, table, rows)
+    out = apply_table(p, table, rows)
     # linear interpolation between rows j and j + 1 gives minus the lag in steps
     expected = -(node_distances(grid) / (p.v * h)) @ grid.flat_weights()
     assert np.max(np.abs(out - expected)) < 1e-12
-
-
-def test_history_rejects_bad_depth():
-    grid = make_grid(N=8)
-    table = grid_table(example1(), grid, 0.01)
-    assert table.history_rows == 1
-    with pytest.raises(ValueError):
-        apply_integral_operator(example1(), table, np.ones((0, 64)))
-    with pytest.raises(ValueError):
-        apply_integral_operator(example1(), table, np.ones(64))
 
 
 # --- pair table and operator application ------------------------------------
@@ -466,25 +461,9 @@ def test_axis_factors_match_the_pair_table(domain, rank_reduction):
     rng = np.random.default_rng(7)
     for _ in range(3):
         history = rng.standard_normal((1, 144))
-        want = apply_integral_operator(p, ref, history)
-        got = apply_integral_operator(p, fast, history)
+        want = apply_table(p, ref, history)
+        got = apply_table(p, fast, history)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_axis_factor_table_checks_the_history_first():
-    """A history of the wrong width raises ValueError before the firing
-    rate sees it."""
-    grid = make_grid(N=8)
-
-    def no_rate(u):
-        raise AssertionError("firing_rate called")
-
-    p = dataclasses.replace(example1(), firing_rate=no_rate)
-    table = solver_table(p, grid, (grid.x1, grid.x2), 0.01)
-    assert isinstance(table, AxisFactors)
-    for bad in (np.ones((1, 63)), np.ones(64), np.ones((0, 64))):
-        with pytest.raises(ValueError, match="1 grid rows of 64 nodes"):
-            apply_integral_operator(p, table, bad)
 
 
 @pytest.mark.parametrize("make", [example1, example2, example3, lambda: example5(v=math.inf)],
@@ -561,8 +540,8 @@ def test_undeclared_gaussians_take_the_axis_factors(kernel, rank_reduction, doma
     rng = np.random.default_rng(11)
     for _ in range(3):
         history = rng.standard_normal((1, 144))
-        want = apply_integral_operator(p, ref, history)
-        got = apply_integral_operator(p, fast, history)
+        want = apply_table(p, ref, history)
+        got = apply_table(p, fast, history)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     cfg = SolverConfig(h_t=0.01, T=0.05, n=3, k=4, m=6, rank_reduction=rank_reduction)
     res = solve(p, cfg)
@@ -698,7 +677,7 @@ def test_apply_operator_zero_kernel():
     grid = make_grid(N=8)
     p = decay_problem()
     table = grid_table(p, grid, 0.01)
-    out = apply_integral_operator(p, table, np.ones((1, 64)))
+    out = apply_table(p, table, np.ones((1, 64)))
     assert np.array_equal(out, np.zeros(64))
 
 
@@ -708,7 +687,7 @@ def test_apply_operator_constant_rate_matches_closed_form():
     p = dataclasses.replace(example1(),
                             firing_rate=lambda u: np.full_like(np.asarray(u, float), 0.7))
     table = grid_table(p, grid, 0.01)
-    out = apply_integral_operator(p, table, np.zeros((1, 576)))
+    out = apply_table(p, table, np.zeros((1, 576)))
     p1, p2 = grid.flat_points()
     expected = 0.7 * kernel_box_integral(1.0, p1, p2)
     assert np.max(np.abs(out - expected)) < 1e-8
@@ -733,17 +712,6 @@ def test_overflow_raises_without_numpy_warnings():
             solve(example1(c=1e-300), SolverConfig(h_t=0.01, T=0.02, n=2, k=4, m=4))
 
 
-def test_apply_operator_delayed_needs_history():
-    grid = make_grid(N=8)
-    p = example4(v=1.0)
-    table = grid_table(p, grid, 0.1)
-    with pytest.raises(ValueError, match="30 grid rows"):
-        apply_integral_operator(p, table, np.ones((1, 64)))
-    # the flat indices assume rows of N^2 = 64 nodes
-    with pytest.raises(ValueError, match="of 64 nodes"):
-        apply_integral_operator(p, table, np.ones((30, 63)))
-
-
 def test_apply_operator_delay_reads_history_levels():
     """With v h below the smallest off-diagonal node distance, every cross
     pair lags at least one level and must read stored history."""
@@ -755,9 +723,9 @@ def test_apply_operator_delay_reads_history_levels():
     assert np.all(table.then.indices.reshape(64, 64)[off_diag] // 64 >= 1)
     history = np.random.default_rng(0).standard_normal((table.history_rows, 64))
     history[0] = 0.0
-    out_a = apply_integral_operator(p, table, history)
+    out_a = apply_table(p, table, history)
     history[0] = 5.0
-    out_b = apply_integral_operator(p, table, history)
+    out_b = apply_table(p, table, history)
     # only the self pair (p, p) reads the current iterate: with the linear
     # rate the shift is exactly 5 K(0) w_p, one node's quadrature weight
     diff = np.abs(out_b - out_a)
@@ -840,7 +808,7 @@ def test_split_operator_matches_full_gather(case):
             frozen = table.frozen_sum(p, history)
             assert_close(frozen, frozen_ref)
             assert_close(table.live_sum(p, history[0]), live_ref)
-            assert_close(apply_integral_operator(p, table, history), frozen_ref + live_ref)
+            assert_close(apply_table(p, table, history), frozen_ref + live_ref)
             history[0] = rng.standard_normal(grid.total_points)
             assert np.array_equal(table.frozen_sum(p, history), frozen)
 
@@ -1103,11 +1071,12 @@ def test_run_beyond_physical_memory_fails_before_allocating(problem, config):
 
 def test_memory_check_compares_the_table_and_levels_with_physical_memory(monkeypatch):
     """The run fits exactly when the bound of its kernel norms, and apart
-    from it its table with its three levels (0, 1 and 2), take no more
+    from it its table with its three levels (0, 1 and 2) and their six
+    records (a diagnostics record and a state per level), take no more
     bytes than the machine has.  At N = 8 the norms' bound is the larger,
     so the table and levels decide only with that bound taken as 0."""
     p, cfg = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
-    needed = solve(p, cfg).table_bytes + 3 * 64 * 8
+    needed = solve(p, cfg).table_bytes + 3 * 64 * 8 + 6 * solver_module._RECORD_BYTES
     norms = kernel_norms_bytes(build_grid(p.domain, 2, build_gauss_rule(4)))
     assert norms > needed
 
@@ -1121,7 +1090,7 @@ def test_memory_check_compares_the_table_and_levels_with_physical_memory(monkeyp
 
     fits_exactly(norms, "its kernel norms")
     monkeypatch.setattr(solver_module, "kernel_norms_bytes", lambda grid: 0)
-    fits_exactly(needed, "its operator table and 3 grid levels")
+    fits_exactly(needed, "its operator table, 3 grid levels and 6 level records")
 
 
 @pytest.mark.parametrize("refused", ["levels", "norms"])
@@ -1131,7 +1100,8 @@ def test_memory_check_precedes_the_kernel_norms(refused, monkeypatch):
     cannot die inside them."""
     p, cfg = example1(), SolverConfig(h_t=0.05, T=0.1, n=2, k=4, m=4)
     grid = build_grid(p.domain, 2, build_gauss_rule(4))
-    needed, what = {"levels": (3 * 64 * 8, "3 grid levels"),
+    needed, what = {"levels": (3 * 64 * 8 + 6 * solver_module._RECORD_BYTES,
+                               "3 grid levels and 6 level records"),
                     "norms": (kernel_norms_bytes(grid), "its kernel norms")}[refused]
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
     monkeypatch.setattr(solver_module, "compute_kernel_norms", refuse("compute_kernel_norms"))
@@ -1154,10 +1124,11 @@ def test_delayed_memory_check_precedes_the_history_scan_and_the_build(monkeypatc
     fits exactly goes on."""
     p, cfg = example4(v=1.0), SolverConfig(h_t=0.1, T=0.2, n=2, k=4, m=4)
     rows = 2 + 28 + 2  # num_steps + k_max + 2
-    needed = 20 * 16 * 64 + rows * 64 * 8
+    needed = 20 * 16 * 64 + rows * 64 * 8 + 6 * solver_module._RECORD_BYTES
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
     monkeypatch.setattr(solver_module, "build_delay_table", refuse("build_delay_table"))
-    with pytest.raises(ValueError, match=f"needs {needed} B .* {rows} grid levels, above the "
+    with pytest.raises(ValueError, match=f"needs {needed} B .* {rows} grid levels and 6 level "
+                                         f"records, above the "
                                          f"{needed - 1} B of physical memory"):
         solve(dataclasses.replace(p, initial=refuse("initial")), cfg)
     monkeypatch.undo()
@@ -1247,21 +1218,65 @@ def test_state_at_a_time_not_kept_names_the_kept_times():
 
 
 def test_memory_check_counts_the_buffer_and_the_kept_levels(monkeypatch):
-    """A 100-step undelayed run needs 101 grid levels when it keeps every
-    level, and with keep=(T,) a 2-row buffer and one copy.  With physical
-    memory set to the table and those 3 rows, the full run is refused and
-    the kept one goes on."""
+    """A 100-step undelayed run needs 101 grid levels and 202 records (a
+    diagnostics record and a state per level) when it keeps every level,
+    and with keep=(T,) a 2-row buffer, one copy and 102 records.  With
+    physical memory set to the table and those 3 rows and 102 records,
+    the full run is refused and the kept one goes on."""
     p, cfg = example1(), SolverConfig(h_t=0.01, T=1.0, n=2, k=4, m=4)
+    record = solver_module._RECORD_BYTES
     monkeypatch.setattr(solver_module, "kernel_norms_bytes", lambda grid: 0)
-    needed = solve(p, cfg, keep=()).table_bytes + 3 * 64 * 8
+    needed = solve(p, cfg, keep=()).table_bytes + 3 * 64 * 8 + 102 * record
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed)
-    with pytest.raises(ValueError, match="needs 51712 B for 101 grid levels"):
+    with pytest.raises(ValueError, match=f"needs {51712 + 202 * record} B for 101 grid levels "
+                                         f"and 202 level records"):
         solve(p, cfg)
     assert [s.time for s in solve(p, cfg, keep=(1.0,)).states] == [1.0]
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: needed - 1)
-    with pytest.raises(ValueError, match=f"needs {needed} B for its operator table and 3 grid "
-                                         f"levels"):
+    with pytest.raises(ValueError, match=f"needs {needed} B for its operator table, 3 grid "
+                                         f"levels and 102 level records"):
         solve(p, cfg, keep=(1.0,))
+
+
+def test_a_long_kept_run_is_refused_for_its_records(monkeypatch):
+    """Example 1 over 10,000 steps on one node, keeping only T's state,
+    holds 24 B of grid levels and about 136 B of records per step (traced):
+    with 1 MB of physical memory it is refused before the kernel norms
+    run, where its rows alone would admit it to hold 1.36 MB."""
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(solver_module, "compute_kernel_norms", refuse("compute_kernel_norms"))
+    cfg = SolverConfig(h_t=1e-4, T=1.0, n=1, k=1, rank_reduction=False)
+    with pytest.raises(ValueError, match=r"needs \d+ B for 3 grid levels and 10002 level "
+                                         r"records, above the 1000000 B"):
+        solve(example1(), cfg, keep=(1.0,))
+
+
+@pytest.mark.parametrize("keep", [None, (2.0,)], ids=["every-level", "keep-T"])
+@pytest.mark.parametrize("rank_reduction", [False, True], ids=["direct", "rank-reduced"])
+def test_memory_check_bounds_what_a_run_holds(keep, rank_reduction, monkeypatch):
+    """The bytes the memory check counts for a run's levels and records
+    bound what its result holds, and by less than twice: example 1 over
+    2,000 steps on one node (direct) or four per axis (rank-reduced, whose
+    integrand counts pass Python's small-int cache), keeping every level
+    or only T's state."""
+    cfg = SolverConfig(h_t=0.001, T=2.0, n=1, k=4 if rank_reduction else 1, m=4,
+                       rank_reduction=rank_reduction)
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 0)
+    records = 4002 if keep is None else 2002
+    with pytest.raises(ValueError, match=f"grid levels and {records} level records") as refused:
+        solve(example1(), cfg, keep=keep)
+    counted = int(re.search(r"needs (\d+) B", str(refused.value)).group(1))
+    monkeypatch.undo()
+    solve(example1(), dataclasses.replace(cfg, T=0.0))  # what the first solve allocates
+    tracemalloc.start()
+    try:
+        res = solve(example1(), cfg, keep=keep)
+        held = tracemalloc.get_traced_memory()[0]
+        del res
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert counted / 2 < held <= counted
 
 
 def test_long_run_keeping_its_last_state_peaks_near_its_set_up():
@@ -1356,8 +1371,7 @@ def test_folded_table_matches_the_unfolded_one(domain, rank_reduction, N, monkey
             window[:n] = rng.standard_normal((n, Q))
             assert_close(fold.frozen_sum(q, window), ref.frozen_sum(q, window))
             assert np.array_equal(fold.live_sum(q, window[0]), ref.live_sum(q, window[0]))
-            assert_close(apply_integral_operator(q, fold, window),
-                         apply_integral_operator(q, ref, window))
+            assert_close(apply_table(q, fold, window), apply_table(q, ref, window))
     res = solve(p, cfg)
     ref_res = solve_unfolded(p, cfg, monkeypatch)
     assert res.frozen_pairs == fold.frozen_pairs and res.table_bytes == fold.nbytes
@@ -1432,8 +1446,7 @@ def test_near_build_matches_the_whole_build(domain, rank_reduction, N, monkeypat
             window = np.tile(h0, (near.history_rows, 1))
             window[:n] = rng.standard_normal((n, Q))
             assert_close(near.frozen_sum(q, window), whole.frozen_sum(q, window))
-            assert_close(apply_integral_operator(q, near, window),
-                         apply_integral_operator(q, whole, window))
+            assert_close(apply_table(q, near, window), apply_table(q, whole, window))
     res = solve(p, cfg)
     with monkeypatch.context() as patch:
         patch.setattr(solver_module, "build_delay_table", without_verdict)
@@ -1496,7 +1509,7 @@ def test_near_build_matches_the_whole_build_at_its_edges(case, monkeypatch):
     assert_close(near.fixed, whole.fixed)
     if case == "sharp-kernel":
         h0 = p.initial(grid.x1[:, None], grid.x2[None, :], 0.0).ravel()
-        whole_sum = apply_integral_operator(p, near, np.tile(h0, (near.history_rows, 1)))
+        whole_sum = apply_table(p, near, np.tile(h0, (near.history_rows, 1)))
         assert np.max(near.fixed) < 1e-3 * np.max(whole_sum)
 
 
@@ -1676,7 +1689,7 @@ def test_lift_identity_without_operator():
     res = solve(p, SolverConfig(h_t=h, T=h, n=2, k=4, rank_reduction=False))
     p1, p2 = res.grid.flat_points()
     U0 = res.states[0].values
-    kap = apply_integral_operator(p, grid_table(p, res.grid, h), U0[None, :])
+    kap = apply_table(p, grid_table(p, res.grid, h), U0[None, :])
     expected = U0 + (h / p.c) * (p.input_current(p1, p2, 0.0) - U0 + kap)
     assert np.array_equal(res.states[1].values, expected)
 
